@@ -17,6 +17,14 @@
 //   - []byte(string) / string([]byte) conversions
 //   - copy(...) between heap byte slices (filling a local stack array,
 //     copy(buf[:], src), is the blessed pattern and stays legal)
+//   - a trace or log call — a call statement to a func(..., ...any) — that
+//     is handed a non-constant value: the caller boxes each such argument
+//     into the variadic slice before the callee can look at its level, so
+//     a disabled trace.Printf still allocates once per argument per
+//     message. The call passes inside `if trace.Enabled(level) { ... }`
+//     (any Enabled guard), where the boxing happens only when someone is
+//     listening. fmt.Errorf and its kin are not this shape: their result
+//     is a value the method returns on a reject path.
 //
 // Value struct literals (header{...}) live on the stack and pass. So do
 // nested function literals — timer callbacks are the timeout path, not
@@ -97,11 +105,24 @@ func run(pass *xkanalysis.Pass) (any, error) {
 func checkBody(pass *xkanalysis.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
 	where := fd.Name.Name
+	// stack holds the ancestors of the node being visited, so a trace
+	// call can be matched against the if statements around it.
+	var stack []ast.Node
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if _, ok := n.(*ast.FuncLit); ok {
 			// Deferred/scheduled work is not the per-message path.
 			return false
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.ExprStmt:
+			if call, ok := n.X.(*ast.CallExpr); ok && boxesPerMessage(info, call) && !underEnabledGuard(stack) {
+				pass.Reportf(call.Pos(), "trace call in hot path %s boxes its arguments per message even when tracing is off (guard it: if trace.Enabled(level) { ... })", where)
+			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
@@ -151,6 +172,77 @@ func checkBody(pass *xkanalysis.Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// boxesPerMessage reports whether call passes at least one value that
+// must be heap-boxed to a final ...interface{} parameter: a non-constant
+// of a type that is neither an interface (re-wrapped, not boxed) nor
+// pointer-shaped (stored in the interface word as is).
+func boxesPerMessage(info *types.Info, call *ast.CallExpr) bool {
+	if call.Ellipsis.IsValid() {
+		return false // f(args...) hands over an existing slice
+	}
+	tv, ok := info.Types[call.Fun]
+	if !ok || tv.IsType() {
+		return false
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok || !sig.Variadic() {
+		return false
+	}
+	last := sig.Params().At(sig.Params().Len() - 1).Type().(*types.Slice)
+	if iface, ok := last.Elem().Underlying().(*types.Interface); !ok || !iface.Empty() {
+		return false
+	}
+	for i := sig.Params().Len() - 1; i < len(call.Args); i++ {
+		at := info.Types[call.Args[i]]
+		if at.Type == nil || at.Value != nil {
+			continue // a constant is boxed once, at compile time
+		}
+		switch at.Type.Underlying().(type) {
+		case *types.Interface, *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+			continue
+		}
+		return true
+	}
+	return false
+}
+
+// underEnabledGuard reports whether the innermost node of stack sits in
+// the body of an if statement whose condition calls something named
+// Enabled (trace.Enabled(level), rec.Enabled()) un-negated.
+func underEnabledGuard(stack []ast.Node) bool {
+	for i := len(stack) - 2; i >= 0; i-- {
+		ifs, ok := stack[i].(*ast.IfStmt)
+		if !ok || stack[i+1] != ast.Node(ifs.Body) {
+			continue
+		}
+		if callsEnabled(ifs.Cond) {
+			return true
+		}
+	}
+	return false
+}
+
+func callsEnabled(cond ast.Expr) bool {
+	found := false
+	ast.Inspect(cond, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.UnaryExpr:
+			if n.Op.String() == "!" {
+				return false // `if !Enabled() { ... }` guards the wrong branch
+			}
+		case *ast.CallExpr:
+			switch fun := ast.Unparen(n.Fun).(type) {
+			case *ast.Ident:
+				found = found || fun.Name == "Enabled"
+			case *ast.SelectorExpr:
+				found = found || fun.Sel.Name == "Enabled"
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // heapByteCopy reports whether the copy call moves bytes between heap

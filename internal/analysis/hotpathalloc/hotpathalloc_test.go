@@ -10,6 +10,7 @@ import (
 func TestHotPathAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata", hotpathalloc.Analyzer,
 		"xkernel/internal/proto/hptest",
+		"xkernel/internal/proto/tracetest",
 		"xkernel/internal/obs/obstest",
 		"xkernel/internal/obs/proftest",
 		"xkernel/internal/obs/flighttest",

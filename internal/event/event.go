@@ -26,11 +26,26 @@ type Clock interface {
 	Schedule(d time.Duration, f func()) *Event
 }
 
-// Event is a handle on a scheduled call.
+// Event is a handle on a scheduled call. It can be cancelled, and re-armed
+// with Reset any number of times, so a protocol that needs one timeout at
+// a time (a channel's retransmission timer) sets the event up once per
+// binding instead of once per call.
 type Event struct {
-	cancel func() bool
-	mu     sync.Mutex
-	done   bool
+	mu sync.Mutex
+	f  func()
+	// done: the current arm has fired or been cancelled.
+	done bool
+	// pending: the current arm's firing has neither been prevented nor
+	// reached fire yet. stale counts firings of earlier arms that were
+	// already on their way when Reset re-armed the event; fire discards
+	// that many before it runs the handler, so the handler never runs on
+	// behalf of an arm that Reset replaced.
+	pending bool
+	stale   int
+
+	timer *time.Timer // real clock
+	fake  *FakeClock  // fake clock, with the arm's entry in its pending list
+	entry *fakeTimer
 }
 
 // Cancel stops the event if it has not yet fired. It reports whether the
@@ -46,19 +61,97 @@ func (e *Event) Cancel() bool {
 		return false
 	}
 	e.done = true
-	return e.cancel()
+	if e.pending && e.unschedule() {
+		e.pending = false
+	}
+	return true
 }
 
-// markFired records that the handler ran, so later Cancel calls report
-// false.
-func (e *Event) markFired() bool {
+// Reset re-arms the event to run its handler d from now, whether it is
+// still pending, has fired, or was cancelled. A firing of the previous
+// arm that is already under way is discarded, not delivered early.
+func (e *Event) Reset(d time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	var prevented bool
+	if e.timer != nil {
+		prevented = e.timer.Reset(d)
+	} else {
+		prevented = e.fake.rearm(e, d)
+	}
+	if e.pending && !prevented {
+		e.stale++
+	}
+	e.pending = true
+	e.done = false
+}
+
+// unschedule takes the pending firing back from the clock, reporting
+// whether it got there first. Caller holds e.mu.
+func (e *Event) unschedule() bool {
+	if e.timer != nil {
+		return e.timer.Stop()
+	}
+	return e.fake.remove(e.entry)
+}
+
+// fire is what the clock calls when an arm comes due.
+func (e *Event) fire() {
+	e.mu.Lock()
+	if e.stale > 0 {
+		e.stale--
+		e.mu.Unlock()
+		return
+	}
+	e.pending = false
 	if e.done {
-		return false
+		e.mu.Unlock()
+		return
 	}
 	e.done = true
-	return true
+	e.mu.Unlock()
+	e.f()
+}
+
+// Timeout is one re-armable timeout for a caller that waits for it in a
+// select beside whatever it is really waiting for — the shape of a
+// retransmission timer. It is built once per binding (a channel has one
+// call outstanding at a time, so one Timeout serves all its calls) and
+// costs nothing per arm.
+//
+// Every arm must be settled before the next: either the caller received
+// its expiry from C, or it calls Disarm. That is what keeps an expiry
+// that races the awaited event from showing up in the next wait.
+type Timeout struct {
+	// C delivers one token for each arm that expires.
+	C     chan struct{}
+	clock Clock
+	ev    *Event
+}
+
+// NewTimeout returns an unarmed timeout on clock.
+func NewTimeout(clock Clock) *Timeout {
+	return &Timeout{C: make(chan struct{}, 1), clock: clock}
+}
+
+// Arm starts the timeout: a token arrives on C after d unless Disarm
+// comes first. The previous arm must have been settled, so the token's
+// slot is empty and the handler's send never blocks.
+func (t *Timeout) Arm(d time.Duration) {
+	if t.ev == nil {
+		t.ev = t.clock.Schedule(d, func() { t.C <- struct{}{} })
+		return
+	}
+	t.ev.Reset(d)
+}
+
+// Disarm settles an arm whose token the caller has not received. If the
+// timeout expired anyway — the handler ran or is about to — Disarm takes
+// the token, so it cannot be mistaken for the next arm's.
+func (t *Timeout) Disarm() {
+	if !t.ev.Cancel() {
+		<-t.C
+	}
 }
 
 // realClock implements Clock with package time.
@@ -70,13 +163,10 @@ func Real() Clock { return realClock{} }
 func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) Schedule(d time.Duration, f func()) *Event {
-	e := &Event{}
-	t := time.AfterFunc(d, func() {
-		if e.markFired() {
-			f()
-		}
-	})
-	e.cancel = t.Stop
+	e := &Event{f: f, pending: true}
+	e.mu.Lock() // the timer may fire before the assignment below lands
+	e.timer = time.AfterFunc(d, e.fire)
+	e.mu.Unlock()
 	return e
 }
 
@@ -91,7 +181,6 @@ type FakeClock struct {
 type fakeTimer struct {
 	at  time.Time
 	seq int // FIFO tie-break for equal deadlines
-	f   func()
 	ev  *Event
 }
 
@@ -109,30 +198,47 @@ func (c *FakeClock) Now() time.Time {
 
 // Schedule registers f to run when the clock is advanced past d from now.
 func (c *FakeClock) Schedule(d time.Duration, f func()) *Event {
+	e := &Event{f: f, fake: c, pending: true}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &fakeTimer{at: c.now.Add(d), seq: c.seq, f: f}
-	c.seq++
-	e := &Event{cancel: func() bool {
-		c.remove(t)
-		return true
-	}}
-	t.ev = e
-	c.pending = append(c.pending, t)
+	c.enqueueLocked(e, d)
 	return e
 }
 
-// remove drops t from the pending list; the Event mutex serializes against
-// firing.
-func (c *FakeClock) remove(t *fakeTimer) {
+// enqueueLocked adds an entry for e, due d from now. Caller holds c.mu
+// (and, except at creation, e.mu).
+func (c *FakeClock) enqueueLocked(e *Event, d time.Duration) {
+	e.entry = &fakeTimer{at: c.now.Add(d), seq: c.seq, ev: e}
+	c.seq++
+	c.pending = append(c.pending, e.entry)
+}
+
+// rearm replaces e's entry with one due d from now, reporting whether
+// the old entry was still waiting. Caller holds e.mu.
+func (c *FakeClock) rearm(e *Event, d time.Duration) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	found := c.removeLocked(e.entry)
+	c.enqueueLocked(e, d)
+	return found
+}
+
+// remove drops t from the pending list, reporting whether it was still
+// there; the Event mutex serializes against firing.
+func (c *FakeClock) remove(t *fakeTimer) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.removeLocked(t)
+}
+
+func (c *FakeClock) removeLocked(t *fakeTimer) bool {
 	for i, p := range c.pending {
 		if p == t {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // Advance moves the clock forward by d, firing every due timer in deadline
@@ -150,9 +256,7 @@ func (c *FakeClock) Advance(d time.Duration) {
 			c.now = t.at
 		}
 		c.mu.Unlock()
-		if t.ev.markFired() {
-			t.f()
-		}
+		t.ev.fire()
 		c.mu.Lock()
 	}
 	c.now = target

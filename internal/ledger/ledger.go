@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 
+	"xkernel/internal/msg"
 	"xkernel/internal/obs/gauge"
 	"xkernel/internal/xk"
 )
@@ -157,6 +158,23 @@ func EncodeFrames(frames ...[]byte) []byte {
 		binary.BigEndian.PutUint32(l[:], uint32(len(f)))
 		blob = append(blob, l[:]...)
 		blob = append(blob, f...)
+	}
+	return blob
+}
+
+// EncodeMsgs is EncodeFrames for frames still held as messages: each is
+// flattened straight into the blob, so recording a reply costs the blob
+// and no intermediate copy per frame.
+func EncodeMsgs(frames ...*msg.Msg) []byte {
+	n := 1
+	for _, f := range frames {
+		n += 4 + f.Len()
+	}
+	blob := make([]byte, 0, n)
+	blob = append(blob, byte(len(frames)))
+	for _, f := range frames {
+		blob = binary.BigEndian.AppendUint32(blob, uint32(f.Len()))
+		blob = f.AppendTo(blob)
 	}
 	return blob
 }

@@ -10,12 +10,18 @@ import (
 // The directed tests pin down each operation's contract; the fuzzer
 // hunts for interactions between them (a Truncate that re-slices the
 // leader followed by a Push, a Pop straddling the header/payload
-// boundary after a Join, ...).
+// boundary after a Join, ...). Once the sequence has cloned the message,
+// bit 3 of each op byte picks which of the two — original or clone — the
+// op mutates, and both are checked after every step: the leader, blocks
+// and attributes live inside the Msg, so an op on one must never show
+// through the other.
 func FuzzPushPopFragmentJoin(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 2, 3, 1, 2, 5, 6, 0, 7})
 	f.Add([]byte{3, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 6, 4, 2, 1, 4, 3})
 	f.Add(bytes.Repeat([]byte{0, 8, 1, 1, 2, 4, 5, 7}, 16))
+	// Clone, then alternate Push/Pop/Append/Truncate between the two.
+	f.Add([]byte{3, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 4, 1, 2, 3, 4, 7, 5, 8, 3, 9, 9, 9, 1, 6, 11, 4, 10, 2, 8 | 1, 3, 4, 5, 12, 2, 7, 6})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cursor := 0
@@ -36,21 +42,45 @@ func FuzzPushPopFragmentJoin(f *testing.F) {
 			return out
 		}
 
-		m := Empty()
-		var model []byte
+		// pair is a message and its naive model; attrs models SetAttr.
+		type pair struct {
+			m     *Msg
+			model []byte
+			attrs map[AttrKey]byte
+		}
+		orig := &pair{m: Empty(), attrs: map[AttrKey]byte{}}
+		var clone *pair // nil until the sequence clones
 
 		verify := func(op string) {
 			t.Helper()
-			if m.Len() != len(model) {
-				t.Fatalf("%s: Len=%d, model has %d bytes", op, m.Len(), len(model))
-			}
-			if got := m.Bytes(); !bytes.Equal(got, model) {
-				t.Fatalf("%s: Bytes=%x, model=%x", op, got, model)
+			for _, p := range []*pair{orig, clone} {
+				if p == nil {
+					continue
+				}
+				if p.m.Len() != len(p.model) {
+					t.Fatalf("%s: Len=%d, model has %d bytes", op, p.m.Len(), len(p.model))
+				}
+				if got := p.m.Bytes(); !bytes.Equal(got, p.model) {
+					t.Fatalf("%s: Bytes=%x, model=%x", op, got, p.model)
+				}
+				for k := AttrKey(0); k < 4; k++ {
+					v, ok := p.m.Attr(k)
+					want, wantOK := p.attrs[k]
+					if ok != wantOK || (ok && v.(byte) != want) {
+						t.Fatalf("%s: Attr(%d)=%v,%v, model has %v,%v", op, k, v, ok, want, wantOK)
+					}
+				}
 			}
 		}
 
 		for steps := 0; steps < 64 && cursor < len(data); steps++ {
-			switch next() % 8 {
+			op := next()
+			target := orig
+			if op&8 != 0 && clone != nil {
+				target = clone
+			}
+			m, model := target.m, target.model
+			switch op % 8 {
 			case 0: // Push
 				hdr := chunk(int(next()) % 24)
 				if err := m.Push(hdr); err != nil {
@@ -134,17 +164,18 @@ func FuzzPushPopFragmentJoin(f *testing.F) {
 				if got := rebuilt.Bytes(); !bytes.Equal(got, model) {
 					t.Fatalf("Split(%d)+Join=%x, want %x", size, got, model)
 				}
-			case 7: // Clone: same bytes, independent header space
-				c := m.Clone()
-				if got := c.Bytes(); !bytes.Equal(got, model) {
-					t.Fatalf("Clone=%x, want %x", got, model)
+			case 7: // SetAttr on the target, then Clone it: same bytes and attrs, independent from here on
+				k := AttrKey(next() % 4)
+				v := next()
+				m.SetAttr(k, v)
+				target.attrs[k] = v
+				clone = &pair{m: m.Clone(), model: append([]byte(nil), model...), attrs: map[AttrKey]byte{}}
+				for k, v := range target.attrs {
+					clone.attrs[k] = v
 				}
-				if err := c.Push([]byte{0xAA}); err == nil {
-					if m.Len() != len(model) {
-						t.Fatalf("Push on clone changed original: Len=%d, want %d", m.Len(), len(model))
-					}
-				}
+				orig = target
 			}
+			target.model = model
 			verify("step")
 		}
 	})

@@ -19,13 +19,21 @@
 //     handle on the message does not mean that the actual message is
 //     deleted" (§3.2, footnote 1).
 //
+//  3. A message must not cost more than one allocation. The leader, the
+//     first two blocks and the first two attributes live inside the Msg
+//     (see the type), so creating, cloning or fragmenting a message is
+//     one object for the collector, not three.
+//
 // Len is O(1): every operation maintains the total length incrementally.
 //
 // Ownership discipline: bytes handed to Push/Append are copied or adopted
 // as documented on each method; bytes returned by Pop/Peek are only valid
-// until the next mutation of the Msg. Msgs are not safe for concurrent
-// mutation; protocols that share a Msg across goroutines must Clone first
-// (Clone is O(blocks), never O(bytes)).
+// until the next mutation of the Msg. A message handed to a session's
+// Push (or Call) belongs to that session from then on — the layers push
+// their headers onto it in place — so a protocol that needs it again
+// Clones it first. Msgs are not safe for concurrent mutation; protocols
+// that share a Msg across goroutines must Clone first (Clone copies the
+// Msg itself and shares the payload: never O(bytes)).
 package msg
 
 import (
@@ -53,25 +61,60 @@ type block struct {
 	data []byte
 }
 
+// attr is one out-of-band attribute.
+type attr struct {
+	k AttrKey
+	v any
+}
+
+// Inline capacities: a message whose leader, blocks and attributes fit
+// them is a single heap object.
+const (
+	inlineBlocks = 2
+	inlineAttrs  = 2
+)
+
 // Msg is an x-kernel message: a header leader plus a chain of payload
 // blocks. The zero value is an empty message with no leader space; most
 // callers use New or NewWithLeader.
+//
+// A Msg is one object. The leader (up to DefaultLeader bytes), the first
+// two payload blocks and the first two attributes are stored inside the
+// struct, so New, Empty, Fragment and Clone are one allocation each and
+// Push, Pop, Append, Join and SetAttr within those bounds are none.
+// Nothing in the struct points into the struct, so a Msg may be copied by
+// value (Clone does); whatever does not fit inline lives in spill.
 type Msg struct {
-	// leader holds headers contiguously. headStart is the index of the
-	// first valid header byte; headers occupy leader[headStart:].
-	leader    []byte
-	headStart int
-
-	// blocks is the payload chain, in order.
-	blocks []block
+	// spill holds what outgrew the inline storage; nil for almost every
+	// message on a protocol path.
+	spill *spill
 
 	// length caches len(headers) + sum(len(block.data)).
 	length int
 
-	// attrs carries out-of-band per-message attributes (e.g. the
-	// ethernet source address recorded by a driver for ARP, or a
-	// simulated-time stamp). Lazily allocated.
-	attrs map[AttrKey]any
+	// Headers occupy leader()[headStart:]. leadLen is the size of the
+	// inline leader in use (the first leadLen bytes of lead), which is
+	// what makes a small requested leader run out exactly where a
+	// separately allocated one would.
+	headStart int32
+	leadLen   uint8
+	nblocks   uint8
+	nattrs    uint8
+
+	blocks [inlineBlocks]block
+	attrs  [inlineAttrs]attr
+
+	// lead is last so the collector's pointer scan stops before it.
+	lead [DefaultLeader]byte
+}
+
+// spill is the out-of-line part of a message. A non-nil slice replaces
+// the corresponding inline storage entirely (blocks, leader) or extends
+// it (attrs).
+type spill struct {
+	leader []byte  // a leader larger than DefaultLeader
+	blocks []block // the whole chain, once it passed inlineBlocks
+	attrs  []attr  // attributes beyond inlineAttrs
 }
 
 // AttrKey identifies an out-of-band message attribute. Packages define
@@ -87,12 +130,19 @@ func New(data []byte) *Msg {
 
 // NewWithLeader is New with an explicit leader size.
 func NewWithLeader(data []byte, leaderSize int) *Msg {
-	m := &Msg{
-		leader:    make([]byte, leaderSize),
-		headStart: leaderSize,
+	if leaderSize < 0 {
+		panic("msg: negative leader size")
 	}
+	m := &Msg{}
+	if leaderSize > DefaultLeader {
+		m.spill = &spill{leader: make([]byte, leaderSize)}
+	} else {
+		m.leadLen = uint8(leaderSize)
+	}
+	m.headStart = int32(leaderSize)
 	if len(data) > 0 {
-		m.blocks = append(m.blocks, block{data: data})
+		m.blocks[0] = block{data: data}
+		m.nblocks = 1
 		m.length = len(data)
 	}
 	return m
@@ -116,18 +166,48 @@ func MakeData(n int) []byte {
 // length of a given message" that VIP's push relies on (§3.1).
 func (m *Msg) Len() int { return m.length }
 
+// leader returns the header area; headers occupy leader()[headStart:].
+func (m *Msg) leader() []byte {
+	if m.spill != nil && m.spill.leader != nil {
+		return m.spill.leader
+	}
+	return m.lead[:m.leadLen]
+}
+
+// chain returns the payload blocks in order.
+func (m *Msg) chain() []block {
+	if m.spill != nil && m.spill.blocks != nil {
+		return m.spill.blocks
+	}
+	return m.blocks[:m.nblocks]
+}
+
+// setChain stores b, a sub-slice of chain(), as the new chain. Inline
+// chains are kept at the front of the inline array so Append finds the
+// free slots after them.
+func (m *Msg) setChain(b []block) {
+	if m.spill != nil && m.spill.blocks != nil {
+		m.spill.blocks = b
+		return
+	}
+	m.nblocks = uint8(copy(m.blocks[:], b))
+}
+
 // headerLen reports how many header bytes are currently pushed.
-func (m *Msg) headerLen() int { return len(m.leader) - m.headStart }
+func (m *Msg) headerLen() int { return len(m.leader()) - int(m.headStart) }
+
+// Headroom reports how many more header bytes Push will accept.
+func (m *Msg) Headroom() int { return int(m.headStart) }
 
 // Push prepends hdr to the message. It fails with ErrLeaderFull if the
 // leader area cannot hold it; protocols size the leader at New time, so in
 // a correctly configured stack Push never allocates.
 func (m *Msg) Push(hdr []byte) error {
-	if len(hdr) > m.headStart {
+	if len(hdr) > int(m.headStart) {
 		return ErrLeaderFull
 	}
-	m.headStart -= len(hdr)
-	copy(m.leader[m.headStart:], hdr)
+	m.headStart -= int32(len(hdr))
+	copy(m.leader()[m.headStart:], hdr)
 	m.length += len(hdr)
 	return nil
 }
@@ -147,70 +227,33 @@ func (m *Msg) MustPush(hdr []byte) {
 // multiple payload blocks), Pop assembles them into a fresh slice; header
 // pops in a well-formed stack are always contiguous and never copy.
 func (m *Msg) Pop(n int) ([]byte, error) {
-	if n < 0 || n > m.length {
-		return nil, ErrShortMessage
+	b, err := m.Peek(n)
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
+	hl := m.headerLen()
+	if hl >= n {
+		m.headStart += int32(n)
+	} else {
+		m.headStart += int32(hl)
+		m.discardPayload(n - hl)
 	}
-	// Fast path: entirely within the pushed headers.
-	if hl := m.headerLen(); hl >= n {
-		b := m.leader[m.headStart : m.headStart+n]
-		m.headStart += n
-		m.length -= n
-		return b, nil
-	}
-	// Fast path: no headers and entirely within the first block.
-	if m.headerLen() == 0 && len(m.blocks) > 0 && len(m.blocks[0].data) >= n {
-		b := m.blocks[0].data[:n]
-		m.discardPayload(n)
-		m.length -= n
-		return b, nil
-	}
-	// Slow path: assemble across boundaries.
-	out := make([]byte, 0, n)
-	remain := n
-	if hl := m.headerLen(); hl > 0 {
-		out = append(out, m.leader[m.headStart:]...)
-		remain -= hl
-		m.headStart = len(m.leader)
-	}
-	m.discardPayloadInto(&out, remain)
 	m.length -= n
-	return out, nil
+	return b, nil
 }
 
 // discardPayload drops the first n payload bytes (n must be available).
 func (m *Msg) discardPayload(n int) {
+	bl := m.chain()
 	for n > 0 {
-		b := &m.blocks[0]
-		if len(b.data) > n {
-			b.data = b.data[n:]
-			return
+		if len(bl[0].data) > n {
+			bl[0].data = bl[0].data[n:]
+			break
 		}
-		n -= len(b.data)
-		m.blocks = m.blocks[1:]
+		n -= len(bl[0].data)
+		bl = bl[1:]
 	}
-	// Drop fully consumed leading zero-length blocks, if any.
-	for len(m.blocks) > 0 && len(m.blocks[0].data) == 0 {
-		m.blocks = m.blocks[1:]
-	}
-}
-
-// discardPayloadInto appends the first n payload bytes to *out and drops
-// them from the message.
-func (m *Msg) discardPayloadInto(out *[]byte, n int) {
-	for n > 0 {
-		b := &m.blocks[0]
-		if len(b.data) > n {
-			*out = append(*out, b.data[:n]...)
-			b.data = b.data[n:]
-			return
-		}
-		*out = append(*out, b.data...)
-		n -= len(b.data)
-		m.blocks = m.blocks[1:]
-	}
+	m.setChain(bl)
 }
 
 // Peek returns the first n bytes without consuming them. Like Pop it
@@ -222,25 +265,22 @@ func (m *Msg) Peek(n int) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if hl := m.headerLen(); hl >= n {
-		return m.leader[m.headStart : m.headStart+n], nil
+	hdrs := m.leader()[m.headStart:]
+	if len(hdrs) >= n {
+		return hdrs[:n], nil
 	}
-	if m.headerLen() == 0 && len(m.blocks) > 0 && len(m.blocks[0].data) >= n {
-		return m.blocks[0].data[:n], nil
+	bl := m.chain()
+	if len(hdrs) == 0 && len(bl[0].data) >= n {
+		return bl[0].data[:n], nil
 	}
 	out := make([]byte, 0, n)
-	remain := n
-	if hl := m.headerLen(); hl > 0 {
-		out = append(out, m.leader[m.headStart:]...)
-		remain -= hl
-	}
-	for i := 0; remain > 0; i++ {
-		d := m.blocks[i].data
-		if len(d) > remain {
-			d = d[:remain]
+	out = append(out, hdrs...)
+	for i := 0; len(out) < n; i++ {
+		d := bl[i].data
+		if rest := n - len(out); len(d) > rest {
+			d = d[:rest]
 		}
 		out = append(out, d...)
-		remain -= len(d)
 	}
 	return out, nil
 }
@@ -252,22 +292,27 @@ func (m *Msg) Truncate(n int) error {
 	}
 	drop := m.length - n
 	// Drop whole tail blocks first.
-	for drop > 0 && len(m.blocks) > 0 {
-		last := &m.blocks[len(m.blocks)-1]
+	bl := m.chain()
+	for drop > 0 && len(bl) > 0 {
+		last := &bl[len(bl)-1]
 		if len(last.data) <= drop {
 			drop -= len(last.data)
-			m.blocks = m.blocks[:len(m.blocks)-1]
+			bl = bl[:len(bl)-1]
 			continue
 		}
 		last.data = last.data[:len(last.data)-drop]
 		drop = 0
 	}
+	m.setChain(bl)
 	if drop > 0 {
-		// Remainder comes out of the headers.
-		// Headers occupy leader[headStart:]; trimming the tail of the
-		// message means trimming the tail of the header area, which is
-		// only legal by re-slicing the leader view.
-		m.leader = m.leader[:len(m.leader)-drop]
+		// The remainder comes out of the headers. Headers occupy
+		// leader()[headStart:]; trimming the tail of the message means
+		// trimming the tail of the header area.
+		if m.spill != nil && m.spill.leader != nil {
+			m.spill.leader = m.spill.leader[:len(m.spill.leader)-drop]
+		} else {
+			m.leadLen -= uint8(drop)
+		}
 	}
 	m.length = n
 	return nil
@@ -279,8 +324,23 @@ func (m *Msg) Append(data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	m.blocks = append(m.blocks, block{data: data})
 	m.length += len(data)
+	if m.spill == nil || m.spill.blocks == nil {
+		if m.nblocks < inlineBlocks {
+			m.blocks[m.nblocks] = block{data: data}
+			m.nblocks++
+			return
+		}
+		if m.spill == nil {
+			m.spill = &spill{}
+		}
+		// The chain moves out whole; the inline slots are emptied so a
+		// spilled chain that later drains falls back to an empty one.
+		m.spill.blocks = append(make([]block, 0, 4*inlineBlocks), m.blocks[:]...)
+		m.blocks = [inlineBlocks]block{}
+		m.nblocks = 0
+	}
+	m.spill.blocks = append(m.spill.blocks, block{data: data})
 }
 
 // Fragment returns a new message containing bytes [off, off+n) of m,
@@ -296,23 +356,24 @@ func (m *Msg) Fragment(off, n, leader int) (*Msg, error) {
 	remain := n
 	skip := off
 	// Header region first.
-	if hl := m.headerLen(); skip < hl {
+	hl := m.headerLen()
+	if skip < hl {
 		take := hl - skip
 		if take > remain {
 			take = remain
 		}
 		cp := make([]byte, take)
-		copy(cp, m.leader[m.headStart+skip:])
+		copy(cp, m.leader()[int(m.headStart)+skip:])
 		f.Append(cp)
 		remain -= take
 		skip = hl
 	}
-	skip -= m.headerLen()
-	if skip < 0 {
-		skip = 0
-	}
-	for i := 0; remain > 0 && i < len(m.blocks); i++ {
-		d := m.blocks[i].data
+	skip -= hl
+	for _, b := range m.chain() {
+		if remain == 0 {
+			break
+		}
+		d := b.data
 		if skip >= len(d) {
 			skip -= len(d)
 			continue
@@ -335,7 +396,7 @@ func (m *Msg) Split(size, leader int) ([]*Msg, error) {
 	if size <= 0 {
 		return nil, ErrBadRange
 	}
-	var frags []*Msg
+	frags := make([]*Msg, 0, (m.length+size-1)/size+1)
 	for off := 0; off < m.length || (off == 0 && m.length == 0); off += size {
 		n := m.length - off
 		if n > size {
@@ -359,10 +420,10 @@ func (m *Msg) Split(size, leader int) ([]*Msg, error) {
 func (m *Msg) Join(other *Msg) {
 	if hl := other.headerLen(); hl > 0 {
 		cp := make([]byte, hl)
-		copy(cp, other.leader[other.headStart:])
+		copy(cp, other.leader()[other.headStart:])
 		m.Append(cp)
 	}
-	for _, b := range other.blocks {
+	for _, b := range other.chain() {
 		m.Append(b.data)
 	}
 }
@@ -371,17 +432,13 @@ func (m *Msg) Join(other *Msg) {
 // shared (O(blocks)); the header leader is copied so the two messages can
 // push and pop independently. Attributes are shallow-copied.
 func (m *Msg) Clone() *Msg {
-	c := &Msg{
-		leader:    make([]byte, len(m.leader)),
-		headStart: m.headStart,
-		blocks:    append([]block(nil), m.blocks...),
-		length:    m.length,
-	}
-	copy(c.leader, m.leader)
-	if m.attrs != nil {
-		c.attrs = make(map[AttrKey]any, len(m.attrs))
-		for k, v := range m.attrs {
-			c.attrs[k] = v
+	c := new(Msg)
+	*c = *m
+	if sp := m.spill; sp != nil {
+		c.spill = &spill{
+			leader: append([]byte(nil), sp.leader...),
+			blocks: append([]block(nil), sp.blocks...),
+			attrs:  append([]attr(nil), sp.attrs...),
 		}
 	}
 	return c
@@ -392,29 +449,63 @@ func (m *Msg) Clone() *Msg {
 // applications consuming a delivered message; protocols in the middle of
 // the stack never need it.
 func (m *Msg) Bytes() []byte {
-	out := make([]byte, 0, m.length)
-	out = append(out, m.leader[m.headStart:]...)
-	for _, b := range m.blocks {
-		out = append(out, b.data...)
+	return m.AppendTo(make([]byte, 0, m.length))
+}
+
+// AppendTo appends the flattened message to dst and returns the extended
+// slice: Bytes into a buffer the caller already has.
+func (m *Msg) AppendTo(dst []byte) []byte {
+	dst = append(dst, m.leader()[m.headStart:]...)
+	for _, b := range m.chain() {
+		dst = append(dst, b.data...)
 	}
-	return out
+	return dst
 }
 
 // SetAttr attaches an out-of-band attribute to the message.
 func (m *Msg) SetAttr(k AttrKey, v any) {
-	if m.attrs == nil {
-		m.attrs = make(map[AttrKey]any, 2)
+	if a := m.findAttr(k); a != nil {
+		a.v = v
+		return
 	}
-	m.attrs[k] = v
+	if m.nattrs < inlineAttrs {
+		m.attrs[m.nattrs] = attr{k, v}
+		m.nattrs++
+		return
+	}
+	if m.spill == nil {
+		m.spill = &spill{}
+	}
+	m.spill.attrs = append(m.spill.attrs, attr{k, v})
 }
 
 // Attr retrieves an out-of-band attribute; ok reports whether it was set.
 func (m *Msg) Attr(k AttrKey) (v any, ok bool) {
-	v, ok = m.attrs[k]
-	return v, ok
+	if a := m.findAttr(k); a != nil {
+		return a.v, true
+	}
+	return nil, false
+}
+
+// findAttr is a linear search: messages carry a couple of attributes at
+// most, and a search of two slots beats hashing into a map.
+func (m *Msg) findAttr(k AttrKey) *attr {
+	for i := range m.attrs[:m.nattrs] {
+		if m.attrs[i].k == k {
+			return &m.attrs[i]
+		}
+	}
+	if m.spill != nil {
+		for i := range m.spill.attrs {
+			if m.spill.attrs[i].k == k {
+				return &m.spill.attrs[i]
+			}
+		}
+	}
+	return nil
 }
 
 // String summarizes the message for tracing.
 func (m *Msg) String() string {
-	return fmt.Sprintf("Msg{len=%d hdr=%d blocks=%d}", m.length, m.headerLen(), len(m.blocks))
+	return fmt.Sprintf("Msg{len=%d hdr=%d blocks=%d}", m.length, m.headerLen(), len(m.chain()))
 }

@@ -408,3 +408,198 @@ func BenchmarkSplit16K(b *testing.B) {
 		}
 	}
 }
+
+// ---- One-object layout ----
+
+// sink keeps allocation probes from being optimized away.
+var sink *Msg
+
+func TestAllocationBudget(t *testing.T) {
+	payload := MakeData(64)
+	base := New(payload)
+	base.MustPush([]byte("hdr!"))
+	hdr := []byte("0123456789abcdef")
+	extra := MakeData(32)
+	one := func(name string, f func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(200, f); got != 1 {
+			t.Errorf("%s: %.1f allocations, want exactly 1", name, got)
+		}
+	}
+	one("New", func() { sink = New(payload) })
+	one("Empty", func() { sink = Empty() })
+	one("NewWithLeader(small)", func() { sink = NewWithLeader(payload, 40) })
+	one("Clone", func() { sink = base.Clone() })
+	one("Fragment", func() { sink, _ = base.Fragment(8, 40, DefaultLeader) })
+
+	// Everything a protocol does to a message it was handed: none.
+	m := New(payload)
+	zero := testing.AllocsPerRun(200, func() {
+		m.MustPush(hdr)
+		if _, err := m.Pop(len(hdr)); err != nil {
+			t.Fatal(err)
+		}
+		m.Append(extra) // second block: still inline
+		m.SetAttr(1, uint8(7))
+		m.SetAttr(2, uint8(9)) // second key: still inline
+		if _, ok := m.Attr(2); !ok {
+			t.Fatal("attr lost")
+		}
+		if err := m.Truncate(len(payload)); err != nil { // drops the second block again
+			t.Fatal(err)
+		}
+	})
+	if zero != 0 {
+		t.Errorf("Push/Pop/Append/SetAttr/Attr/Truncate within the inline bounds: %.1f allocations, want 0", zero)
+	}
+
+	// Join of a two-block message into an empty one stays inline too.
+	two := New(payload)
+	two.Append(extra)
+	if got := testing.AllocsPerRun(200, func() {
+		sink = Empty()
+		sink.Join(two)
+	}); got != 1 {
+		t.Errorf("Empty+Join of two blocks: %.1f allocations, want 1 (the message)", got)
+	}
+}
+
+// A leader larger than the inline array still works, from a heap leader.
+func TestLeaderLargerThanInline(t *testing.T) {
+	const big = DefaultLeader + 108
+	m := NewWithLeader([]byte("payload"), big)
+	if m.Headroom() != big {
+		t.Fatalf("Headroom = %d, want %d", m.Headroom(), big)
+	}
+	hdr := bytes.Repeat([]byte{0xAB}, big)
+	if err := m.Push(hdr); err != nil {
+		t.Fatalf("Push of %d bytes into a %d-byte leader: %v", len(hdr), big, err)
+	}
+	if err := m.Push([]byte{1}); err != ErrLeaderFull {
+		t.Fatalf("Push past a full big leader: %v, want ErrLeaderFull", err)
+	}
+	c := m.Clone()
+	got, err := c.Pop(big)
+	if err != nil || !bytes.Equal(got, hdr) {
+		t.Fatalf("clone's Pop(%d) = %d bytes, %v", big, len(got), err)
+	}
+	if m.Len() != big+7 || string(c.Bytes()) != "payload" {
+		t.Fatalf("original Len=%d clone=%q", m.Len(), c.Bytes())
+	}
+	// The clone's leader is its own.
+	c.MustPush([]byte("XY"))
+	if b, _ := m.Peek(2); b[0] != 0xAB || b[1] != 0xAB {
+		t.Fatalf("push on the clone wrote into the original's leader: %x", b)
+	}
+	// A fragment may ask for a big leader as well.
+	f, err := m.Fragment(big, 7, big)
+	if err != nil || string(f.Bytes()) != "payload" || f.Headroom() != big {
+		t.Fatalf("Fragment with a big leader: %v %q headroom %d", err, f.Bytes(), f.Headroom())
+	}
+}
+
+// Blocks and attributes beyond the inline two spill and keep working.
+func TestSpillBeyondInline(t *testing.T) {
+	m := Empty()
+	var want []byte
+	for i := 0; i < 7; i++ {
+		chunk := bytes.Repeat([]byte{byte('a' + i)}, i+1)
+		m.Append(chunk)
+		want = append(want, chunk...)
+	}
+	for k := AttrKey(1); k <= 5; k++ {
+		m.SetAttr(k, int(k)*10)
+	}
+	m.SetAttr(2, "replaced")
+	c := m.Clone()
+	for _, x := range []*Msg{m, c} {
+		if !bytes.Equal(x.Bytes(), want) {
+			t.Fatalf("bytes = %q, want %q", x.Bytes(), want)
+		}
+		for k := AttrKey(1); k <= 5; k++ {
+			v, ok := x.Attr(k)
+			if !ok || (k != 2 && v.(int) != int(k)*10) || (k == 2 && v.(string) != "replaced") {
+				t.Fatalf("attr %d = %v, %v", k, v, ok)
+			}
+		}
+	}
+	// Drain the spilled chain from the front, then grow it again.
+	if _, err := m.Pop(len(want)); err != nil {
+		t.Fatal(err)
+	}
+	m.Append([]byte("again"))
+	if string(m.Bytes()) != "again" || !bytes.Equal(c.Bytes(), want) {
+		t.Fatalf("after drain: m=%q clone=%q", m.Bytes(), c.Bytes())
+	}
+	// A clone's spilled attributes are its own.
+	c.SetAttr(5, "clone only")
+	if v, _ := m.Attr(5); v.(int) != 50 {
+		t.Fatalf("SetAttr on the clone changed the original: %v", v)
+	}
+}
+
+// With the leader, blocks and attributes stored inside the Msg, a clone
+// must own its copy of all three: mutate original and clone in turn and
+// check neither ever sees the other.
+func TestCloneIndependenceInline(t *testing.T) {
+	m := New([]byte("0123456789"))
+	m.Append([]byte("abcdefghij"))
+	m.MustPush([]byte("HH"))
+	m.SetAttr(1, "m")
+	c := m.Clone()
+	mWant, cWant := []byte("HH0123456789abcdefghij"), []byte("HH0123456789abcdefghij")
+	check := func(step string) {
+		t.Helper()
+		if !bytes.Equal(m.Bytes(), mWant) || m.Len() != len(mWant) {
+			t.Fatalf("%s: original = %q (len %d), want %q", step, m.Bytes(), m.Len(), mWant)
+		}
+		if !bytes.Equal(c.Bytes(), cWant) || c.Len() != len(cWant) {
+			t.Fatalf("%s: clone = %q (len %d), want %q", step, c.Bytes(), c.Len(), cWant)
+		}
+	}
+	check("clone")
+
+	if _, err := m.Pop(5); err != nil { // through the header into block 0
+		t.Fatal(err)
+	}
+	mWant = mWant[5:]
+	check("Pop on original")
+
+	c.MustPush([]byte("cc"))
+	cWant = append([]byte("cc"), cWant...)
+	check("Push on clone")
+
+	if err := c.Truncate(16); err != nil { // drops into block 1
+		t.Fatal(err)
+	}
+	cWant = cWant[:16]
+	check("Truncate on clone")
+
+	m.Append([]byte("MM")) // third block: the original spills, the clone must not
+	mWant = append(mWant, "MM"...)
+	check("Append on original")
+
+	c.Append([]byte("C"))
+	cWant = append(cWant, 'C')
+	check("Append on clone")
+
+	if _, err := c.Pop(14); err != nil { // empties block 0, slides the inline chain
+		t.Fatal(err)
+	}
+	cWant = cWant[14:]
+	check("Pop on clone")
+
+	m.MustPush([]byte("mmmm")) // lands where the clone's popped header bytes were
+	mWant = append([]byte("mmmm"), mWant...)
+	check("Push on original")
+
+	m.SetAttr(1, "m2")
+	c.SetAttr(2, "c")
+	if v, _ := c.Attr(1); v.(string) != "m" {
+		t.Fatalf("clone's attr 1 = %v after SetAttr on the original", v)
+	}
+	if _, ok := m.Attr(2); ok {
+		t.Fatal("original sees the clone's attr 2")
+	}
+	check("SetAttr")
+}

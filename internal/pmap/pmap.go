@@ -190,42 +190,64 @@ type binding struct {
 	v   any
 }
 
-// Key builds fixed-layout binary keys without intermediate allocations
-// beyond its own buffer. The zero value is ready to use.
+// keyInline is the size of a Key's own backing array; every demux key in
+// this suite (the longest is eight bytes) fits it with room to spare.
+const keyInline = 16
+
+// Key builds fixed-layout binary keys without allocating: a key of up
+// to keyInline bytes is assembled in the Key's own array, so a Key
+// declared on the stack costs nothing per demux. Longer keys spill to
+// the heap. The zero value is ready to use.
 type Key struct {
-	buf []byte
+	n    int
+	arr  [keyInline]byte
+	long []byte // the whole key, once it outgrew arr
 }
 
 // Reset clears the key for reuse.
 func (k *Key) Reset() *Key {
-	k.buf = k.buf[:0]
+	k.n, k.long = 0, nil
 	return k
 }
 
 // U8 appends a byte.
 func (k *Key) U8(v uint8) *Key {
-	k.buf = append(k.buf, v)
-	return k
+	b := [1]byte{v}
+	return k.Bytes(b[:])
 }
 
 // U16 appends a big-endian 16-bit value.
 func (k *Key) U16(v uint16) *Key {
-	k.buf = binary.BigEndian.AppendUint16(k.buf, v)
-	return k
+	var b [2]byte
+	binary.BigEndian.PutUint16(b[:], v)
+	return k.Bytes(b[:])
 }
 
 // U32 appends a big-endian 32-bit value.
 func (k *Key) U32(v uint32) *Key {
-	k.buf = binary.BigEndian.AppendUint32(k.buf, v)
-	return k
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], v)
+	return k.Bytes(b[:])
 }
 
 // Bytes appends raw bytes.
 func (k *Key) Bytes(b []byte) *Key {
-	k.buf = append(k.buf, b...)
+	if k.long == nil && k.n+len(b) <= keyInline {
+		k.n += copy(k.arr[k.n:], b)
+		return k
+	}
+	if k.long == nil {
+		k.long = append(make([]byte, 0, 2*keyInline+len(b)), k.arr[:k.n]...)
+	}
+	k.long = append(k.long, b...)
 	return k
 }
 
 // Built returns the assembled key. The slice is valid until the next
 // builder call.
-func (k *Key) Built() []byte { return k.buf }
+func (k *Key) Built() []byte {
+	if k.long != nil {
+		return k.long
+	}
+	return k.arr[:k.n]
+}

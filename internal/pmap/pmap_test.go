@@ -102,6 +102,52 @@ func TestKeyBuilderNoAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// A key declared on the stack and built from scratch — what every demux
+// does — costs nothing: the bytes land in the Key's own array.
+func TestKeyStackDeclaredNoAllocs(t *testing.T) {
+	m := New(4)
+	remote := []byte{10, 0, 0, 2}
+	var seed Key
+	m.Bind(seed.Reset().U8(17).Bytes(remote).Built(), "session")
+	allocs := testing.AllocsPerRun(100, func() {
+		var k Key
+		if _, ok := m.Resolve(k.Reset().U8(17).Bytes(remote).Built()); !ok {
+			t.Fatal("lost binding")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("stack-declared key allocated %.1f per run, want 0", allocs)
+	}
+	// The zero value works without Reset, too.
+	allocs = testing.AllocsPerRun(100, func() {
+		var k Key
+		k.U8(17).Bytes(remote)
+	})
+	if allocs != 0 {
+		t.Fatalf("zero-value key allocated %.1f per run, want 0", allocs)
+	}
+}
+
+// Keys longer than the inline array still build correctly (they spill
+// to the heap), and Reset brings the builder back to its own array.
+func TestKeyLongerThanInline(t *testing.T) {
+	long := bytes.Repeat([]byte{0xC3}, keyInline+5)
+	var k Key
+	got := k.Reset().U16(0x0102).Bytes(long).U32(0xA0B0C0D0).Built()
+	want := append(append([]byte{1, 2}, long...), 0xA0, 0xB0, 0xC0, 0xD0)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("long key = %x, want %x", got, want)
+	}
+	m := New(4)
+	m.Bind(got, 1)
+	if v, ok := m.Resolve(want); !ok || v.(int) != 1 {
+		t.Fatalf("long key did not resolve: %v %v", v, ok)
+	}
+	if got := k.Reset().U8(9).Built(); !bytes.Equal(got, []byte{9}) || &got[0] != &k.arr[0] {
+		t.Fatalf("after reset the key is %x, not rooted in the inline array", got)
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	m := New(16)
 	var wg sync.WaitGroup

@@ -251,7 +251,9 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	p.mu.Unlock()
 
 	if op == opRequest && tpa == p.myIP {
-		trace.Printf(trace.Events, p.Name(), "%s is-at %s (answering %s)", p.myIP, p.myEth, spa)
+		if trace.Enabled(trace.Events) {
+			trace.Printf(trace.Events, p.Name(), "%s is-at %s (answering %s)", p.myIP, p.myEth, spa)
+		}
 		return p.reply(sha, spa)
 	}
 	return nil

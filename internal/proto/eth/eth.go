@@ -45,10 +45,6 @@ type Wire interface {
 	SetReceiver(func(frame []byte))
 }
 
-// SrcAttr is the message attribute under which the driver records the
-// frame's source address, so protocols like ARP can answer requests.
-const SrcAttr msg.AttrKey = 0x45544853 // "ETHS"
-
 // Protocol is the ethernet protocol object.
 type Protocol struct {
 	xk.BaseProtocol
@@ -164,8 +160,9 @@ func (p *Protocol) Demux(_ xk.Session, m *msg.Msg) error {
 	copy(dst[:], hdr[0:6])
 	copy(src[:], hdr[6:12])
 	t := Type(binary.BigEndian.Uint16(hdr[12:14]))
-	m.SetAttr(SrcAttr, src)
-	trace.Printf(trace.Packets, p.Name(), "demux type=%#04x src=%s len=%d", uint16(t), src, m.Len())
+	if trace.Enabled(trace.Packets) {
+		trace.Printf(trace.Packets, p.Name(), "demux type=%#04x src=%s len=%d", uint16(t), src, m.Len())
+	}
 
 	var kb pmap.Key
 	if v, ok := p.active.Resolve(key(&kb, t, src)); ok {
@@ -186,7 +183,9 @@ func (p *Protocol) Demux(_ xk.Session, m *msg.Msg) error {
 			p.active.Unbind(key(&kb, t, src))
 			return err
 		}
-		trace.Printf(trace.Events, p.Name(), "passive open type=%#04x remote=%s for %s", uint16(t), src, hlp.Name())
+		if trace.Enabled(trace.Events) {
+			trace.Printf(trace.Events, p.Name(), "passive open type=%#04x remote=%s for %s", uint16(t), src, hlp.Name())
+		}
 		return s.Pop(nil, m)
 	}
 	return fmt.Errorf("%s: type %#04x from %s: %w", p.Name(), uint16(t), src, xk.ErrNoSession)
@@ -212,10 +211,14 @@ type session struct {
 	remote xk.EthAddr
 	refs   atomic.Int32
 	hdr    [HeaderLen]byte // prebuilt header, "touch the header as little as possible" (§4.1)
+	// mtu is the wire's MTU boxed once at open: IP asks for it through
+	// Control on every send, and boxing per answer would allocate per
+	// message.
+	mtu any
 }
 
 func newSession(p *Protocol, hlp xk.Protocol, t Type, remote xk.EthAddr) *session {
-	s := &session{p: p, t: t, remote: remote}
+	s := &session{p: p, t: t, remote: remote, mtu: p.wire.MTU()}
 	s.refs.Store(1)
 	s.InitSession(p, hlp)
 	copy(s.hdr[0:6], remote[:])
@@ -236,7 +239,9 @@ func (s *session) Push(m *msg.Msg) error {
 		return fmt.Errorf("%s: %d bytes: %w", s.p.Name(), m.Len(), xk.ErrMsgTooBig)
 	}
 	m.MustPush(s.hdr[:])
-	trace.Printf(trace.Packets, s.p.Name(), "push type=%#04x dst=%s len=%d", uint16(s.t), s.remote, m.Len())
+	if trace.Enabled(trace.Packets) {
+		trace.Printf(trace.Packets, s.p.Name(), "push type=%#04x dst=%s len=%d", uint16(s.t), s.remote, m.Len())
+	}
 	return s.p.wire.Send(s.remote, m.Bytes())
 }
 
@@ -262,7 +267,7 @@ func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	case xk.CtlGetMyProto, xk.CtlGetPeerProto:
 		return uint32(s.t), nil
 	case xk.CtlGetMTU, xk.CtlGetOptPacket:
-		return s.p.wire.MTU(), nil
+		return s.mtu, nil
 	default:
 		return nil, xk.ErrOpNotSupported
 	}

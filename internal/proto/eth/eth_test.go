@@ -102,8 +102,9 @@ func TestDemuxToActiveSession(t *testing.T) {
 	w := newFakeWire()
 	p := New("eth", w)
 	var got *msg.Msg
+	var from xk.Session
 	app := xk.NewApp("app", func(s xk.Session, m *msg.Msg) error {
-		got = m
+		got, from = m, s
 		return nil
 	})
 	if _, err := p.Open(app, participants(0x0800, peer)); err != nil {
@@ -113,8 +114,9 @@ func TestDemuxToActiveSession(t *testing.T) {
 	if got == nil || string(got.Bytes()) != "up" {
 		t.Fatalf("delivered %v", got)
 	}
-	if src, ok := got.Attr(SrcAttr); !ok || src.(xk.EthAddr) != peer {
-		t.Fatal("source attribute missing")
+	// The frame's source address is the delivering session's peer.
+	if src, err := from.Control(xk.CtlGetPeerHost, nil); err != nil || src.(xk.EthAddr) != peer {
+		t.Fatalf("delivering session's peer host = %v, %v; want %v", src, err, peer)
 	}
 }
 

@@ -121,7 +121,9 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	seq := binary.BigEndian.Uint16(h[6:8])
 	switch t {
 	case typeEchoRequest:
-		trace.Printf(trace.Packets, p.Name(), "echo request id=%d seq=%d len=%d", id, seq, m.Len())
+		if trace.Enabled(trace.Packets) {
+			trace.Printf(trace.Packets, p.Name(), "echo request id=%d seq=%d len=%d", id, seq, m.Len())
+		}
 		m.MustPush(header(typeEchoReply, id, seq))
 		return lls.Push(m)
 	case typeEchoReply:

@@ -403,7 +403,9 @@ func (p *Protocol) send(h header, m *msg.Msg, lls xk.Session) error {
 		h.totalLen = uint16(HeaderLen + m.Len())
 		encodeHeader(hb[:], h)
 		m.MustPush(hb[:])
-		trace.Printf(trace.Packets, p.Name(), "push id=%d dst=%s len=%d", h.ident, h.dst, m.Len())
+		if trace.Enabled(trace.Packets) {
+			trace.Printf(trace.Packets, p.Name(), "push id=%d dst=%s len=%d", h.ident, h.dst, m.Len())
+		}
 		return lls.Push(m)
 	}
 	// Fragment: offsets must be multiples of 8.
@@ -424,7 +426,9 @@ func (p *Protocol) send(h header, m *msg.Msg, lls xk.Session) error {
 		p.mu.Lock()
 		p.stats.FragmentsSent++
 		p.mu.Unlock()
-		trace.Printf(trace.Packets, p.Name(), "push frag id=%d off=%d mf=%v len=%d", fh.ident, fh.fragOff, fh.moreFrag, f.Len())
+		if trace.Enabled(trace.Packets) {
+			trace.Printf(trace.Packets, p.Name(), "push frag id=%d off=%d mf=%v len=%d", fh.ident, fh.fragOff, fh.moreFrag, f.Len())
+		}
 		if err := lls.Push(f); err != nil {
 			return err
 		}
@@ -491,7 +495,9 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		if err := hlp.OpenDone(p, s, ps); err != nil {
 			return err
 		}
-		trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", h.proto, h.src, hlp.Name())
+		if trace.Enabled(trace.Events) {
+			trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", h.proto, h.src, hlp.Name())
+		}
 		return s.Pop(lls, m)
 	}
 	return fmt.Errorf("%s: proto %d from %s: %w", p.Name(), h.proto, h.src, xk.ErrNoSession)
@@ -528,7 +534,9 @@ func (p *Protocol) forward(h header, m *msg.Msg) error {
 	p.mu.Lock()
 	p.stats.Forwarded++
 	p.mu.Unlock()
-	trace.Printf(trace.Packets, p.Name(), "forward id=%d dst=%s via %s ttl=%d", h.ident, h.dst, nextHop, h.ttl)
+	if trace.Enabled(trace.Packets) {
+		trace.Printf(trace.Packets, p.Name(), "forward id=%d dst=%s via %s ttl=%d", h.ident, h.dst, nextHop, h.ttl)
+	}
 	// Forwarded fragments keep their fragmentation fields; send()
 	// would re-fragment only if the next link's MTU were smaller,
 	// which this suite's uniform 1500-byte links never hit, so re-emit
@@ -550,10 +558,14 @@ type session struct {
 	local  xk.IPAddr
 	remote xk.IPAddr
 	ifIdx  int
+	// peerHost is remote boxed once at open: the layer above asks for it
+	// through Control on every message, and boxing per answer would
+	// allocate per message.
+	peerHost any
 }
 
 func newSession(p *Protocol, hlp xk.Protocol, proto ProtoNum, local, remote xk.IPAddr, ifIdx int, lls xk.Session) *session {
-	s := &session{p: p, proto: proto, local: local, remote: remote, ifIdx: ifIdx}
+	s := &session{p: p, proto: proto, local: local, remote: remote, ifIdx: ifIdx, peerHost: remote}
 	s.InitSession(p, hlp, lls)
 	return s
 }
@@ -596,7 +608,7 @@ func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	case xk.CtlGetMyHost:
 		return s.local, nil
 	case xk.CtlGetPeerHost:
-		return s.remote, nil
+		return s.peerHost, nil
 	case xk.CtlGetMyProto, xk.CtlGetPeerProto:
 		return uint32(s.proto), nil
 	case xk.CtlGetMTU:

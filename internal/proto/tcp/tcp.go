@@ -321,7 +321,9 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		if hlp != nil {
 			conn := newConn(p, hlp, h.dst, h.src, rhost, lls, false)
 			p.active.Bind(key(&kb, h.dst, h.src, rhost), conn)
-			trace.Printf(trace.Events, p.Name(), "passive open %d <- %s:%d", h.dst, rhost, h.src)
+			if trace.Enabled(trace.Events) {
+				trace.Printf(trace.Events, p.Name(), "passive open %d <- %s:%d", h.dst, rhost, h.src)
+			}
 			return conn.segment(h, payload)
 		}
 	}

@@ -149,7 +149,9 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		return err
 	}
 	rhost := v.(xk.IPAddr)
-	trace.Printf(trace.Packets, p.Name(), "demux %s:%d -> :%d len=%d", rhost, sport, dport, m.Len())
+	if trace.Enabled(trace.Packets) {
+		trace.Printf(trace.Packets, p.Name(), "demux %s:%d -> :%d len=%d", rhost, sport, dport, m.Len())
+	}
 
 	var kb pmap.Key
 	if s, ok := p.active.Resolve(key(&kb, dport, sport, rhost)); ok {

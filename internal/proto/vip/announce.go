@@ -219,7 +219,9 @@ func (a *Announcer) Demux(lls xk.Session, m *msg.Msg) error {
 	}
 	if host != a.myIP {
 		a.dir.Record(host, hw, protos)
-		trace.Printf(trace.Events, a.Name(), "learned %s (%d protocols)", host, n)
+		if trace.Enabled(trace.Events) {
+			trace.Printf(trace.Events, a.Name(), "learned %s (%d protocols)", host, n)
+		}
 	}
 	return nil
 }

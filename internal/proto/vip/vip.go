@@ -160,7 +160,7 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 }
 
 func (p *Protocol) newSession(hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, ethSess, ipSess xk.Session) *session {
-	s := &session{p: p, proto: proto, remote: remote, ethSess: ethSess, ipSess: ipSess}
+	s := &session{p: p, proto: proto, remote: remote, peerHost: remote, ethSess: ethSess, ipSess: ipSess}
 	s.InitSession(p, hlp)
 	p.mu.Lock()
 	if ethSess != nil {
@@ -249,7 +249,9 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	if err := hlp.OpenDone(p, s, ps); err != nil {
 		return err
 	}
-	trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", proto, remote, hlp.Name())
+	if trace.Enabled(trace.Events) {
+		trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", proto, remote, hlp.Name())
+	}
 	return s.Pop(lls, m)
 }
 
@@ -320,6 +322,10 @@ type session struct {
 	p      *Protocol
 	proto  ip.ProtoNum
 	remote xk.IPAddr
+	// peerHost is remote boxed once at open: the layer above asks for it
+	// through Control on every message, and boxing per answer would
+	// allocate per message.
+	peerHost any
 
 	smu     sync.Mutex
 	ethSess xk.Session
@@ -385,7 +391,7 @@ func (s *session) Pop(_ xk.Session, m *msg.Msg) error {
 func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	switch op {
 	case xk.CtlGetPeerHost:
-		return s.remote, nil
+		return s.peerHost, nil
 	case xk.CtlGetMyProto, xk.CtlGetPeerProto:
 		return uint32(s.proto), nil
 	case xk.CtlGetMTU:

@@ -72,7 +72,7 @@ func (p *Size) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) {
 }
 
 func (p *Size) newSession(hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, directSess, bulkSess xk.Session) *sizeSession {
-	s := &sizeSession{p: p, proto: proto, remote: remote, directSess: directSess, bulkSess: bulkSess}
+	s := &sizeSession{p: p, proto: proto, remote: remote, peerHost: remote, directSess: directSess, bulkSess: bulkSess}
 	s.InitSession(p, hlp)
 	p.mu.Lock()
 	if directSess != nil {
@@ -174,7 +174,9 @@ func (p *Size) Demux(lls xk.Session, m *msg.Msg) error {
 	if err := hlp.OpenDone(p, s, ps); err != nil {
 		return err
 	}
-	trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", proto, remote, hlp.Name())
+	if trace.Enabled(trace.Events) {
+		trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", proto, remote, hlp.Name())
+	}
 	return s.Pop(lls, m)
 }
 
@@ -224,6 +226,10 @@ type sizeSession struct {
 	p      *Size
 	proto  ip.ProtoNum
 	remote xk.IPAddr
+	// peerHost is remote boxed once at open: the layer above asks for it
+	// through Control on every message, and boxing per answer would
+	// allocate per message.
+	peerHost any
 
 	smu        sync.Mutex
 	directSess xk.Session
@@ -293,7 +299,7 @@ func (s *sizeSession) Pop(_ xk.Session, m *msg.Msg) error {
 func (s *sizeSession) Control(op xk.ControlOp, arg any) (any, error) {
 	switch op {
 	case xk.CtlGetPeerHost:
-		return s.remote, nil
+		return s.peerHost, nil
 	case xk.CtlGetMyProto, xk.CtlGetPeerProto:
 		return uint32(s.proto), nil
 	case xk.CtlGetMTU:

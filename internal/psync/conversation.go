@@ -113,7 +113,9 @@ func (c *Conversation) Send(data []byte) (MsgID, error) {
 			return m.ID, err
 		}
 	}
-	trace.Printf(trace.Packets, c.p.Name(), "sent %s deps=%d len=%d", m.ID, len(m.Deps), len(data))
+	if trace.Enabled(trace.Packets) {
+		trace.Printf(trace.Packets, c.p.Name(), "sent %s deps=%d len=%d", m.ID, len(m.Deps), len(data))
+	}
 	return m.ID, nil
 }
 
@@ -193,7 +195,9 @@ func (c *Conversation) deliverLocked(m *Message) {
 		cb(mm)
 		c.mu.Lock()
 	}
-	trace.Printf(trace.Packets, c.p.Name(), "delivered %s", m.ID)
+	if trace.Enabled(trace.Packets) {
+		trace.Printf(trace.Packets, c.p.Name(), "delivered %s", m.ID)
+	}
 }
 
 // releaseWaitersLocked re-examines parked messages after id arrived,

@@ -438,8 +438,7 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{p: p, proto: proto, id: uint16(id), remote: remote}
-	s.InitSession(p, hlp, lls)
+	s := newSession(p, hlp, proto, uint16(id), remote, lls)
 	if cur, inserted := p.clients.BindIfAbsent(key(&kb, proto, uint16(id), remote), s); !inserted {
 		return cur.(*Session), nil
 	}

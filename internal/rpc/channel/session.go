@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"xkernel/internal/event"
 	"xkernel/internal/ledger"
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
@@ -17,23 +18,49 @@ import (
 // pushes a message into the session (channel) and a reply message is
 // returned" (§3.2). One request is outstanding at a time; concurrency
 // comes from SELECT holding several channels.
+//
+// Because at most one call is outstanding, the state a call needs — the
+// reply slot and the retransmission timeout — belongs to the channel, not
+// to the call: it is set up once and re-armed per call (the LRPC A-stack
+// idea: per-binding, not per-call).
 type Session struct {
 	xk.BaseSession
 	p      *Protocol
 	proto  ip.ProtoNum
 	id     uint16
 	remote xk.IPAddr
+	// optPacket is the lower layer's single-packet size, the threshold
+	// of the step-function timeout; a constant of the binding.
+	optPacket int
 
-	mu      sync.Mutex
-	seq     uint32
-	active  bool
-	acked   bool
+	mu     sync.Mutex
+	seq    uint32
+	active bool
+	acked  bool
+
+	// replyCh carries the reply of the call in progress: filled by
+	// receive under mu, only for the current seq; drained under mu when
+	// the next call starts.
 	replyCh chan result
+	timeout *event.Timeout
 }
 
 type result struct {
 	m   *msg.Msg
 	err error
+}
+
+func newSession(p *Protocol, hlp xk.Protocol, proto ip.ProtoNum, id uint16, remote xk.IPAddr, lls xk.Session) *Session {
+	s := &Session{
+		p: p, proto: proto, id: id, remote: remote,
+		replyCh: make(chan result, 1),
+		timeout: event.NewTimeout(p.cfg.Clock),
+	}
+	s.InitSession(p, hlp, lls)
+	if v, err := lls.Control(xk.CtlGetOptPacket, nil); err == nil {
+		s.optPacket, _ = v.(int)
+	}
+	return s
 }
 
 // ID reports the channel number.
@@ -43,7 +70,9 @@ func (s *Session) ID() uint16 { return s.id }
 func (s *Session) Remote() xk.IPAddr { return s.remote }
 
 // Call sends the request and blocks for the reply, retransmitting on the
-// step-function timeout.
+// step-function timeout. Call consumes m: the first transmission pushes
+// the header onto m itself, and only a retransmission — which needs the
+// request again — works from a clone taken beforehand.
 func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 	if s.Closed() {
 		return nil, xk.ErrClosed
@@ -61,8 +90,12 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 	seq := s.seq
 	s.active = true
 	s.acked = false
-	s.replyCh = make(chan result, 1)
-	replyCh := s.replyCh
+	// A duplicate reply to the previous call may have landed after that
+	// call took its own; from here on receive accepts only seq.
+	select {
+	case <-s.replyCh:
+	default:
+	}
 	s.mu.Unlock()
 	p.ctr.callsInFlight.Add(1)
 	retransCounted := false
@@ -84,6 +117,9 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 	// the request a second time in its new life.
 	hint := uint16(p.PeerBootID(s.remote))
 
+	// CHANNEL keeps the request for retransmission, so it is the layer
+	// that clones: the layers below consume what they are pushed.
+	held := m
 	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
 		h := header{
 			flags:    flagRequest,
@@ -111,20 +147,22 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 			// Each (re)transmission is an independent message to
 			// the layer below: FRAGMENT assigns it a new sequence
 			// number of its own.
-			out := m.Clone()
+			out := held
+			if attempt < p.cfg.MaxRetries {
+				held = out.Clone()
+			}
 			out.MustPush(hb[:])
 			if err := lls.Push(out); err != nil {
 				return nil, err
 			}
 		}
 
-		timeout := make(chan struct{})
-		ev := p.cfg.Clock.Schedule(p.cfg.Retry.Interval(attempt, base), func() { close(timeout) })
+		s.timeout.Arm(p.cfg.Retry.Interval(attempt, base))
 		select {
-		case r := <-replyCh:
-			ev.Cancel()
+		case r := <-s.replyCh:
+			s.timeout.Disarm()
 			return r.m, r.err
-		case <-timeout:
+		case <-s.timeout.C:
 		}
 	}
 	return nil, fmt.Errorf("%s: call chan=%d seq=%d to %s: %w", p.Name(), s.id, seq, s.remote, xk.ErrTimeout)
@@ -143,10 +181,7 @@ func (s *Session) TimeoutFor(msgLen int) (time.Duration, error) {
 func (s *Session) stepTimeout(msgLen int) time.Duration {
 	p := s.p
 	interval := p.cfg.RetransmitBase
-	optPacket := 0
-	if v, err := s.Down(0).Control(xk.CtlGetOptPacket, nil); err == nil {
-		optPacket, _ = v.(int)
-	}
+	optPacket := s.optPacket
 	if optPacket > 0 && msgLen+HeaderLen > optPacket {
 		frags := (msgLen + HeaderLen + optPacket - 1) / optPacket
 		interval += time.Duration(frags) * p.cfg.RetransmitPerFrag
@@ -304,8 +339,8 @@ func (s *ServerSession) reply(m *msg.Msg, code uint16) error {
 	}
 	var hb [HeaderLen]byte
 	h.encode(hb[:])
-	framed := m.Clone()
-	framed.MustPush(hb[:])
+	// Push consumes m: the header goes onto the handler's reply itself.
+	m.MustPush(hb[:])
 
 	// Write-ahead: the executed request and its framed reply go into
 	// the ledger before the reply leaves this host, so no reply is
@@ -319,14 +354,14 @@ func (s *ServerSession) reply(m *msg.Msg, code uint16) error {
 	err := p.cfg.Ledger.Record(s.key.ledgerKey(), ledger.Entry{
 		ClientBoot: sc.bootID,
 		Seq:        seq,
-		Reply:      ledger.EncodeFrames(framed.Bytes()),
+		Reply:      ledger.EncodeMsgs(m),
 	})
 	sc.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("%s: ledger record chan=%d seq=%d: %w", p.Name(), s.key.channel, seq, err)
 	}
 
-	return s.Down(0).Push(framed)
+	return s.Down(0).Push(m)
 }
 
 // Pop is unused on server sessions.

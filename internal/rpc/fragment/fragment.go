@@ -343,6 +343,8 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		p.active.Unbind(key(&kb, proto, peer))
 		return err
 	}
-	trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", proto, peer, hlp.Name())
+	if trace.Enabled(trace.Events) {
+		trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", proto, peer, hlp.Name())
+	}
 	return s.receive(h, m, lls)
 }

@@ -1,0 +1,234 @@
+package fragment
+
+import (
+	"bytes"
+	"testing"
+
+	"xkernel/internal/event"
+	"xkernel/internal/msg"
+	"xkernel/internal/pmap"
+	"xkernel/internal/proto/ip"
+	"xkernel/internal/xk"
+)
+
+// The one-fragment path: a message that fits a packet is framed in place
+// and sent as it is, held by nobody; anything longer takes the general
+// path. These tests look at the session's own maps, so they live inside
+// the package, over a lower protocol that just records what it is pushed.
+
+const oneFragProto ip.ProtoNum = 231
+
+var (
+	oneFragA = xk.IP(10, 0, 0, 1)
+	oneFragB = xk.IP(10, 0, 0, 2)
+)
+
+// tapProto stands in for VIP: its sessions record every frame pushed.
+type tapProto struct {
+	xk.BaseProtocol
+	frames [][]byte
+}
+
+func (p *tapProto) OpenEnable(xk.Protocol, *xk.Participants) error { return nil }
+
+func (p *tapProto) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) {
+	s := &tapSession{p: p}
+	s.InitSession(p, hlp)
+	return s, nil
+}
+
+type tapSession struct {
+	xk.BaseSession
+	p *tapProto
+}
+
+func (s *tapSession) Push(m *msg.Msg) error {
+	s.p.frames = append(s.p.frames, m.Bytes())
+	return nil
+}
+
+// oneFragBed is a sending FRAGMENT (host A) and a receiving one (host B)
+// joined by hand: frames the sender pushes are fed to the receiver's
+// Demux by deliver.
+type oneFragBed struct {
+	clock      *event.FakeClock
+	tapA, tapB *tapProto
+	a, b       *Protocol
+	send       *session
+	llsB       xk.Session
+	got        [][]byte
+}
+
+func newOneFragBed(t *testing.T) *oneFragBed {
+	t.Helper()
+	bed := &oneFragBed{clock: event.NewFake(), tapA: &tapProto{}, tapB: &tapProto{}}
+	var err error
+	if bed.a, err = New("a/fragment", bed.tapA, oneFragA, Config{Clock: bed.clock}); err != nil {
+		t.Fatal(err)
+	}
+	if bed.b, err = New("b/fragment", bed.tapB, oneFragB, Config{Clock: bed.clock}); err != nil {
+		t.Fatal(err)
+	}
+	app := xk.NewApp("sink", func(s xk.Session, m *msg.Msg) error {
+		bed.got = append(bed.got, m.Bytes())
+		return nil
+	})
+	if err := bed.b.OpenEnable(app, xk.LocalOnly(xk.NewParticipant(oneFragProto))); err != nil {
+		t.Fatal(err)
+	}
+	s, err := bed.a.Open(xk.NewApp("src", nil), xk.NewParticipants(
+		xk.NewParticipant(oneFragProto), xk.NewParticipant(oneFragB)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bed.send = s.(*session)
+	if bed.llsB, err = bed.tapB.Open(bed.b, nil); err != nil {
+		t.Fatal(err)
+	}
+	return bed
+}
+
+// deliver moves every frame host A has sent so far to host B.
+func (bed *oneFragBed) deliver(t *testing.T) {
+	t.Helper()
+	for _, fr := range bed.tapA.frames {
+		if err := bed.b.Demux(bed.llsB, msg.New(fr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bed.tapA.frames = nil
+}
+
+// recvSession is host B's session for traffic from host A.
+func (bed *oneFragBed) recvSession(t *testing.T) *session {
+	t.Helper()
+	var kb pmap.Key
+	v, ok := bed.b.active.Resolve(key(&kb, oneFragProto, oneFragA))
+	if !ok {
+		t.Fatal("receiver has no session for the sender")
+	}
+	return v.(*session)
+}
+
+func held(s *session) (sent, rcv int, sweeping bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sent), len(s.rcv), s.sweep != nil
+}
+
+func TestOneFragmentMessageIsHeldByNobody(t *testing.T) {
+	bed := newOneFragBed(t)
+	payload := msg.MakeData(500)
+	if err := bed.send.Push(msg.New(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if sent, _, sweeping := held(bed.send); sent != 0 || sweeping {
+		t.Fatalf("sender holds %d messages, sweep armed=%v; want none", sent, sweeping)
+	}
+	if n := bed.clock.PendingCount(); n != 0 {
+		t.Fatalf("%d timers pending after a one-fragment push, want 0", n)
+	}
+	if len(bed.tapA.frames) != 1 {
+		t.Fatalf("%d frames sent, want 1", len(bed.tapA.frames))
+	}
+	bed.deliver(t)
+	if len(bed.got) != 1 || !bytes.Equal(bed.got[0], payload) {
+		t.Fatalf("delivered %d messages", len(bed.got))
+	}
+	if _, rcv, _ := held(bed.recvSession(t)); rcv != 0 {
+		t.Fatalf("receiver's collection map holds %d entries, want 0", rcv)
+	}
+	if n := bed.clock.PendingCount(); n != 0 {
+		t.Fatalf("%d timers pending after delivery, want 0 (no gap timer for one fragment)", n)
+	}
+	sa, sb := bed.a.Stats(), bed.b.Stats()
+	if sa.MessagesSent != 1 || sa.FragmentsSent != 1 || sb.FragmentsReceived != 1 || sb.MessagesDelivered != 1 {
+		t.Fatalf("counters: sender %+v receiver %+v", sa, sb)
+	}
+
+	// A resend request for it — which no correct receiver sends — is
+	// answered like one for an expired message.
+	h := header{typ: typeResend, clntHost: oneFragB, srvrHost: oneFragA, protoNum: uint32(oneFragProto), seq: 1, numFrags: 1}
+	var hb [HeaderLen]byte
+	h.encode(hb[:])
+	llsA, err := bed.tapA.Open(bed.a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bed.a.Demux(llsA, msg.New(hb[:])); err != nil {
+		t.Fatal(err)
+	}
+	if st := bed.a.Stats(); st.ResendsExpired != 1 || st.ResendsHonored != 0 {
+		t.Fatalf("forged resend request: expired=%d honored=%d, want 1/0", st.ResendsExpired, st.ResendsHonored)
+	}
+	if len(bed.tapA.frames) != 0 {
+		t.Fatalf("forged resend request made the sender transmit %d frames", len(bed.tapA.frames))
+	}
+}
+
+// The choice between the two paths is the length test Push already makes:
+// exactly one packet's worth goes in place, one byte more is fragmented,
+// held and swept — and both arrive byte for byte.
+func TestOneFragmentBoundary(t *testing.T) {
+	bed := newOneFragBed(t)
+	maxFrag := bed.a.cfg.MaxPacket - HeaderLen
+
+	fits := msg.MakeData(maxFrag)
+	if err := bed.send.Push(msg.New(fits)); err != nil {
+		t.Fatal(err)
+	}
+	if sent, _, sweeping := held(bed.send); sent != 0 || sweeping || len(bed.tapA.frames) != 1 {
+		t.Fatalf("%d-byte message: held=%d sweep=%v frames=%d, want 0/false/1", maxFrag, sent, sweeping, len(bed.tapA.frames))
+	}
+	if n := len(bed.tapA.frames[0]); n != bed.a.cfg.MaxPacket {
+		t.Fatalf("frame is %d bytes, want MaxPacket=%d", n, bed.a.cfg.MaxPacket)
+	}
+	bed.deliver(t)
+
+	over := msg.MakeData(maxFrag + 1)
+	if err := bed.send.Push(msg.New(over)); err != nil {
+		t.Fatal(err)
+	}
+	if sent, _, sweeping := held(bed.send); sent != 1 || !sweeping || len(bed.tapA.frames) != 2 {
+		t.Fatalf("%d-byte message: held=%d sweep=%v frames=%d, want 1/true/2", maxFrag+1, sent, sweeping, len(bed.tapA.frames))
+	}
+	bed.deliver(t)
+
+	if len(bed.got) != 2 || !bytes.Equal(bed.got[0], fits) || !bytes.Equal(bed.got[1], over) {
+		t.Fatalf("delivered %d messages; payloads differ from what was sent", len(bed.got))
+	}
+	if _, rcv, _ := held(bed.recvSession(t)); rcv != 0 {
+		t.Fatalf("receiver's collection map holds %d entries after both completed", rcv)
+	}
+	if st := bed.b.Stats(); st.MessagesDelivered != 2 || st.FragmentsReceived != 3 {
+		t.Fatalf("receiver counters %+v", st)
+	}
+}
+
+// A message whose leader has no room for FRAGMENT's header (and the
+// lower layers') cannot be framed in place; it is fragmented into fresh
+// messages like any other, not pushed until something panics.
+func TestOneFragmentNeedsHeadroom(t *testing.T) {
+	bed := newOneFragBed(t)
+	payload := msg.MakeData(300)
+	for _, leader := range []int{0, HeaderLen - 1, HeaderLen, HeaderLen + lowerHeadroom - 1} {
+		bed.got = nil
+		if err := bed.send.Push(msg.NewWithLeader(payload, leader)); err != nil {
+			t.Fatalf("leader %d: %v", leader, err)
+		}
+		bed.deliver(t)
+		if len(bed.got) != 1 || !bytes.Equal(bed.got[0], payload) {
+			t.Fatalf("leader %d: delivered %d messages", leader, len(bed.got))
+		}
+	}
+	if sent, _, _ := held(bed.send); sent != 4 {
+		t.Fatalf("general path holds %d messages, want all 4", sent)
+	}
+	// With room for both, the same message goes in place.
+	if err := bed.send.Push(msg.NewWithLeader(payload, HeaderLen+lowerHeadroom)); err != nil {
+		t.Fatal(err)
+	}
+	if sent, _, _ := held(bed.send); sent != 4 {
+		t.Fatalf("in-place push was held: %d", sent)
+	}
+}

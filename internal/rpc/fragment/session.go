@@ -21,6 +21,10 @@ type session struct {
 	p      *Protocol
 	proto  ip.ProtoNum
 	remote xk.IPAddr
+	// peerHost is remote boxed once at open: the layer above asks for it
+	// through Control on every message, and boxing per answer would
+	// allocate per message.
+	peerHost any
 
 	mu      sync.Mutex
 	nextSeq uint32
@@ -53,18 +57,32 @@ type rcvMsg struct {
 
 func newSession(p *Protocol, hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, lls xk.Session) *session {
 	s := &session{
-		p:      p,
-		proto:  proto,
-		remote: remote,
-		sent:   make(map[uint32]*sentMsg),
-		rcv:    make(map[uint32]*rcvMsg),
+		p:        p,
+		proto:    proto,
+		remote:   remote,
+		peerHost: remote,
+		sent:     make(map[uint32]*sentMsg),
+		rcv:      make(map[uint32]*rcvMsg),
 	}
 	s.InitSession(p, hlp, lls)
 	return s
 }
 
-// Push assigns the message a fresh sequence number, fragments it, saves
-// a copy under the hold timer, and transmits every fragment.
+// lowerHeadroom is the header space a message pushed in place must still
+// have left for the layers below FRAGMENT (IP 20 + ETH 14 in this suite,
+// with slack) once FRAGMENT's own header is on it.
+const lowerHeadroom = 64
+
+// Push sends m as one FRAGMENT message. Push consumes m (the ownership
+// rule of DESIGN.md: a layer that must keep a message clones it).
+//
+// A message that fits one packet is sent as it is: the header goes onto
+// m in place and m itself goes down. It is not held for resend requests,
+// because none can arrive — a receiver chases missing fragments only of
+// a message that has more than one — so it costs no Split, no hold
+// record, no sweep timer and no Clone. Anything longer (or a message
+// without the header room) takes the general path: fragment, hold the
+// frames under the send-hold window, transmit a clone of each.
 func (s *session) Push(m *msg.Msg) error {
 	if s.Closed() {
 		return xk.ErrClosed
@@ -74,6 +92,9 @@ func (s *session) Push(m *msg.Msg) error {
 		return fmt.Errorf("%s: %d bytes: %w", p.Name(), m.Len(), xk.ErrMsgTooBig)
 	}
 	maxFrag := p.cfg.MaxPacket - HeaderLen
+	if m.Len() <= maxFrag && m.Headroom() >= HeaderLen+lowerHeadroom {
+		return s.pushOne(m)
+	}
 	frags, err := m.Split(maxFrag, msg.DefaultLeader)
 	if err != nil {
 		return err
@@ -82,25 +103,9 @@ func (s *session) Push(m *msg.Msg) error {
 		return fmt.Errorf("%s: %d fragments (max 16): %w", p.Name(), len(frags), xk.ErrMsgTooBig)
 	}
 
-	s.mu.Lock()
-	s.nextSeq++
-	seq := s.nextSeq
-	s.mu.Unlock()
-
+	seq := s.allocSeq()
 	for i, f := range frags {
-		h := header{
-			typ:      typeData,
-			clntHost: p.local,
-			srvrHost: s.remote,
-			protoNum: uint32(s.proto),
-			seq:      seq,
-			numFrags: uint16(len(frags)),
-			fragMask: 1 << i,
-			length:   uint16(f.Len()),
-		}
-		var hb [HeaderLen]byte
-		h.encode(hb[:])
-		f.MustPush(hb[:])
+		s.pushHeader(f, seq, uint16(len(frags)), 1<<i)
 	}
 
 	//xk:allow hotpathalloc — one send-hold record per fragmented message; bookkeeping for retransmit, not a payload copy
@@ -119,8 +124,48 @@ func (s *session) Push(m *msg.Msg) error {
 			return err
 		}
 	}
-	trace.Printf(trace.Packets, p.Name(), "push seq=%d frags=%d len=%d to %s", seq, len(frags), m.Len(), s.remote)
+	if trace.Enabled(trace.Packets) {
+		trace.Printf(trace.Packets, p.Name(), "push seq=%d frags=%d len=%d to %s", seq, len(frags), m.Len(), s.remote)
+	}
 	return nil
+}
+
+// pushOne is the one-fragment path of Push.
+func (s *session) pushOne(m *msg.Msg) error {
+	p := s.p
+	seq := s.allocSeq()
+	n := m.Len()
+	s.pushHeader(m, seq, 1, 1)
+	p.ctr.messagesSent.Add(1)
+	p.ctr.fragmentsSent.Add(1)
+	if trace.Enabled(trace.Packets) {
+		trace.Printf(trace.Packets, p.Name(), "push seq=%d frags=1 len=%d to %s", seq, n, s.remote)
+	}
+	return s.Down(0).Push(m)
+}
+
+func (s *session) allocSeq() uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextSeq++
+	return s.nextSeq
+}
+
+// pushHeader frames f as fragment fragMask of numFrags of message seq.
+func (s *session) pushHeader(f *msg.Msg, seq uint32, numFrags, fragMask uint16) {
+	h := header{
+		typ:      typeData,
+		clntHost: s.p.local,
+		srvrHost: s.remote,
+		protoNum: uint32(s.proto),
+		seq:      seq,
+		numFrags: numFrags,
+		fragMask: fragMask,
+		length:   uint16(f.Len()),
+	}
+	var hb [HeaderLen]byte
+	h.encode(hb[:])
+	f.MustPush(hb[:])
 }
 
 // armSweepLocked schedules the expiry sweep if none is pending. Caller
@@ -174,14 +219,20 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 		return fmt.Errorf("%s: frag mask %#04x of %d: %w", p.Name(), h.fragMask, numFrags, xk.ErrBadHeader)
 	}
 
+	if numFrags == 1 {
+		// A complete message in one fragment: nothing to collect, so
+		// it never enters the collection map (which kept no duplicate
+		// filter for it either — the entry was created and deleted
+		// under one lock hold).
+		return s.deliver(h.seq, m)
+	}
+
 	s.mu.Lock()
 	r := s.rcv[h.seq]
 	if r == nil {
 		r = &rcvMsg{numFrags: numFrags, frags: make([]*msg.Msg, numFrags)}
 		s.rcv[h.seq] = r
-		if numFrags > 1 {
-			s.armGapTimerLocked(h.seq, r)
-		}
+		s.armGapTimerLocked(h.seq, r)
 	} else if numFrags != r.numFrags {
 		// The collection was sized by the first fragment's claim; a
 		// frame asserting a different count for the same sequence is
@@ -203,19 +254,23 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 		return nil
 	}
 	delete(s.rcv, h.seq)
-	if r.timer != nil {
-		//xk:allow locksafety — Cancel is a non-blocking flag; it never waits for a running handler
-		r.timer.Cancel()
-	}
+	//xk:allow locksafety — Cancel is a non-blocking flag; it never waits for a running handler
+	r.timer.Cancel()
 	full := msg.Empty()
 	for _, f := range r.frags {
 		full.Join(f)
 	}
 	s.mu.Unlock()
+	return s.deliver(h.seq, full)
+}
 
+// deliver hands a complete message to the protocol above.
+func (s *session) deliver(seq uint32, full *msg.Msg) error {
+	p := s.p
 	p.ctr.messagesDelivered.Add(1)
-	trace.Printf(trace.Packets, p.Name(), "deliver seq=%d len=%d from %s", h.seq, full.Len(), s.remote)
-
+	if trace.Enabled(trace.Packets) {
+		trace.Printf(trace.Packets, p.Name(), "deliver seq=%d len=%d from %s", seq, full.Len(), s.remote)
+	}
 	up := s.Up()
 	if up == nil {
 		return fmt.Errorf("%s: %w", p.Name(), xk.ErrNoSession)
@@ -307,7 +362,7 @@ func (s *session) Pop(lls xk.Session, m *msg.Msg) error {
 func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	switch op {
 	case xk.CtlGetPeerHost:
-		return s.remote, nil
+		return s.peerHost, nil
 	case xk.CtlGetMyProto, xk.CtlGetPeerProto:
 		return uint32(s.proto), nil
 	case xk.CtlGetMTU:

@@ -1,0 +1,135 @@
+package mrpc
+
+import (
+	"bytes"
+	"testing"
+
+	"xkernel/internal/event"
+	"xkernel/internal/msg"
+	"xkernel/internal/xk"
+)
+
+// M.RPC's one-fragment paths and per-channel call state, seen from
+// inside: two protocol instances joined by a lower protocol that hands
+// each pushed frame straight to the other side's Demux and counts it.
+
+var (
+	pipeClient = xk.IP(10, 0, 0, 1)
+	pipeServer = xk.IP(10, 0, 0, 2)
+)
+
+type pipeProto struct {
+	xk.BaseProtocol
+	peer   *Protocol // whose Demux receives what this side pushes
+	frames int
+	sess   *pipeSession
+}
+
+func (p *pipeProto) OpenEnable(xk.Protocol, *xk.Participants) error { return nil }
+
+func (p *pipeProto) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) {
+	return p.sess, nil
+}
+
+type pipeSession struct {
+	xk.BaseSession
+	p, far *pipeProto
+}
+
+func (s *pipeSession) Push(m *msg.Msg) error {
+	s.p.frames++
+	return s.p.peer.Demux(s.far.sess, msg.New(m.Bytes()))
+}
+
+func newPipe(t *testing.T) (cli, srv *Protocol, cliWire, srvWire *pipeProto) {
+	t.Helper()
+	cliWire, srvWire = &pipeProto{}, &pipeProto{}
+	cliWire.sess = &pipeSession{p: cliWire, far: srvWire}
+	srvWire.sess = &pipeSession{p: srvWire, far: cliWire}
+	cfg := Config{Clock: event.NewFake(), NumChannels: 1}
+	var err error
+	if cli, err = New("client/mrpc", cliWire, pipeClient, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if srv, err = New("server/mrpc", srvWire, pipeServer, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cliWire.peer, srvWire.peer = srv, cli
+	cliWire.sess.InitSession(cliWire, cli)
+	srvWire.sess.InitSession(srvWire, srv)
+	srv.Register(1, func(_ uint16, args *msg.Msg) (*msg.Msg, error) { return args, nil })
+	return cli, srv, cliWire, srvWire
+}
+
+func openPipe(t *testing.T, cli *Protocol) *Session {
+	t.Helper()
+	s, err := cli.Open(xk.NewApp("app", nil), &xk.Participants{Remote: xk.NewParticipant(pipeServer)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.(*Session)
+}
+
+// Exactly one packet's worth goes out framed in place, one frame each
+// way; one byte more is split in two each way; both echo byte for byte.
+// A request without the header room is split like a long one.
+func TestOneFragmentBoundary(t *testing.T) {
+	cli, _, cliWire, srvWire := newPipe(t)
+	s := openPipe(t, cli)
+	maxFrag := cli.cfg.MaxPacket - HeaderLen
+	for _, tc := range []struct {
+		name      string
+		args      *msg.Msg
+		out, back int
+	}{
+		{"exactly one packet", msg.New(msg.MakeData(maxFrag)), 1, 1},
+		{"one byte more", msg.New(msg.MakeData(maxFrag + 1)), 2, 2},
+		{"no header room", msg.NewWithLeader(msg.MakeData(100), HeaderLen-1), 1, 1},
+		{"null", msg.Empty(), 1, 1},
+	} {
+		want := tc.args.Bytes()
+		cliWire.frames, srvWire.frames = 0, 0
+		reply, err := s.Call(1, tc.args)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(reply.Bytes(), want) {
+			t.Fatalf("%s: echo differs (%d bytes back, %d sent)", tc.name, reply.Len(), len(want))
+		}
+		if cliWire.frames != tc.out || srvWire.frames != tc.back {
+			t.Fatalf("%s: %d frames out, %d back; want %d and %d", tc.name, cliWire.frames, srvWire.frames, tc.out, tc.back)
+		}
+	}
+	if got := cli.Stats().Retransmits; got != 0 {
+		t.Fatalf("%d retransmissions on a lossless pipe", got)
+	}
+}
+
+// A duplicate of the previous call's reply that lands after that call
+// took its own must not be returned by the next call on the channel.
+func TestStaleReplyDoesNotSatisfyNextCall(t *testing.T) {
+	cli, _, _, _ := newPipe(t)
+	s := openPipe(t, cli)
+	if _, err := s.Call(1, msg.New([]byte("one"))); err != nil {
+		t.Fatal(err)
+	}
+	cs := cli.channels[0]
+	cs.mu.Lock()
+	cs.active = true // call one again, its reply taken, the duplicate arriving
+	seq := cs.seq
+	cs.mu.Unlock()
+	dup := header{flags: flagReply, clntHost: pipeClient, srvrHost: pipeServer, seq: seq, numFrags: 1, fragMask: 1, bootID: 1}
+	if err := cli.clientReceive(dup, msg.New([]byte("stale"))); err != nil {
+		t.Fatal(err)
+	}
+	cs.mu.Lock()
+	cs.active = false
+	cs.mu.Unlock()
+	if len(cs.replyCh) != 1 {
+		t.Fatal("the duplicate did not land in the reply slot; the test builds nothing")
+	}
+	reply, err := s.Call(1, msg.New([]byte("two")))
+	if err != nil || string(reply.Bytes()) != "two" {
+		t.Fatalf("second call returned %q, %v; want its own reply", reply.Bytes(), err)
+	}
+}

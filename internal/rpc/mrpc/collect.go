@@ -13,6 +13,13 @@ type collector struct {
 	frags    []*msg.Msg
 }
 
+// oneFragment reports whether h carries a complete message on its own:
+// the first and only fragment. Such a message needs no collector — the
+// collector would be created, filled and drained by this one frame.
+func oneFragment(h header) bool {
+	return h.numFrags <= 1 && h.fragMask == 1
+}
+
 // newCollector starts collecting a message of numFrags fragments.
 func newCollector(seq uint32, numFrags uint16) *collector {
 	if numFrags == 0 {

@@ -212,7 +212,11 @@ func New(name string, llp xk.Protocol, local xk.IPAddr, cfg Config) (*Protocol, 
 	}
 	p.bootID.Store(cfg.BootID)
 	for i := 0; i < cfg.NumChannels; i++ {
-		cs := &chanState{id: uint16(i)}
+		cs := &chanState{
+			id:      uint16(i),
+			replyCh: make(chan callResult, 1),
+			timeout: event.NewTimeout(cfg.Clock),
+		}
 		p.channels = append(p.channels, cs)
 		p.free <- cs
 	}
@@ -343,16 +347,23 @@ func (p *Protocol) OpenDone(llp xk.Protocol, lls xk.Session, ps *xk.Participants
 }
 
 // chanState is one client-side RPC channel. A channel carries one call
-// at a time; the fixed pool bounds concurrency exactly as in Sprite.
+// at a time; the fixed pool bounds concurrency exactly as in Sprite —
+// which is also why the reply slot and the retransmission timeout belong
+// to the channel and are re-armed per call, not built per call.
 type chanState struct {
 	id uint16
 
-	mu      sync.Mutex
-	seq     uint32
-	active  bool
-	acked   uint16 // request fragments explicitly acknowledged
-	reply   *collector
+	mu     sync.Mutex
+	seq    uint32
+	active bool
+	acked  uint16 // request fragments explicitly acknowledged
+	reply  *collector
+
+	// replyCh carries the reply of the call in progress: filled under
+	// mu, only for the current seq; drained under mu when the next call
+	// starts.
 	replyCh chan callResult
+	timeout *event.Timeout
 }
 
 type callResult struct {
@@ -370,10 +381,15 @@ type Session struct {
 // Server returns the remote host this session calls.
 func (s *Session) Server() xk.IPAddr { return s.server }
 
+// lowerHeadroom is the header space a message sent in place must still
+// have left for the layers below (IP 20 + ETH 14 in this suite, with
+// slack) once the Sprite header is on it.
+const lowerHeadroom = 64
+
 // Call invokes command on the server with the given payload message and
 // returns the reply payload: the complete Sprite RPC client path —
 // channel allocation, fragmentation, retransmission with implicit
-// acknowledgement, at-most-once pairing.
+// acknowledgement, at-most-once pairing. Call consumes args.
 func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	if s.Closed() {
 		return nil, xk.ErrClosed
@@ -383,11 +399,6 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 		return nil, fmt.Errorf("%s: %d bytes: %w", p.Name(), args.Len(), xk.ErrMsgTooBig)
 	}
 	p.ctr.calls.Add(1)
-	boot := p.bootID.Load()
-	// Snapshot the server's last known boot id once per call: if the
-	// server reboots mid-call, every retransmission still carries the
-	// old hint and is rejected rather than executed twice.
-	hint := uint16(p.PeerBootID(s.server))
 
 	// "the SELECT layer simply chooses one of the existing channels
 	// when an RPC is invoked; it blocks if there are none available"
@@ -401,8 +412,12 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	cs.active = true
 	cs.acked = 0
 	cs.reply = nil
-	cs.replyCh = make(chan callResult, 1)
-	replyCh := cs.replyCh
+	// A duplicate reply to the previous call may have landed after that
+	// call took its own; from here on only seq's reply is accepted.
+	select {
+	case <-cs.replyCh:
+	default:
+	}
 	cs.mu.Unlock()
 	defer func() {
 		cs.mu.Lock()
@@ -410,20 +425,45 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 		cs.mu.Unlock()
 	}()
 
-	frags, hdrs, err := s.fragment(command, seq, boot, hint, cs.id, args)
-	if err != nil {
-		return nil, err
+	// A request that fits one packet is sent as it is, header pushed in
+	// place; only a longer one (or one without the header room) is split,
+	// and then the fragments are what is held for retransmission.
+	var frags []*msg.Msg
+	if maxFrag := p.cfg.MaxPacket - HeaderLen; args.Len() > maxFrag || args.Headroom() < HeaderLen+lowerHeadroom {
+		var err error
+		if frags, err = args.Split(maxFrag, msg.DefaultLeader); err != nil {
+			return nil, err
+		}
+		if len(frags) > 16 {
+			return nil, fmt.Errorf("%s: %d fragments (max 16): %w", p.Name(), len(frags), xk.ErrMsgTooBig)
+		}
 	}
-
+	numFrags := uint16(1)
 	interval := p.cfg.RetransmitInterval
 	if len(frags) > 1 {
+		numFrags = uint16(len(frags))
 		// Multi-fragment patience: give the peer time to collect
 		// everything before retransmitting.
 		interval += time.Duration(len(frags)) * (p.cfg.RetransmitInterval / 4)
 	}
+	h := header{
+		flags:    flagRequest,
+		clntHost: p.local,
+		srvrHost: s.server,
+		channel:  cs.id,
+		// Snapshot the server's last known boot id once per call: if
+		// the server reboots mid-call, every retransmission still
+		// carries the old hint (see header.go) and is rejected rather
+		// than executed twice.
+		srvrProc: uint16(p.PeerBootID(s.server)),
+		seq:      seq,
+		numFrags: numFrags,
+		command:  command,
+		bootID:   p.bootID.Load(),
+	}
 
 	lls := s.Down(0)
-	full := fullMask(uint16(len(frags)))
+	full := fullMask(numFrags)
 	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
 		cs.mu.Lock()
 		if attempt > 0 && cs.acked == full {
@@ -436,20 +476,30 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 		}
 		acked := cs.acked
 		cs.mu.Unlock()
-		pleaseAck := attempt > 0
-		for i := range frags {
+		if attempt > 0 {
+			h.flags |= flagPleaseAck
+		}
+		for i := 0; i < int(numFrags); i++ {
 			if acked&(1<<i) != 0 {
 				continue // already at the server
 			}
-			h := hdrs[i]
-			if pleaseAck {
-				h.flags |= flagPleaseAck
+			// The protocol keeps the request for retransmission, so
+			// it clones; the layers below consume what they are pushed.
+			var out *msg.Msg
+			switch {
+			case frags != nil:
+				out = frags[i].Clone()
+			case attempt < p.cfg.MaxRetries:
+				out, args = args, args.Clone()
+			default:
+				out = args
 			}
+			h.fragMask = 1 << i
+			h.data1Sz = uint16(out.Len())
 			var hb [HeaderLen]byte
 			h.encode(hb[:])
-			f := frags[i].Clone()
-			f.MustPush(hb[:])
-			if err := lls.Push(f); err != nil {
+			out.MustPush(hb[:])
+			if err := lls.Push(out); err != nil {
 				return nil, err
 			}
 		}
@@ -458,48 +508,15 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 			trace.Printf(trace.Events, p.Name(), "retransmit chan=%d seq=%d attempt=%d", cs.id, seq, attempt)
 		}
 
-		timeout := make(chan struct{})
-		ev := p.cfg.Clock.Schedule(p.cfg.Retry.Interval(attempt, interval), func() { close(timeout) })
+		cs.timeout.Arm(p.cfg.Retry.Interval(attempt, interval))
 		select {
-		case r := <-replyCh:
-			ev.Cancel()
+		case r := <-cs.replyCh:
+			cs.timeout.Disarm()
 			return r.m, r.err
-		case <-timeout:
+		case <-cs.timeout.C:
 		}
 	}
 	return nil, fmt.Errorf("%s: call to %s chan=%d seq=%d: %w", p.Name(), s.server, cs.id, seq, xk.ErrTimeout)
-}
-
-// fragment splits args into at most 16 fragments and builds the header
-// for each (flags set to request; retransmission twiddles them later).
-// hint is the epoch hint carried in srvr_process (see header.go).
-func (s *Session) fragment(command uint16, seq, boot uint32, hint, channel uint16, args *msg.Msg) ([]*msg.Msg, []header, error) {
-	p := s.p
-	maxFrag := p.cfg.MaxPacket - HeaderLen
-	frags, err := args.Split(maxFrag, msg.DefaultLeader)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(frags) > 16 {
-		return nil, nil, fmt.Errorf("%s: %d fragments (max 16): %w", p.Name(), len(frags), xk.ErrMsgTooBig)
-	}
-	hdrs := make([]header, len(frags))
-	for i := range frags {
-		hdrs[i] = header{
-			flags:    flagRequest,
-			clntHost: p.local,
-			srvrHost: s.server,
-			channel:  channel,
-			srvrProc: hint,
-			seq:      seq,
-			numFrags: uint16(len(frags)),
-			fragMask: 1 << i,
-			command:  command,
-			bootID:   boot,
-			data1Sz:  uint16(frags[i].Len()),
-		}
-	}
-	return frags, hdrs, nil
 }
 
 // CallBytes is Call with plain byte-slice payloads.
@@ -579,27 +596,32 @@ func (p *Protocol) clientReceive(h header, m *msg.Msg) error {
 		cs.acked |= h.fragMask
 		return nil
 	}
-	// Reply fragment.
-	if cs.reply == nil || cs.reply.seq != h.seq {
-		cs.reply = newCollector(h.seq, h.numFrags)
-	}
-	if cs.reply.add(h.fragMask, m) {
-		full := cs.reply.assemble()
+	// Reply fragment. A reply that is one fragment is complete as it
+	// stands and never enters a collector.
+	full := m
+	if !oneFragment(h) {
+		if cs.reply == nil || cs.reply.seq != h.seq {
+			cs.reply = newCollector(h.seq, h.numFrags)
+		}
+		if !cs.reply.add(h.fragMask, m) {
+			return nil
+		}
+		full = cs.reply.assemble()
 		cs.reply = nil
-		var res callResult
-		switch {
-		case h.flags&flagRebooted != 0:
-			p.ctr.peerReboots.Add(1)
-			res.err = &PeerRebootedError{Host: h.srvrHost, BootID: h.bootID}
-		case h.flags&flagError != 0:
-			res.err = &RemoteError{Msg: string(full.Bytes())}
-		default:
-			res.m = full
-		}
-		select {
-		case cs.replyCh <- res:
-		default:
-		}
+	}
+	var res callResult
+	switch {
+	case h.flags&flagRebooted != 0:
+		p.ctr.peerReboots.Add(1)
+		res.err = &PeerRebootedError{Host: h.srvrHost, BootID: h.bootID}
+	case h.flags&flagError != 0:
+		res.err = &RemoteError{Msg: string(full.Bytes())}
+	default:
+		res.m = full
+	}
+	select {
+	case cs.replyCh <- res:
+	default:
 	}
 	return nil
 }

@@ -147,28 +147,31 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 		// Receipt of a new request implicitly acknowledges the
 		// previous reply; its ledger entry is overwritten when this
 		// request records its own.
-		if sc.collect == nil || sc.collect.seq != h.seq {
-			sc.collect = newCollector(h.seq, h.numFrags)
-		}
-		complete := sc.collect.add(h.fragMask, m)
-		if !complete {
-			var ack bool
-			var mask uint16
-			if h.flags&flagPleaseAck != 0 {
-				// Partial acknowledgement: report which
-				// fragments arrived so the client resends only
-				// the missing ones.
-				ack = true
-				mask = sc.collect.mask
-				p.ctr.acksSent.Add(1)
+		args := m // a one-fragment request is complete as it stands
+		if !oneFragment(h) {
+			if sc.collect == nil || sc.collect.seq != h.seq {
+				sc.collect = newCollector(h.seq, h.numFrags)
 			}
-			sc.mu.Unlock()
-			if ack {
-				return p.sendAck(h, mask, lls)
+			complete := sc.collect.add(h.fragMask, m)
+			if !complete {
+				var ack bool
+				var mask uint16
+				if h.flags&flagPleaseAck != 0 {
+					// Partial acknowledgement: report which
+					// fragments arrived so the client resends only
+					// the missing ones.
+					ack = true
+					mask = sc.collect.mask
+					p.ctr.acksSent.Add(1)
+				}
+				sc.mu.Unlock()
+				if ack {
+					return p.sendAck(h, mask, lls)
+				}
+				return nil
 			}
-			return nil
+			args = sc.collect.assemble()
 		}
-		args := sc.collect.assemble()
 		sc.collect = nil
 		sc.lastSeq = h.seq
 		sc.executing = true
@@ -204,9 +207,18 @@ func (p *Protocol) execute(h header, sc *srvChan, key srvKey, handler Handler, a
 		reply = msg.Empty()
 	}
 
-	frames, err := p.frameReply(h, flags, reply)
-	if err != nil {
-		return err
+	// A reply that fits one packet is framed in place (execute consumes
+	// the handler's reply); a longer one is split.
+	var one [1]*msg.Msg
+	frames := one[:]
+	if reply.Len() <= p.cfg.MaxPacket-HeaderLen && reply.Headroom() >= HeaderLen+lowerHeadroom {
+		p.pushReplyHeader(reply, h, flags, 1, 1)
+		one[0] = reply
+	} else {
+		var err error
+		if frames, err = p.frameReply(h, flags, reply); err != nil {
+			return err
+		}
 	}
 
 	// Write-ahead: record the executed request and its framed reply
@@ -214,17 +226,13 @@ func (p *Protocol) execute(h header, sc *srvChan, key srvKey, handler Handler, a
 	// without a record a recovered incarnation can replay. A record
 	// failure suppresses the reply (the client retransmits) rather
 	// than risking a duplicate execution later.
-	blobFrames := make([][]byte, len(frames))
-	for i, f := range frames {
-		blobFrames[i] = f.Bytes()
-	}
 	sc.mu.Lock()
 	sc.executing = false
 	//xk:allow locksafety — write-ahead by design: Record must commit under sc.mu before the reply frames leave; its fsync Schedule only enqueues, the sync handler re-locks on a later dispatch
 	rerr := p.cfg.Ledger.Record(p.ledgerKey(key), ledger.Entry{
 		ClientBoot: sc.bootID,
 		Seq:        h.seq,
-		Reply:      ledger.EncodeFrames(blobFrames...),
+		Reply:      ledger.EncodeMsgs(frames...),
 	})
 	sc.mu.Unlock()
 	if rerr != nil {
@@ -239,8 +247,9 @@ func (p *Protocol) execute(h header, sc *srvChan, key srvKey, handler Handler, a
 	return nil
 }
 
-// frameReply fragments and frames the reply payload for the wire (and
-// for the ledger record that replays survive from).
+// frameReply fragments and frames a reply payload too long for one
+// packet, for the wire and for the ledger record that replays survive
+// from.
 func (p *Protocol) frameReply(req header, flags uint16, reply *msg.Msg) ([]*msg.Msg, error) {
 	if reply.Len() > p.cfg.MaxMsg {
 		return nil, fmt.Errorf("%s: reply %d bytes: %w", p.Name(), reply.Len(), xk.ErrMsgTooBig)
@@ -253,26 +262,31 @@ func (p *Protocol) frameReply(req header, flags uint16, reply *msg.Msg) ([]*msg.
 	if len(frags) > 16 {
 		return nil, fmt.Errorf("%s: reply needs %d fragments: %w", p.Name(), len(frags), xk.ErrMsgTooBig)
 	}
-	boot := p.bootID.Load()
 	for i, f := range frags {
-		h := header{
-			flags:    flags,
-			clntHost: req.clntHost,
-			srvrHost: req.srvrHost,
-			channel:  req.channel,
-			srvrProc: req.srvrProc,
-			seq:      req.seq,
-			numFrags: uint16(len(frags)),
-			fragMask: 1 << i,
-			command:  req.command,
-			bootID:   boot,
-			data1Sz:  uint16(f.Len()),
-		}
-		var hb [HeaderLen]byte
-		h.encode(hb[:])
-		f.MustPush(hb[:])
+		p.pushReplyHeader(f, req, flags, uint16(len(frags)), 1<<i)
 	}
 	return frags, nil
+}
+
+// pushReplyHeader frames f as fragment fragMask of numFrags of the reply
+// to req.
+func (p *Protocol) pushReplyHeader(f *msg.Msg, req header, flags, numFrags, fragMask uint16) {
+	h := header{
+		flags:    flags,
+		clntHost: req.clntHost,
+		srvrHost: req.srvrHost,
+		channel:  req.channel,
+		srvrProc: req.srvrProc,
+		seq:      req.seq,
+		numFrags: numFrags,
+		fragMask: fragMask,
+		command:  req.command,
+		bootID:   p.bootID.Load(),
+		data1Sz:  uint16(f.Len()),
+	}
+	var hb [HeaderLen]byte
+	h.encode(hb[:])
+	f.MustPush(hb[:])
 }
 
 // sendReject answers a stale-epoch request with a single-fragment

@@ -115,7 +115,9 @@ func (f *Forwarder) Demux(lls xk.Session, m *msg.Msg) error {
 			//xk:allow hotpathalloc — backend-unreachable reply, error path only
 			reply = msg.New([]byte(err.Error()))
 		} else {
-			trace.Printf(trace.Events, f.Name(), "forward command=%d to %s", command, route.backend)
+			if trace.Enabled(trace.Events) {
+				trace.Printf(trace.Events, f.Name(), "forward command=%d to %s", command, route.backend)
+			}
 			reply, err = sess.(*Session).Call(command, m)
 			if err != nil {
 				// Backend-reported failures travel back with their

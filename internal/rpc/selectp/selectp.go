@@ -266,7 +266,9 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	binary.BigEndian.PutUint16(out[1:3], command)
 	out[3] = status
 	reply.MustPush(out[:])
-	trace.Printf(trace.Packets, p.Name(), "served command=%d status=%d", command, status)
+	if trace.Enabled(trace.Packets) {
+		trace.Printf(trace.Packets, p.Name(), "served command=%d status=%d", command, status)
+	}
 	return lls.Push(reply)
 }
 
@@ -294,8 +296,8 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	var hb [HeaderLen]byte
 	hb[0] = typeRequest
 	binary.BigEndian.PutUint16(hb[1:3], command)
-	out := args.Clone()
-	out.MustPush(hb[:])
+	// Call consumes args: the header goes onto the caller's message.
+	args.MustPush(hb[:])
 
 	caller, ok := cs.(interface {
 		Call(*msg.Msg) (*msg.Msg, error)
@@ -303,7 +305,7 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	if !ok {
 		return nil, fmt.Errorf("%s: lower session cannot call", s.p.Name())
 	}
-	reply, err := caller.Call(out)
+	reply, err := caller.Call(args)
 	if err != nil {
 		return nil, err
 	}

@@ -263,7 +263,9 @@ func (p *ReqRep) Demux(lls xk.Session, m *msg.Msg) error {
 		var kb pmap.Key
 		cv, ok := p.clients.Resolve(rrKey(&kb, ip.ProtoNum(h.protoNum), h.channel, peer))
 		if !ok {
-			trace.Printf(trace.Events, p.Name(), "drop reply id=%d xid=%d from %s", h.channel, h.xid, peer)
+			if trace.Enabled(trace.Events) {
+				trace.Printf(trace.Events, p.Name(), "drop reply id=%d xid=%d from %s", h.channel, h.xid, peer)
+			}
 			return nil
 		}
 		return cv.(*RRSession).receive(h, m)

@@ -225,7 +225,9 @@ func (p *Select) Demux(lls xk.Session, m *msg.Msg) error {
 	if serr == nil {
 		out.Join(reply)
 	} else {
-		trace.Printf(trace.Events, p.Name(), "call %d/%d/%d failed: %v", prog, vers, proc, serr)
+		if trace.Enabled(trace.Events) {
+			trace.Printf(trace.Events, p.Name(), "call %d/%d/%d failed: %v", prog, vers, proc, serr)
+		}
 	}
 	return lls.Push(out)
 }

@@ -4,11 +4,23 @@
 // session objects without instrumenting every protocol with logging
 // dependencies.
 //
-// Hot-path cost is kept off the shepherd: disabled calls are a single
+// Hot-path cost is kept off the shepherd: a disabled site is a single
 // atomic load, lines are formatted outside the lock into pooled
 // buffers, and output goes through a buffered writer so a trace line is
 // one short critical section and no syscall. Call Flush before reading
 // the destination (or interleaving other writes to it).
+//
+// The single atomic load holds for a site written as
+//
+//	if trace.Enabled(trace.Packets) {
+//		trace.Printf(trace.Packets, who, "push len=%d", m.Len())
+//	}
+//
+// A bare Printf checks the level too, but only after the caller has
+// boxed every non-constant argument into the variadic slice — one
+// allocation per argument per message with tracing off. Every Printf
+// on a Push/Pop/Demux path is therefore guarded (hotpathalloc enforces
+// it); bare calls are for open, close and error paths.
 package trace
 
 import (
@@ -78,6 +90,7 @@ func Flush() {
 func Enabled(l Level) bool { return Level(level.Load()) >= l }
 
 // Printf emits a trace line at level l, tagged with the component name.
+// On a per-message path guard it with Enabled (see the package comment).
 func Printf(l Level, who, format string, args ...any) {
 	if Level(level.Load()) < l {
 		return

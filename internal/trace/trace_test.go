@@ -196,6 +196,44 @@ func TestPrintfDisabledAllocs(t *testing.T) {
 	}
 }
 
+// TestGuardedSiteNonConstantArgsAllocs is the per-message shape: a
+// frame length, an address array and a sequence number read from live
+// state, none of them constants. Behind the Enabled guard the site costs
+// nothing with tracing off; the bare call boxes each argument before
+// Printf can look at the level, which is why the guard is the rule on
+// Push/Pop/Demux paths.
+func TestGuardedSiteNonConstantArgsAllocs(t *testing.T) {
+	defer reset()
+	SetLevel(Off)
+	SetOutput(io.Discard)
+	type frame struct {
+		src [6]byte
+		seq uint32
+		n   int
+	}
+	frames := make([]frame, 64)
+	for i := range frames {
+		frames[i] = frame{src: [6]byte{2, 0, 0, 0, 0, byte(i)}, seq: uint32(1000 + i), n: 1500 - i}
+	}
+	i := 0
+	guarded := testing.AllocsPerRun(1000, func() {
+		f := &frames[i%len(frames)]
+		i++
+		if Enabled(Packets) {
+			Printf(Packets, "client/eth", "demux src=%x seq=%d len=%d", f.src, f.seq, f.n)
+		}
+	})
+	if guarded != 0 {
+		t.Fatalf("guarded disabled site allocated %.1f times per message, want 0", guarded)
+	}
+	bare := testing.AllocsPerRun(1000, func() {
+		f := &frames[i%len(frames)]
+		i++
+		Printf(Packets, "client/eth", "demux src=%x seq=%d len=%d", f.src, f.seq, f.n)
+	})
+	t.Logf("the same site unguarded: %.1f allocations per message with tracing off", bare)
+}
+
 // BenchmarkTracePrintfDisabled measures the disabled-path cost of a
 // Printf on a hot path; run with -benchmem to confirm 0 allocs/op.
 func BenchmarkTracePrintfDisabled(b *testing.B) {

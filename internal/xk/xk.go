@@ -155,6 +155,13 @@ type Session interface {
 
 	// Push sends a message down through this session: the session adds
 	// its header and pushes the message through the session(s) below.
+	//
+	// Push consumes m (and so does the Call of a request/reply
+	// session): the session may push its header onto m itself and
+	// hand that same message on, so the caller must not touch m
+	// again. A layer that needs the message later — CHANNEL for
+	// retransmission, FRAGMENT's hold of a multi-fragment message —
+	// clones it before pushing; nobody else pays for a copy.
 	Push(m *msg.Msg) error
 
 	// Pop receives a message coming up through this session: the
