@@ -120,13 +120,16 @@ func (e *Event) fire() {
 // costs nothing per arm.
 //
 // Every arm must be settled before the next: either the caller received
-// its expiry from C, or it calls Disarm. That is what keeps an expiry
-// that races the awaited event from showing up in the next wait.
+// its expiry through Expired, or it calls Disarm. That is what keeps an
+// expiry that races the awaited event from showing up in the next wait.
+// A Timeout belongs to one waiter at a time; it is not for concurrent use.
 type Timeout struct {
-	// C delivers one token for each arm that expires.
+	// C delivers one token for each arm that expires. Report a token
+	// taken from it with Expired.
 	C     chan struct{}
 	clock Clock
 	ev    *Event
+	armed bool // an arm is unsettled
 }
 
 // NewTimeout returns an unarmed timeout on clock.
@@ -138,6 +141,7 @@ func NewTimeout(clock Clock) *Timeout {
 // comes first. The previous arm must have been settled, so the token's
 // slot is empty and the handler's send never blocks.
 func (t *Timeout) Arm(d time.Duration) {
+	t.armed = true
 	if t.ev == nil {
 		t.ev = t.clock.Schedule(d, func() { t.C <- struct{}{} })
 		return
@@ -145,10 +149,20 @@ func (t *Timeout) Arm(d time.Duration) {
 	t.ev.Reset(d)
 }
 
+// Expired settles the arm whose token the caller has just received
+// from C.
+func (t *Timeout) Expired() { t.armed = false }
+
 // Disarm settles an arm whose token the caller has not received. If the
 // timeout expired anyway — the handler ran or is about to — Disarm takes
-// the token, so it cannot be mistaken for the next arm's.
+// the token, so it cannot be mistaken for the next arm's. On a timeout
+// with no unsettled arm (never armed, already disarmed, token already
+// received) it does nothing.
 func (t *Timeout) Disarm() {
+	if !t.armed {
+		return
+	}
+	t.armed = false
 	if !t.ev.Cancel() {
 		<-t.C
 	}

@@ -458,6 +458,7 @@ func TestTimeoutSettlesEveryArm(t *testing.T) {
 		if i%7 == 0 {
 			select {
 			case <-to.C: // the caller saw the expiry itself: settled
+				to.Expired()
 				expired++
 				continue
 			case <-time.After(2 * time.Second):
@@ -480,13 +481,59 @@ func TestTimeoutSettlesEveryArm(t *testing.T) {
 		c.Advance(10 * time.Millisecond)
 		select {
 		case <-ft.C:
+			ft.Expired()
 		default:
 			t.Fatalf("round %d: no token after the fake clock passed the deadline", round)
 		}
+		ft.Disarm() // settled already: nothing to take, nothing to wait for
 		ft.Arm(10 * time.Millisecond)
 		ft.Disarm()
+		ft.Disarm() // and a second Disarm of the same arm is a no-op too
 		if c.PendingCount() != 0 || len(ft.C) != 0 {
 			t.Fatalf("round %d: Disarm left %d timers and %d tokens", round, c.PendingCount(), len(ft.C))
 		}
+	}
+}
+
+// Disarm on a timeout with no unsettled arm returns at once: before the
+// first Arm, twice in a row, and after the caller took the token itself —
+// on both clocks, and also when the arm being disarmed has already
+// expired (Disarm takes that token; the second Disarm must not wait for
+// another).
+func TestTimeoutDisarmWithoutUnsettledArm(t *testing.T) {
+	c := NewFake()
+	for name, clock := range map[string]Clock{"real": Real(), "fake": c} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			to := NewTimeout(clock)
+			to.Disarm() // never armed
+			to.Arm(time.Hour)
+			to.Disarm()
+			to.Disarm()
+			to.Arm(0) // expires before it is disarmed
+			if clock == Clock(c) {
+				c.Advance(0)
+			} else {
+				for len(to.C) == 0 {
+					time.Sleep(10 * time.Microsecond)
+				}
+			}
+			to.Disarm()
+			to.Disarm()
+			if len(to.C) != 0 {
+				t.Errorf("%s clock: a token survived Disarm", name)
+			}
+			to.Arm(time.Hour) // still usable
+			to.Disarm()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s clock: Disarm with no unsettled arm blocked", name)
+		}
+	}
+	if n := c.PendingCount(); n != 0 {
+		t.Fatalf("%d entries left on the fake clock", n)
 	}
 }

@@ -147,34 +147,32 @@ var errFrames = errors.New("ledger: malformed reply blob")
 // a u8 frame count, then per frame a u32 length and the bytes.
 // CHANNEL replies are one frame; M.RPC replies are up to 16 fragments.
 func EncodeFrames(frames ...[]byte) []byte {
-	n := 1
-	for _, f := range frames {
-		n += 4 + len(f)
-	}
-	blob := make([]byte, 0, n)
-	blob = append(blob, byte(len(frames)))
-	var l [4]byte
-	for _, f := range frames {
-		binary.BigEndian.PutUint32(l[:], uint32(len(f)))
-		blob = append(blob, l[:]...)
-		blob = append(blob, f...)
-	}
-	return blob
+	return encodeBlob(len(frames),
+		func(i int) int { return len(frames[i]) },
+		func(blob []byte, i int) []byte { return append(blob, frames[i]...) })
 }
 
 // EncodeMsgs is EncodeFrames for frames still held as messages: each is
 // flattened straight into the blob, so recording a reply costs the blob
 // and no intermediate copy per frame.
 func EncodeMsgs(frames ...*msg.Msg) []byte {
+	return encodeBlob(len(frames),
+		func(i int) int { return frames[i].Len() },
+		func(blob []byte, i int) []byte { return frames[i].AppendTo(blob) })
+}
+
+// encodeBlob is the reply blob's layout, written once for both encoders:
+// frame i is length(i) bytes long and appendFrame appends exactly those.
+func encodeBlob(count int, length func(i int) int, appendFrame func(blob []byte, i int) []byte) []byte {
 	n := 1
-	for _, f := range frames {
-		n += 4 + f.Len()
+	for i := 0; i < count; i++ {
+		n += 4 + length(i)
 	}
 	blob := make([]byte, 0, n)
-	blob = append(blob, byte(len(frames)))
-	for _, f := range frames {
-		blob = binary.BigEndian.AppendUint32(blob, uint32(f.Len()))
-		blob = f.AppendTo(blob)
+	blob = append(blob, byte(count))
+	for i := 0; i < count; i++ {
+		blob = binary.BigEndian.AppendUint32(blob, uint32(length(i)))
+		blob = appendFrame(blob, i)
 	}
 	return blob
 }

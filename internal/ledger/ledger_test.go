@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"xkernel/internal/msg"
 	"xkernel/internal/xk"
 )
 
@@ -19,6 +20,18 @@ func TestEncodeDecodeFramesRoundTrip(t *testing.T) {
 	}
 	for _, frames := range cases {
 		blob := EncodeFrames(frames...)
+		// The same frames held as messages (a header pushed in front of
+		// a payload, so they flatten from more than one piece) encode to
+		// the same bytes.
+		msgs := make([]*msg.Msg, len(frames))
+		for i, f := range frames {
+			hdr := min(len(f), 8)
+			msgs[i] = msg.New(f[hdr:])
+			msgs[i].MustPush(f[:hdr])
+		}
+		if !bytes.Equal(EncodeMsgs(msgs...), blob) {
+			t.Fatalf("EncodeMsgs and EncodeFrames disagree on %d frames", len(frames))
+		}
 		got, err := DecodeFrames(blob)
 		if err != nil {
 			t.Fatalf("decode: %v", err)

@@ -355,14 +355,14 @@ type clientSession struct {
 }
 
 // Call implements the request/reply interface SUN_SELECT composes over.
+// It consumes m: the credential goes onto m itself.
 func (s *clientSession) Call(m *msg.Msg) (*msg.Msg, error) {
 	cred, err := s.l.mech.MakeCred(m.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	out := m.Clone()
-	out.MustPush(s.l.encodeCred(cred))
-	reply, err := s.caller.Call(out)
+	m.MustPush(s.l.encodeCred(cred))
+	reply, err := s.caller.Call(m)
 	if err != nil {
 		return nil, err
 	}

@@ -163,6 +163,7 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 			s.timeout.Disarm()
 			return r.m, r.err
 		case <-s.timeout.C:
+			s.timeout.Expired()
 		}
 	}
 	return nil, fmt.Errorf("%s: call chan=%d seq=%d to %s: %w", p.Name(), s.id, seq, s.remote, xk.ErrTimeout)

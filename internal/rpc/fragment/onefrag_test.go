@@ -2,6 +2,7 @@ package fragment
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"xkernel/internal/event"
@@ -113,7 +114,7 @@ func (bed *oneFragBed) recvSession(t *testing.T) *session {
 func held(s *session) (sent, rcv int, sweeping bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sent), len(s.rcv), s.sweep != nil
+	return len(s.sent), len(s.rcv), s.sweeping
 }
 
 func TestOneFragmentMessageIsHeldByNobody(t *testing.T) {
@@ -211,7 +212,7 @@ func TestOneFragmentBoundary(t *testing.T) {
 func TestOneFragmentNeedsHeadroom(t *testing.T) {
 	bed := newOneFragBed(t)
 	payload := msg.MakeData(300)
-	for _, leader := range []int{0, HeaderLen - 1, HeaderLen, HeaderLen + lowerHeadroom - 1} {
+	for _, leader := range []int{0, HeaderLen - 1, HeaderLen, HeaderLen + xk.LowerHeadroom - 1} {
 		bed.got = nil
 		if err := bed.send.Push(msg.NewWithLeader(payload, leader)); err != nil {
 			t.Fatalf("leader %d: %v", leader, err)
@@ -225,10 +226,93 @@ func TestOneFragmentNeedsHeadroom(t *testing.T) {
 		t.Fatalf("general path holds %d messages, want all 4", sent)
 	}
 	// With room for both, the same message goes in place.
-	if err := bed.send.Push(msg.NewWithLeader(payload, HeaderLen+lowerHeadroom)); err != nil {
+	if err := bed.send.Push(msg.NewWithLeader(payload, HeaderLen+xk.LowerHeadroom)); err != nil {
 		t.Fatal(err)
 	}
 	if sent, _, _ := held(bed.send); sent != 4 {
 		t.Fatalf("in-place push was held: %d", sent)
+	}
+}
+
+// A frame that claims to be a whole message under a sequence number the
+// receiver is already collecting contradicts the collection: it is
+// refused as a bad header, as it was before one-fragment frames skipped
+// the collection map, not delivered upward.
+func TestOneFragmentFrameContradictingCollection(t *testing.T) {
+	bed := newOneFragBed(t)
+	maxFrag := bed.a.cfg.MaxPacket - HeaderLen
+	if err := bed.send.Push(msg.New(msg.MakeData(maxFrag + 1))); err != nil {
+		t.Fatal(err)
+	}
+	first := bed.tapA.frames[0]
+	bed.tapA.frames = nil
+	if err := bed.b.Demux(bed.llsB, msg.New(first)); err != nil {
+		t.Fatal(err)
+	}
+	if _, rcv, _ := held(bed.recvSession(t)); rcv != 1 {
+		t.Fatalf("receiver collects %d messages after the first of two fragments, want 1", rcv)
+	}
+
+	h := decodeHeader(first)
+	h.numFrags, h.fragMask = 1, 1
+	var hb [HeaderLen]byte
+	h.encode(hb[:])
+	forged := msg.New([]byte("not the message"))
+	forged.MustPush(hb[:])
+	if err := bed.b.Demux(bed.llsB, forged); !errors.Is(err, xk.ErrBadHeader) {
+		t.Fatalf("forged one-fragment frame for a sequence being collected: err = %v, want ErrBadHeader", err)
+	}
+	if len(bed.got) != 0 {
+		t.Fatalf("forged frame was delivered upward")
+	}
+	if _, rcv, _ := held(bed.recvSession(t)); rcv != 1 {
+		t.Fatalf("collection disturbed: %d entries, want 1", rcv)
+	}
+}
+
+// The expiry sweep is one event per session, re-armed when a hold follows
+// an idle period: nothing is built per sweep, and nothing stays pending
+// once the holds have expired or the session has closed.
+func TestSweepIsOneReArmedEvent(t *testing.T) {
+	bed := newOneFragBed(t)
+	big := msg.MakeData(2 * bed.a.cfg.MaxPacket)
+	push := func() {
+		t.Helper()
+		if err := bed.send.Push(msg.New(big)); err != nil {
+			t.Fatal(err)
+		}
+		if sent, _, sweeping := held(bed.send); sent == 0 || !sweeping {
+			t.Fatalf("after a fragmented push: held=%d sweeping=%v", sent, sweeping)
+		}
+	}
+	expire := func() {
+		t.Helper()
+		bed.clock.Advance(2 * bed.a.cfg.SendHold)
+		if sent, _, sweeping := held(bed.send); sent != 0 || sweeping {
+			t.Fatalf("after the hold window: held=%d sweeping=%v, want 0/false", sent, sweeping)
+		}
+		if n := bed.clock.PendingCount(); n != 0 {
+			t.Fatalf("%d timers pending with nothing held", n)
+		}
+	}
+	push()
+	ev := bed.send.sweep
+	expire()
+	push()
+	push() // a second hold while armed arms nothing more
+	if bed.send.sweep != ev {
+		t.Fatal("the second hold built a new sweep event")
+	}
+	if n := bed.clock.PendingCount(); n != 1 {
+		t.Fatalf("%d timers pending, want the one sweep", n)
+	}
+	expire()
+
+	push()
+	if err := bed.send.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := bed.clock.PendingCount(); n != 0 {
+		t.Fatalf("%d timers pending after Close", n)
 	}
 }

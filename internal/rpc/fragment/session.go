@@ -30,7 +30,11 @@ type session struct {
 	nextSeq uint32
 	sent    map[uint32]*sentMsg
 	rcv     map[uint32]*rcvMsg
-	sweep   *event.Event // periodic discard of expired saved messages
+	// sweep is the periodic discard of expired saved messages: one event
+	// per session, created at the first hold and re-armed from then on,
+	// so a sweep costs no allocation. sweeping says an arm is pending.
+	sweep    *event.Event
+	sweeping bool
 }
 
 // sentMsg is a transmitted message held for resend requests until the
@@ -68,11 +72,6 @@ func newSession(p *Protocol, hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAdd
 	return s
 }
 
-// lowerHeadroom is the header space a message pushed in place must still
-// have left for the layers below FRAGMENT (IP 20 + ETH 14 in this suite,
-// with slack) once FRAGMENT's own header is on it.
-const lowerHeadroom = 64
-
 // Push sends m as one FRAGMENT message. Push consumes m (the ownership
 // rule of DESIGN.md: a layer that must keep a message clones it).
 //
@@ -92,7 +91,7 @@ func (s *session) Push(m *msg.Msg) error {
 		return fmt.Errorf("%s: %d bytes: %w", p.Name(), m.Len(), xk.ErrMsgTooBig)
 	}
 	maxFrag := p.cfg.MaxPacket - HeaderLen
-	if m.Len() <= maxFrag && m.Headroom() >= HeaderLen+lowerHeadroom {
+	if m.Len() <= maxFrag && xk.RoomInPlace(m, HeaderLen) {
 		return s.pushOne(m)
 	}
 	frags, err := m.Split(maxFrag, msg.DefaultLeader)
@@ -171,23 +170,36 @@ func (s *session) pushHeader(f *msg.Msg, seq uint32, numFrags, fragMask uint16) 
 // armSweepLocked schedules the expiry sweep if none is pending. Caller
 // holds s.mu.
 func (s *session) armSweepLocked() {
-	if s.sweep != nil {
+	if s.sweeping {
 		return
 	}
-	s.sweep = s.p.cfg.Clock.Schedule(s.p.cfg.SendHold/2+time.Millisecond, func() {
-		now := s.p.cfg.Clock.Now()
-		s.mu.Lock()
-		for seq, sm := range s.sent {
-			if !sm.expires.After(now) {
-				delete(s.sent, seq)
-			}
+	s.sweeping = true
+	d := s.p.cfg.SendHold/2 + time.Millisecond
+	if s.sweep == nil {
+		s.sweep = s.p.cfg.Clock.Schedule(d, s.sweepExpired)
+		return
+	}
+	s.sweep.Reset(d)
+}
+
+// sweepExpired is the sweep event's handler: it discards the saved
+// messages whose hold has passed and re-arms while any remain.
+func (s *session) sweepExpired() {
+	now := s.p.cfg.Clock.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.sweeping {
+		return // Close got in between the firing and the lock
+	}
+	for seq, sm := range s.sent {
+		if !sm.expires.After(now) {
+			delete(s.sent, seq)
 		}
-		s.sweep = nil
-		if len(s.sent) > 0 {
-			s.armSweepLocked()
-		}
-		s.mu.Unlock()
-	})
+	}
+	s.sweeping = false
+	if len(s.sent) > 0 {
+		s.armSweepLocked()
+	}
 }
 
 // receive handles one incoming packet for this session.
@@ -219,16 +231,16 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 		return fmt.Errorf("%s: frag mask %#04x of %d: %w", p.Name(), h.fragMask, numFrags, xk.ErrBadHeader)
 	}
 
-	if numFrags == 1 {
+	s.mu.Lock()
+	r := s.rcv[h.seq]
+	if r == nil && numFrags == 1 {
 		// A complete message in one fragment: nothing to collect, so
 		// it never enters the collection map (which kept no duplicate
 		// filter for it either — the entry was created and deleted
 		// under one lock hold).
+		s.mu.Unlock()
 		return s.deliver(h.seq, m)
 	}
-
-	s.mu.Lock()
-	r := s.rcv[h.seq]
 	if r == nil {
 		r = &rcvMsg{numFrags: numFrags, frags: make([]*msg.Msg, numFrags)}
 		s.rcv[h.seq] = r
@@ -387,10 +399,10 @@ func (s *session) Close() error {
 	for seq := range s.sent {
 		delete(s.sent, seq)
 	}
-	if s.sweep != nil {
+	if s.sweeping {
 		//xk:allow locksafety — Cancel is a non-blocking flag; it never waits for a running handler
 		s.sweep.Cancel()
-		s.sweep = nil
+		s.sweeping = false
 	}
 	for seq, r := range s.rcv {
 		if r.timer != nil {

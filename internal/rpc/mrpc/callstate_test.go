@@ -133,3 +133,43 @@ func TestStaleReplyDoesNotSatisfyNextCall(t *testing.T) {
 		t.Fatalf("second call returned %q, %v; want its own reply", reply.Bytes(), err)
 	}
 }
+
+// A frame claiming to be a whole reply under the sequence number of a
+// reply that is already being collected goes through that collector (a
+// duplicate of fragment 0 there), not past it to the caller.
+func TestOneFragmentReplyContradictingCollection(t *testing.T) {
+	cli, _, _, _ := newPipe(t)
+	s := openPipe(t, cli)
+	if _, err := s.Call(1, msg.New([]byte("one"))); err != nil {
+		t.Fatal(err)
+	}
+	cs := cli.channels[0]
+	cs.mu.Lock()
+	cs.active = true // a call in flight, its two-fragment reply arriving
+	seq := cs.seq
+	cs.mu.Unlock()
+	frag := func(numFrags, mask uint16, body string) {
+		t.Helper()
+		h := header{flags: flagReply, clntHost: pipeClient, srvrHost: pipeServer, seq: seq, numFrags: numFrags, fragMask: mask, bootID: 1}
+		if err := cli.clientReceive(h, msg.New([]byte(body))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frag(2, 1, "first ")
+	frag(1, 1, "forged")
+	if len(cs.replyCh) != 0 {
+		t.Fatal("the forged one-fragment reply was handed to the caller")
+	}
+	frag(2, 2, "second")
+	select {
+	case r := <-cs.replyCh:
+		if r.err != nil || string(r.m.Bytes()) != "first second" {
+			t.Fatalf("collected reply %q, %v", r.m.Bytes(), r.err)
+		}
+	default:
+		t.Fatal("the real reply never completed")
+	}
+	cs.mu.Lock()
+	cs.active = false
+	cs.mu.Unlock()
+}

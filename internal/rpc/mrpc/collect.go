@@ -20,6 +20,12 @@ func oneFragment(h header) bool {
 	return h.numFrags <= 1 && h.fragMask == 1
 }
 
+// collecting reports whether c is part-way through message seq. A nil
+// collector is collecting nothing.
+func (c *collector) collecting(seq uint32) bool {
+	return c != nil && c.seq == seq
+}
+
 // newCollector starts collecting a message of numFrags fragments.
 func newCollector(seq uint32, numFrags uint16) *collector {
 	if numFrags == 0 {

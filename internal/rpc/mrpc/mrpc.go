@@ -381,11 +381,6 @@ type Session struct {
 // Server returns the remote host this session calls.
 func (s *Session) Server() xk.IPAddr { return s.server }
 
-// lowerHeadroom is the header space a message sent in place must still
-// have left for the layers below (IP 20 + ETH 14 in this suite, with
-// slack) once the Sprite header is on it.
-const lowerHeadroom = 64
-
 // Call invokes command on the server with the given payload message and
 // returns the reply payload: the complete Sprite RPC client path —
 // channel allocation, fragmentation, retransmission with implicit
@@ -429,7 +424,7 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	// place; only a longer one (or one without the header room) is split,
 	// and then the fragments are what is held for retransmission.
 	var frags []*msg.Msg
-	if maxFrag := p.cfg.MaxPacket - HeaderLen; args.Len() > maxFrag || args.Headroom() < HeaderLen+lowerHeadroom {
+	if maxFrag := p.cfg.MaxPacket - HeaderLen; args.Len() > maxFrag || !xk.RoomInPlace(args, HeaderLen) {
 		var err error
 		if frags, err = args.Split(maxFrag, msg.DefaultLeader); err != nil {
 			return nil, err
@@ -514,6 +509,7 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 			cs.timeout.Disarm()
 			return r.m, r.err
 		case <-cs.timeout.C:
+			cs.timeout.Expired()
 		}
 	}
 	return nil, fmt.Errorf("%s: call to %s chan=%d seq=%d: %w", p.Name(), s.server, cs.id, seq, xk.ErrTimeout)
@@ -597,9 +593,12 @@ func (p *Protocol) clientReceive(h header, m *msg.Msg) error {
 		return nil
 	}
 	// Reply fragment. A reply that is one fragment is complete as it
-	// stands and never enters a collector.
+	// stands and never enters a collector — unless one is already
+	// collecting this sequence number, which a frame claiming to be the
+	// whole message contradicts; that frame goes through the collector
+	// and its checks like any other.
 	full := m
-	if !oneFragment(h) {
+	if !oneFragment(h) || cs.reply.collecting(h.seq) {
 		if cs.reply == nil || cs.reply.seq != h.seq {
 			cs.reply = newCollector(h.seq, h.numFrags)
 		}

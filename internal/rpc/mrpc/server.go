@@ -148,7 +148,7 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 		// previous reply; its ledger entry is overwritten when this
 		// request records its own.
 		args := m // a one-fragment request is complete as it stands
-		if !oneFragment(h) {
+		if !oneFragment(h) || sc.collect.collecting(h.seq) {
 			if sc.collect == nil || sc.collect.seq != h.seq {
 				sc.collect = newCollector(h.seq, h.numFrags)
 			}
@@ -211,7 +211,7 @@ func (p *Protocol) execute(h header, sc *srvChan, key srvKey, handler Handler, a
 	// the handler's reply); a longer one is split.
 	var one [1]*msg.Msg
 	frames := one[:]
-	if reply.Len() <= p.cfg.MaxPacket-HeaderLen && reply.Headroom() >= HeaderLen+lowerHeadroom {
+	if reply.Len() <= p.cfg.MaxPacket-HeaderLen && xk.RoomInPlace(reply, HeaderLen) {
 		p.pushReplyHeader(reply, h, flags, 1, 1)
 		one[0] = reply
 	} else {

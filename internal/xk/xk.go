@@ -146,6 +146,21 @@ type Protocol interface {
 	Control(op ControlOp, arg any) (any, error)
 }
 
+// LowerHeadroom is the leader space a layer that frames a caller's
+// message in place (FRAGMENT's and M.RPC's one-fragment paths) leaves for
+// the layers below it: every header pushed beneath an RPC layer in this
+// suite (IP 20 + ETH 14 bytes; VIP adds none of its own), with slack. A
+// message with less room than that is split into fresh full-leader
+// messages instead. It is the one place the budget is written down: a
+// lower stack with more than this much header must raise it.
+const LowerHeadroom = 64
+
+// RoomInPlace reports whether m's leader can take a header of hdrLen
+// bytes in place and still leave LowerHeadroom beneath it.
+func RoomInPlace(m *msg.Msg, hdrLen int) bool {
+	return m.Headroom() >= hdrLen+LowerHeadroom
+}
+
 // Session is the uniform session object interface (§2): the run-time
 // end-point of a network connection, holding the protocol interpreter's
 // per-connection state.

@@ -39,12 +39,7 @@ echo "== xkvet -allows (suppression audit) =="
 go run ./cmd/xkvet -allows ./...
 
 echo "== go test -race (with coverage profile) =="
-# Everything but ./benchmark: its smoke test holds the Table III ladder's
-# allocation sum to within 3 % of the untraced count, and under the race
-# detector its own 100 ms slices wobble by 2-3 allocations a call — inside
-# 3 % when a call made 200 allocations, outside it now that one makes 52.
-# It runs below with the other allocation arithmetic, without -race.
-go test -race -covermode=atomic -coverprofile=coverage.out $(go list ./... | grep -v '^xkernel/benchmark$')
+go test -race -covermode=atomic -coverprofile=coverage.out ./...
 
 echo "== coverage floor =="
 # The profile doubles as a CI artifact; the floor catches a PR that
@@ -62,10 +57,8 @@ echo "== allocation budgets (exact allocs per round trip, no race detector) =="
 # detector instruments allocation), so the suite above skipped it. The
 # budgets are exact: one allocation more OR fewer per round trip on any
 # gated stack fails here until the committed constant is changed on
-# purpose. The benchmark's own tests (manifest, estimators, the smoke run
-# whose ladder must add up) ride along for the reason given above.
+# purpose.
 go test -count=1 ./internal/bench/ -run 'TestAllocBudgets'
-go test -count=1 ./benchmark/
 
 echo "== chaos smoke (partition+reboot per stack family) =="
 # The -short sweep runs one canned scenario set per reliability stack;
