@@ -151,7 +151,7 @@ func FuzzPushPopFragmentJoin(f *testing.F) {
 				if got := frag.Bytes(); !bytes.Equal(got, model[off:off+n]) {
 					t.Fatalf("Fragment(%d,%d)=%x, want %x", off, n, got, model[off:off+n])
 				}
-			case 6: // Split + Join round trip rebuilds the message
+			case 6: // Split + Join (and JoinAll onto the first fragment) rebuilds the message
 				size := 1 + int(next())%64
 				frags, err := m.Split(size, 16)
 				if err != nil {
@@ -163,6 +163,10 @@ func FuzzPushPopFragmentJoin(f *testing.F) {
 				}
 				if got := rebuilt.Bytes(); !bytes.Equal(got, model) {
 					t.Fatalf("Split(%d)+Join=%x, want %x", size, got, model)
+				}
+				frags[0].JoinAll(frags[1:])
+				if got := frags[0].Bytes(); !bytes.Equal(got, model) {
+					t.Fatalf("Split(%d)+JoinAll=%x, want %x", size, got, model)
 				}
 			case 7: // SetAttr on the target, then Clone it: same bytes and attrs, independent from here on
 				k := AttrKey(next() % 4)

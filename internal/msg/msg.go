@@ -331,16 +331,22 @@ func (m *Msg) Append(data []byte) {
 			m.nblocks++
 			return
 		}
-		if m.spill == nil {
-			m.spill = &spill{}
-		}
-		// The chain moves out whole; the inline slots are emptied so a
-		// spilled chain that later drains falls back to an empty one.
-		m.spill.blocks = append(make([]block, 0, 4*inlineBlocks), m.blocks[:]...)
-		m.blocks = [inlineBlocks]block{}
-		m.nblocks = 0
+		m.spillChain(4 * inlineBlocks)
 	}
 	m.spill.blocks = append(m.spill.blocks, block{data: data})
+}
+
+// spillChain moves the chain out of line, into room for n blocks. The
+// chain moves out whole; the inline slots are emptied so a spilled chain
+// that later drains falls back to an empty one.
+func (m *Msg) spillChain(n int) {
+	bl := append(make([]block, 0, n), m.chain()...)
+	if m.spill == nil {
+		m.spill = &spill{}
+	}
+	m.spill.blocks = bl
+	m.blocks = [inlineBlocks]block{}
+	m.nblocks = 0
 }
 
 // Fragment returns a new message containing bytes [off, off+n) of m,
@@ -425,6 +431,26 @@ func (m *Msg) Join(other *Msg) {
 	}
 	for _, b := range other.chain() {
 		m.Append(b.data)
+	}
+}
+
+// JoinAll appends the contents of each of others to m, in order, as
+// successive Joins would, but grows the chain once, to its final size:
+// reassembling a message onto its first fragment costs the out-of-line
+// chain and nothing else.
+func (m *Msg) JoinAll(others []*Msg) {
+	need := len(m.chain())
+	for _, o := range others {
+		need += len(o.chain())
+		if o.headerLen() > 0 {
+			need++
+		}
+	}
+	if need > inlineBlocks && (m.spill == nil || cap(m.spill.blocks) < need) {
+		m.spillChain(need)
+	}
+	for _, o := range others {
+		m.Join(o)
 	}
 }
 

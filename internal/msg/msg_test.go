@@ -221,6 +221,56 @@ func TestSplitJoinIdentity(t *testing.T) {
 	}
 }
 
+// JoinAll is successive Joins with one chain growth: a 12-fragment
+// message reassembled onto its first fragment costs the out-of-line chain
+// (the spill record and its exact-size slice) and nothing else, where an
+// Empty plus twelve Joins costs the message and three growths on top.
+func TestJoinAllIsJoinWithOneGrowth(t *testing.T) {
+	data := MakeData(16 * 1024)
+	split := func() []*Msg {
+		frags, err := New(data).Split(1477, DefaultLeader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frags
+	}
+	frags := split()
+	whole := frags[0]
+	whole.JoinAll(frags[1:])
+	if whole.Len() != len(data) || !bytes.Equal(whole.Bytes(), data) {
+		t.Fatal("JoinAll onto the first fragment is not the identity")
+	}
+	if n, c := len(whole.chain()), cap(whole.chain()); n != len(frags) || c != n {
+		t.Fatalf("chain has %d blocks in room for %d, want exactly %d", n, c, len(frags))
+	}
+
+	const runs = 50
+	sets := make([][]*Msg, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range sets {
+		sets[i] = split()
+	}
+	i := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		sets[i][0].JoinAll(sets[i][1:])
+		i++
+	}); got != 2 {
+		t.Errorf("JoinAll of 12 fragments: %.1f allocations, want 2", got)
+	}
+
+	// Header bytes of the joined messages are carried as Join carries
+	// them, and joining nothing changes nothing.
+	a, b := New([]byte("ab")), New([]byte("ef"))
+	b.MustPush([]byte("cd"))
+	a.JoinAll([]*Msg{b})
+	if got := string(a.Bytes()); got != "abcdef" {
+		t.Fatalf("JoinAll with header bytes = %q", got)
+	}
+	a.JoinAll(nil)
+	if got := string(a.Bytes()); got != "abcdef" {
+		t.Fatalf("JoinAll(nil) changed the message: %q", got)
+	}
+}
+
 func TestSplitEmptyMessage(t *testing.T) {
 	frags, err := Empty().Split(100, 8)
 	if err != nil {

@@ -17,8 +17,8 @@
 //     reply path — runs nested on one shepherd goroutine, so the
 //     innermost open span whose interval contains a span IS its causal
 //     parent. This is what stitches the legs the attribute cannot
-//     cross: the wire (frames are bytes) and reassembly (fresh
-//     messages).
+//     cross: the wire (frames are bytes) and reassembly (a message
+//     assembled on a fragment whose own crossing has closed).
 package anatomy
 
 import (

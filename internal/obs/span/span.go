@@ -23,9 +23,11 @@
 //     as an attribute; a boundary opening a span records the previous
 //     current span as its parent and restores it when the span closes.
 //   - Across the wire and across reassembly — where messages are
-//     rebuilt and attributes cannot follow — spans carry no parent and
-//     the anatomy analyzer attaches them by interval containment,
-//     which is exact under the simulator's synchronous delivery.
+//     rebuilt and the attribute does not follow (a reassembled message
+//     carries what its first fragment was left with, usually nothing) —
+//     spans carry no parent and the anatomy analyzer attaches them by
+//     interval containment, which is exact under the simulator's
+//     synchronous delivery.
 package span
 
 import (
@@ -38,9 +40,11 @@ import (
 
 // CtxAttr is the message attribute carrying the innermost open span's
 // id ("OBSS"). It rides a *msg.Msg through push/pop and across Clone,
-// but not across the wire (frames are bytes) or across FRAGMENT
-// reassembly (fresh messages), so each leg of an RPC roots its own
-// subtree; the analyzer stitches legs together by containment.
+// but not across the wire (frames are bytes) or across fragmentation
+// and reassembly (fresh fragments; a message assembled on a first
+// fragment whose own crossing has usually closed), so each leg of an RPC
+// roots its own subtree; the analyzer stitches legs together by
+// containment.
 const CtxAttr msg.AttrKey = 0x4F425353
 
 // Span directions. A span's direction says which way the message was

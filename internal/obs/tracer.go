@@ -14,10 +14,12 @@ import (
 
 // MsgIDAttr is the message attribute carrying the observability
 // message id ("OBSM"). Attributes ride a *msg.Msg through push/pop and
-// across Clone, but not across the wire or across FRAGMENT reassembly
-// (both build fresh messages), so one RPC is observed as several
+// across Clone, but not across the wire or across fragmentation (both
+// build fresh messages), so one RPC is observed as several
 // id-correlated legs — e.g. client-down, server-up, server-down,
-// client-up — stitched into a full path by the records' seq order.
+// client-up — stitched into a full path by the records' seq order. A
+// reassembled message is its first fragment with the others joined on,
+// so the leg above reassembly carries the first fragment's id.
 const MsgIDAttr msg.AttrKey = 0x4F42534D
 
 var msgIDSeq atomic.Uint64

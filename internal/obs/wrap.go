@@ -168,8 +168,11 @@ func (w *W) demuxUp(ws *wrapSession, m *msg.Msg) error {
 	start := time.Now()
 	err := w.demuxInner(up, ws, m)
 	w.stats.PopLatency.Observe(time.Since(start))
+	// The message was handed up and belongs to whoever received it — a
+	// collecting layer may already have delivered it onward from another
+	// goroutine — so the span closes without touching it again.
 	if sid != 0 {
-		rec.EndMsg(sid, m, span.ErrString(err))
+		rec.EndMsg(sid, nil, span.ErrString(err))
 	}
 	if err != nil {
 		w.stats.Drops.Add(1)

@@ -22,12 +22,3 @@ func TestQuickHeaderCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMaskHelpers(t *testing.T) {
-	if fullMask(16) != 0xffff || fullMask(3) != 0b111 {
-		t.Fatal("fullMask wrong")
-	}
-	if bitIndex(0b101) != -1 || bitIndex(0) != -1 || bitIndex(1<<9) != 9 {
-		t.Fatal("bitIndex wrong")
-	}
-}

@@ -62,12 +62,20 @@ type oneFragBed struct {
 
 func newOneFragBed(t *testing.T) *oneFragBed {
 	t.Helper()
-	bed := &oneFragBed{clock: event.NewFake(), tapA: &tapProto{}, tapB: &tapProto{}}
+	clock := event.NewFake()
+	return newOneFragBedOn(t, clock, clock)
+}
+
+// newOneFragBedOn is newOneFragBed with the receiver on clockB, which
+// must be clock itself or a wrapper around it.
+func newOneFragBedOn(t *testing.T, clock *event.FakeClock, clockB event.Clock) *oneFragBed {
+	t.Helper()
+	bed := &oneFragBed{clock: clock, tapA: &tapProto{}, tapB: &tapProto{}}
 	var err error
-	if bed.a, err = New("a/fragment", bed.tapA, oneFragA, Config{Clock: bed.clock}); err != nil {
+	if bed.a, err = New("a/fragment", bed.tapA, oneFragA, Config{Clock: clock}); err != nil {
 		t.Fatal(err)
 	}
-	if bed.b, err = New("b/fragment", bed.tapB, oneFragB, Config{Clock: bed.clock}); err != nil {
+	if bed.b, err = New("b/fragment", bed.tapB, oneFragB, Config{Clock: clockB}); err != nil {
 		t.Fatal(err)
 	}
 	app := xk.NewApp("sink", func(s xk.Session, m *msg.Msg) error {
@@ -149,14 +157,11 @@ func TestOneFragmentMessageIsHeldByNobody(t *testing.T) {
 
 	// A resend request for it — which no correct receiver sends — is
 	// answered like one for an expired message.
-	h := header{typ: typeResend, clntHost: oneFragB, srvrHost: oneFragA, protoNum: uint32(oneFragProto), seq: 1, numFrags: 1}
-	var hb [HeaderLen]byte
-	h.encode(hb[:])
 	llsA, err := bed.tapA.Open(bed.a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bed.a.Demux(llsA, msg.New(hb[:])); err != nil {
+	if err := bed.a.Demux(llsA, resendRequest(1, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if st := bed.a.Stats(); st.ResendsExpired != 1 || st.ResendsHonored != 0 {

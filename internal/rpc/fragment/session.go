@@ -9,6 +9,7 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
+	"xkernel/internal/rpc/fragmask"
 	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
@@ -28,8 +29,11 @@ type session struct {
 
 	mu      sync.Mutex
 	nextSeq uint32
-	sent    map[uint32]*sentMsg
+	sent    map[uint32]sentMsg
 	rcv     map[uint32]*rcvMsg
+	// free keeps up to maxFreeRecords collection records between messages,
+	// gap event and all: a collection in a steady stream allocates nothing.
+	free []*rcvMsg
 	// sweep is the periodic discard of expired saved messages: one event
 	// per session, created at the first hold and re-armed from then on,
 	// so a sweep costs no allocation. sweeping says an arm is pending.
@@ -37,26 +41,32 @@ type session struct {
 	sweeping bool
 }
 
+const maxFreeRecords = 8
+
 // sentMsg is a transmitted message held for resend requests until the
-// hold window passes. The x-kernel's reference-sharing message tool
-// makes the saved copy cheap: frames alias the payload the client
-// pushed. Expiry is enforced by one periodic sweep per session rather
-// than one timer per message, so a saved copy lives between SendHold
-// and about 1.5×SendHold — the paper requires only that the sender
-// eventually "discards the message when the timer expires".
+// hold window passes: the one message Push was given, from which every
+// transmission of a fragment, first or resent, is cut as it is sent. A
+// held message is immutable, so the send loop and any number of resends
+// read it concurrently. Expiry is one periodic sweep per session, not one
+// timer per message, so a saved message lives between SendHold and about
+// 1.5×SendHold — the paper requires only that the sender eventually
+// "discards the message when the timer expires".
 type sentMsg struct {
-	frames  []*msg.Msg
-	expires time.Time
+	m        *msg.Msg
+	numFrags int
+	expires  time.Time
 }
 
-// rcvMsg collects an incoming message.
+// rcvMsg collects an incoming message. The record owns its gap event,
+// created once and re-armed for every chase and every message the record
+// serves; the handler reads seq from the record (see recycleLocked).
 type rcvMsg struct {
+	seq      uint32
 	numFrags uint16
 	mask     uint16
-	frags    []*msg.Msg
 	retries  int
-	timer    *event.Event
-	via      xk.Session
+	frags    [fragmask.Max]*msg.Msg
+	gap      *event.Event
 }
 
 func newSession(p *Protocol, hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, lls xk.Session) *session {
@@ -65,7 +75,7 @@ func newSession(p *Protocol, hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAdd
 		proto:    proto,
 		remote:   remote,
 		peerHost: remote,
-		sent:     make(map[uint32]*sentMsg),
+		sent:     make(map[uint32]sentMsg),
 		rcv:      make(map[uint32]*rcvMsg),
 	}
 	s.InitSession(p, hlp, lls)
@@ -78,10 +88,10 @@ func newSession(p *Protocol, hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAdd
 // A message that fits one packet is sent as it is: the header goes onto
 // m in place and m itself goes down. It is not held for resend requests,
 // because none can arrive — a receiver chases missing fragments only of
-// a message that has more than one — so it costs no Split, no hold
-// record, no sweep timer and no Clone. Anything longer (or a message
-// without the header room) takes the general path: fragment, hold the
-// frames under the send-hold window, transmit a clone of each.
+// a message that has more than one — so it costs no hold record and no
+// sweep timer. Anything longer (or a message without the header room) is
+// held as it is, under the send-hold window, and each fragment is cut
+// from it as it is sent.
 func (s *session) Push(m *msg.Msg) error {
 	if s.Closed() {
 		return xk.ErrClosed
@@ -94,39 +104,42 @@ func (s *session) Push(m *msg.Msg) error {
 	if m.Len() <= maxFrag && xk.RoomInPlace(m, HeaderLen) {
 		return s.pushOne(m)
 	}
-	frags, err := m.Split(maxFrag, msg.DefaultLeader)
-	if err != nil {
-		return err
-	}
-	if len(frags) > 16 {
-		return fmt.Errorf("%s: %d fragments (max 16): %w", p.Name(), len(frags), xk.ErrMsgTooBig)
+	numFrags := fragmask.Count(m.Len(), maxFrag)
+	if numFrags > fragmask.Max {
+		return fmt.Errorf("%s: %d fragments (max %d): %w", p.Name(), numFrags, fragmask.Max, xk.ErrMsgTooBig)
 	}
 
 	seq := s.allocSeq()
-	for i, f := range frags {
-		s.pushHeader(f, seq, uint16(len(frags)), 1<<i)
-	}
-
-	//xk:allow hotpathalloc — one send-hold record per fragmented message; bookkeeping for retransmit, not a payload copy
-	sm := &sentMsg{frames: frags, expires: p.cfg.Clock.Now().Add(p.cfg.SendHold)}
 	s.mu.Lock()
-	s.sent[seq] = sm
+	s.sent[seq] = sentMsg{m: m, numFrags: numFrags, expires: p.cfg.Clock.Now().Add(p.cfg.SendHold)}
 	s.armSweepLocked()
 	s.mu.Unlock()
 
 	p.ctr.messagesSent.Add(1)
-	p.ctr.fragmentsSent.Add(int64(len(frags)))
+	p.ctr.fragmentsSent.Add(int64(numFrags))
 
-	lls := s.Down(0)
-	for _, f := range frags {
-		if err := lls.Push(f.Clone()); err != nil {
+	for i := 0; i < numFrags; i++ {
+		if err := s.pushFragment(m, seq, numFrags, i); err != nil {
 			return err
 		}
 	}
 	if trace.Enabled(trace.Packets) {
-		trace.Printf(trace.Packets, p.Name(), "push seq=%d frags=%d len=%d to %s", seq, len(frags), m.Len(), s.remote)
+		trace.Printf(trace.Packets, p.Name(), "push seq=%d frags=%d len=%d to %s", seq, numFrags, m.Len(), s.remote)
 	}
 	return nil
+}
+
+// pushFragment transmits fragment i of the held message m: cut, framed
+// and pushed, reading m and leaving it as it was.
+func (s *session) pushFragment(m *msg.Msg, seq uint32, numFrags, i int) error {
+	maxFrag := s.p.cfg.MaxPacket - HeaderLen
+	off := i * maxFrag
+	f, err := m.Fragment(off, min(m.Len()-off, maxFrag), msg.DefaultLeader)
+	if err != nil {
+		return err
+	}
+	s.pushHeader(f, seq, uint16(numFrags), 1<<i)
+	return s.Down(0).Push(f)
 }
 
 // pushOne is the one-fragment path of Push.
@@ -226,7 +239,11 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 	if numFrags == 0 {
 		numFrags = 1
 	}
-	idx := bitIndex(h.fragMask)
+	if numFrags > fragmask.Max {
+		// More fragments than mask bits: no such message can complete.
+		return fmt.Errorf("%s: %d fragments (max %d): %w", p.Name(), numFrags, fragmask.Max, xk.ErrBadHeader)
+	}
+	idx := fragmask.Index(h.fragMask)
 	if idx < 0 || idx >= int(numFrags) {
 		return fmt.Errorf("%s: frag mask %#04x of %d: %w", p.Name(), h.fragMask, numFrags, xk.ErrBadHeader)
 	}
@@ -242,13 +259,13 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 		return s.deliver(h.seq, m)
 	}
 	if r == nil {
-		r = &rcvMsg{numFrags: numFrags, frags: make([]*msg.Msg, numFrags)}
+		r = s.newRcvLocked(h.seq, numFrags)
 		s.rcv[h.seq] = r
-		s.armGapTimerLocked(h.seq, r)
+		s.armGapTimerLocked(r)
 	} else if numFrags != r.numFrags {
-		// The collection was sized by the first fragment's claim; a
+		// The collection was started by the first fragment's claim; a
 		// frame asserting a different count for the same sequence is
-		// corrupt (and its mask index may not fit the collection).
+		// corrupt.
 		s.mu.Unlock()
 		return fmt.Errorf("%s: seq %d claims %d frags, collection has %d: %w",
 			p.Name(), h.seq, numFrags, r.numFrags, xk.ErrBadHeader)
@@ -260,20 +277,43 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 	}
 	r.mask |= h.fragMask
 	r.frags[idx] = m
-	complete := r.mask == fullMask(numFrags)
-	if !complete {
+	if r.mask != fragmask.Full(numFrags) {
 		s.mu.Unlock()
 		return nil
 	}
 	delete(s.rcv, h.seq)
-	//xk:allow locksafety — Cancel is a non-blocking flag; it never waits for a running handler
-	r.timer.Cancel()
-	full := msg.Empty()
-	for _, f := range r.frags {
-		full.Join(f)
-	}
+	// The message is its first fragment with the others joined on; a
+	// received fragment is held by this session and nothing else.
+	full := r.frags[0]
+	full.JoinAll(r.frags[1:numFrags])
+	s.recycleLocked(r)
 	s.mu.Unlock()
 	return s.deliver(h.seq, full)
+}
+
+// newRcvLocked returns a record to collect message seq in, off the free
+// list if it has one. Caller holds s.mu.
+func (s *session) newRcvLocked(seq uint32, numFrags uint16) *rcvMsg {
+	n := len(s.free) - 1
+	if n < 0 {
+		return &rcvMsg{seq: seq, numFrags: numFrags}
+	}
+	r := s.free[n]
+	s.free = s.free[:n]
+	r.seq, r.numFrags = seq, numFrags
+	return r
+}
+
+// recycleLocked retires the record of a completed message. It is reused
+// only if Cancel reports that it prevented the gap event's firing: a
+// handler already on its way must find the message it was armed for
+// gone, never the record's next one. Caller holds s.mu.
+func (s *session) recycleLocked(r *rcvMsg) {
+	if !r.gap.Cancel() || len(s.free) == maxFreeRecords {
+		return
+	}
+	*r = rcvMsg{gap: r.gap}
+	s.free = append(s.free, r)
 }
 
 // deliver hands a complete message to the protocol above.
@@ -290,34 +330,44 @@ func (s *session) deliver(seq uint32, full *msg.Msg) error {
 	return up.Demux(s, full)
 }
 
-// armGapTimerLocked schedules the missing-fragment chase for seq; the
-// retry policy spaces successive chases. Caller holds s.mu.
-func (s *session) armGapTimerLocked(seq uint32, r *rcvMsg) {
-	p := s.p
-	r.timer = p.cfg.Clock.Schedule(p.cfg.Retry.Interval(r.retries, p.cfg.GapTimeout), func() {
-		s.mu.Lock()
-		if s.rcv[seq] != r {
-			s.mu.Unlock()
-			return
-		}
-		r.retries++
-		if r.retries > p.cfg.GapRetries {
-			delete(s.rcv, seq)
-			s.mu.Unlock()
-			p.ctr.messagesAbandoned.Add(1)
-			trace.Printf(trace.Events, p.Name(), "abandon seq=%d from %s (mask %#04x of %d)", seq, s.remote, r.mask, r.numFrags)
-			return
-		}
-		mask, numFrags := r.mask, r.numFrags
-		s.armGapTimerLocked(seq, r)
-		s.mu.Unlock()
+// armGapTimerLocked schedules the missing-fragment chase for r's
+// message; the retry policy spaces successive chases. Caller holds s.mu.
+func (s *session) armGapTimerLocked(r *rcvMsg) {
+	d := s.p.cfg.Retry.Interval(r.retries, s.p.cfg.GapTimeout)
+	if r.gap == nil {
+		r.gap = s.p.cfg.Clock.Schedule(d, func() { s.chase(r) })
+		return
+	}
+	r.gap.Reset(d)
+}
 
-		p.ctr.resendRequestsSent.Add(1)
-		trace.Printf(trace.Events, p.Name(), "request missing seq=%d have=%#04x of %d from %s", seq, mask, numFrags, s.remote)
-		if err := s.sendResendRequest(seq, mask, numFrags); err != nil {
-			trace.Printf(trace.Events, p.Name(), "resend request failed: %v", err)
-		}
-	})
+// chase is the gap event's handler: it asks the peer for the fragments
+// still missing, or abandons the message after GapRetries requests.
+func (s *session) chase(r *rcvMsg) {
+	p := s.p
+	s.mu.Lock()
+	seq := r.seq
+	if s.rcv[seq] != r {
+		s.mu.Unlock()
+		return
+	}
+	r.retries++
+	if r.retries > p.cfg.GapRetries {
+		delete(s.rcv, seq)
+		s.mu.Unlock()
+		p.ctr.messagesAbandoned.Add(1)
+		trace.Printf(trace.Events, p.Name(), "abandon seq=%d from %s (mask %#04x of %d)", seq, s.remote, r.mask, r.numFrags)
+		return
+	}
+	mask, numFrags := r.mask, r.numFrags
+	s.armGapTimerLocked(r)
+	s.mu.Unlock()
+
+	p.ctr.resendRequestsSent.Add(1)
+	trace.Printf(trace.Events, p.Name(), "request missing seq=%d have=%#04x of %d from %s", seq, mask, numFrags, s.remote)
+	if err := s.sendResendRequest(seq, mask, numFrags); err != nil {
+		trace.Printf(trace.Events, p.Name(), "resend request failed: %v", err)
+	}
 }
 
 // sendResendRequest asks the peer for the fragments of seq we do not
@@ -345,20 +395,19 @@ func (s *session) sendResendRequest(seq uint32, have uint16, numFrags uint16) er
 func (s *session) receiveResendRequest(h header) error {
 	p := s.p
 	s.mu.Lock()
-	sm := s.sent[h.seq]
+	sm, held := s.sent[h.seq]
 	s.mu.Unlock()
-	if sm == nil {
+	if !held {
 		p.ctr.resendsExpired.Add(1)
 		trace.Printf(trace.Events, p.Name(), "resend request for discarded seq=%d from %s", h.seq, s.remote)
 		return nil
 	}
 	p.ctr.resendsHonored.Add(1)
-	lls := s.Down(0)
-	for i, f := range sm.frames {
+	for i := 0; i < sm.numFrags; i++ {
 		if h.fragMask&(1<<i) != 0 {
 			continue // the peer has this one
 		}
-		if err := lls.Push(f.Clone()); err != nil {
+		if err := s.pushFragment(sm.m, h.seq, sm.numFrags, i); err != nil {
 			return err
 		}
 	}
@@ -396,45 +445,21 @@ func (s *session) Close() error {
 	var kb pmap.Key
 	s.p.active.Unbind(key(&kb, s.proto, s.remote))
 	s.mu.Lock()
-	for seq := range s.sent {
-		delete(s.sent, seq)
-	}
+	clear(s.sent)
 	if s.sweeping {
 		//xk:allow locksafety — Cancel is a non-blocking flag; it never waits for a running handler
 		s.sweep.Cancel()
 		s.sweeping = false
 	}
 	for seq, r := range s.rcv {
-		if r.timer != nil {
-			//xk:allow locksafety — Cancel is a non-blocking flag; it never waits for a running handler
-			r.timer.Cancel()
-		}
+		//xk:allow locksafety — Cancel is a non-blocking flag; it never waits for a running handler
+		r.gap.Cancel()
 		delete(s.rcv, seq)
 	}
+	s.free = nil
 	s.mu.Unlock()
 	if d := s.Down(0); d != nil {
 		return d.Close()
 	}
 	return nil
-}
-
-// fullMask returns the mask with the low n bits set.
-func fullMask(n uint16) uint16 {
-	if n >= 16 {
-		return 0xffff
-	}
-	return uint16(1)<<n - 1
-}
-
-// bitIndex returns the index of the single set bit in mask, or -1.
-func bitIndex(mask uint16) int {
-	if mask == 0 || mask&(mask-1) != 0 {
-		return -1
-	}
-	for i := 0; i < 16; i++ {
-		if mask&(1<<i) != 0 {
-			return i
-		}
-	}
-	return -1
 }

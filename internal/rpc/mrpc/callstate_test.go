@@ -2,7 +2,9 @@ package mrpc
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+	"time"
 
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
@@ -23,6 +25,11 @@ type pipeProto struct {
 	peer   *Protocol // whose Demux receives what this side pushes
 	frames int
 	sess   *pipeSession
+	// lose, if set, is asked about each frame (numbered from 1 by
+	// frames) and eats the ones it says yes to; sent keeps every frame
+	// pushed, eaten or not.
+	lose func(n int) bool
+	sent [][]byte
 }
 
 func (p *pipeProto) OpenEnable(xk.Protocol, *xk.Participants) error { return nil }
@@ -38,7 +45,12 @@ type pipeSession struct {
 
 func (s *pipeSession) Push(m *msg.Msg) error {
 	s.p.frames++
-	return s.p.peer.Demux(s.far.sess, msg.New(m.Bytes()))
+	fr := m.Bytes()
+	s.p.sent = append(s.p.sent, fr)
+	if s.p.lose != nil && s.p.lose(s.p.frames) {
+		return nil
+	}
+	return s.p.peer.Demux(s.far.sess, msg.New(fr))
 }
 
 func newPipe(t *testing.T) (cli, srv *Protocol, cliWire, srvWire *pipeProto) {
@@ -86,6 +98,7 @@ func TestOneFragmentBoundary(t *testing.T) {
 		{"one byte more", msg.New(msg.MakeData(maxFrag + 1)), 2, 2},
 		{"no header room", msg.NewWithLeader(msg.MakeData(100), HeaderLen-1), 1, 1},
 		{"null", msg.Empty(), 1, 1},
+		{"null, no header room", msg.NewWithLeader(nil, 0), 1, 1}, // count 0 becomes 1
 	} {
 		want := tc.args.Bytes()
 		cliWire.frames, srvWire.frames = 0, 0
@@ -172,4 +185,84 @@ func TestOneFragmentReplyContradictingCollection(t *testing.T) {
 	cs.mu.Lock()
 	cs.active = false
 	cs.mu.Unlock()
+}
+
+// The client holds the request as it was given and cuts each fragment
+// from it at the moment of sending, so a retransmission re-cuts the same
+// bytes: only the flags field (PLEASE_ACK) differs from the first
+// transmission, and only the fragments the server has not acknowledged go
+// again.
+func TestRetransmissionRecutsTheSameFragments(t *testing.T) {
+	cli, _, cliWire, _ := newPipe(t)
+	s := openPipe(t, cli)
+	clock := cli.cfg.Clock.(*event.FakeClock)
+	maxFrag := cli.cfg.MaxPacket - HeaderLen
+	payload := msg.MakeData(2*maxFrag + 10) // three fragments
+
+	// Every first transmission is lost; the retransmission's fragment 1
+	// is lost too, and the server's partial ack names the other two.
+	cliWire.lose = func(n int) bool { return n <= 3 || n == 5 }
+	cliWire.frames = 0
+	type result struct {
+		reply *msg.Msg
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		reply, err := s.Call(1, msg.New(payload))
+		done <- result{reply, err}
+	}()
+	var r result
+	for waiting := true; waiting; {
+		select {
+		case r = <-done:
+			waiting = false
+		default:
+			clock.Advance(cli.cfg.RetransmitInterval)
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if r.err != nil || !bytes.Equal(r.reply.Bytes(), payload) {
+		t.Fatalf("echo after two lossy attempts: %v", r.err)
+	}
+	if got := cli.Stats().Retransmits; got != 2 {
+		t.Fatalf("%d retransmissions, want 2", got)
+	}
+	sent := cliWire.sent
+	if len(sent) != 3+3+1 {
+		t.Fatalf("%d request frames, want 3 first + 3 again + the 1 still missing", len(sent))
+	}
+	sameButFlags := func(a, b []byte) bool {
+		return len(a) == len(b) && bytes.Equal(a[2:], b[2:])
+	}
+	for i := 0; i < 3; i++ {
+		if h := decodeHeader(sent[i]); h.fragMask != 1<<i || h.numFrags != 3 || h.flags&flagPleaseAck != 0 {
+			t.Fatalf("first transmission, frame %d: %+v", i, h)
+		}
+		if !sameButFlags(sent[3+i], sent[i]) || decodeHeader(sent[3+i]).flags&flagPleaseAck == 0 {
+			t.Fatalf("retransmitted fragment %d is not its first transmission with PLEASE_ACK set", i)
+		}
+	}
+	if !bytes.Equal(sent[6], sent[4]) {
+		t.Fatal("the third attempt did not resend exactly the unacknowledged fragment 1")
+	}
+}
+
+// Call derives the fragment count from the length before it cuts
+// anything: a request of too many fragments is refused with nothing sent.
+func TestCallCountsFragmentsBeforeCutting(t *testing.T) {
+	cliWire := &pipeProto{}
+	cliWire.sess = &pipeSession{p: cliWire}
+	cli, err := New("client/mrpc", cliWire, pipeClient, Config{Clock: event.NewFake(), NumChannels: 1, MaxPacket: HeaderLen + 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliWire.sess.InitSession(cliWire, cli)
+	s := openPipe(t, cli)
+	if _, err := s.Call(1, msg.New(msg.MakeData(100*16+1))); !errors.Is(err, xk.ErrMsgTooBig) {
+		t.Fatalf("17-fragment request: err = %v, want ErrMsgTooBig", err)
+	}
+	if cliWire.frames != 0 {
+		t.Fatalf("refused request put %d frames on the wire", cliWire.frames)
+	}
 }

@@ -27,7 +27,8 @@ func TestQuickHeaderCodec(t *testing.T) {
 }
 
 func TestCollectorAssemblesInOrder(t *testing.T) {
-	c := newCollector(7, 3)
+	var c collector
+	c.start(7, 3)
 	if c.complete() {
 		t.Fatal("fresh collector complete")
 	}
@@ -44,7 +45,8 @@ func TestCollectorAssemblesInOrder(t *testing.T) {
 }
 
 func TestCollectorIgnoresDuplicatesAndJunk(t *testing.T) {
-	c := newCollector(1, 2)
+	var c collector
+	c.start(1, 2)
 	c.add(1<<0, mkMsg('x'))
 	c.add(1<<0, mkMsg('y')) // duplicate: ignored
 	c.add(0, mkMsg('z'))    // zero mask: ignored
@@ -57,19 +59,5 @@ func TestCollectorIgnoresDuplicatesAndJunk(t *testing.T) {
 	}
 	if got := string(c.assemble().Bytes()); got != "xb" {
 		t.Fatalf("assembled %q", got)
-	}
-}
-
-func TestMaskHelpers(t *testing.T) {
-	if fullMask(0) != 0 || fullMask(1) != 1 || fullMask(16) != 0xffff || fullMask(20) != 0xffff {
-		t.Fatal("fullMask wrong")
-	}
-	if bitIndex(0) != -1 || bitIndex(0b11) != -1 {
-		t.Fatal("bitIndex should reject non-single bits")
-	}
-	for i := 0; i < 16; i++ {
-		if bitIndex(1<<i) != i {
-			t.Fatalf("bitIndex(1<<%d) wrong", i)
-		}
 	}
 }

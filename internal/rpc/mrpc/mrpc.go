@@ -25,6 +25,7 @@ import (
 	"xkernel/internal/ledger"
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/ip"
+	"xkernel/internal/rpc/fragmask"
 	"xkernel/internal/rpc/retry"
 	"xkernel/internal/trace"
 	"xkernel/internal/xk"
@@ -357,13 +358,16 @@ type chanState struct {
 	seq    uint32
 	active bool
 	acked  uint16 // request fragments explicitly acknowledged
-	reply  *collector
 
 	// replyCh carries the reply of the call in progress: filled under
 	// mu, only for the current seq; drained under mu when the next call
 	// starts.
 	replyCh chan callResult
 	timeout *event.Timeout
+
+	// reply collects a multi-fragment reply; last, so a one-fragment
+	// call stays on the cache line of the fields above.
+	reply collector
 }
 
 type callResult struct {
@@ -406,7 +410,7 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	seq := cs.seq
 	cs.active = true
 	cs.acked = 0
-	cs.reply = nil
+	cs.reply.reset()
 	// A duplicate reply to the previous call may have landed after that
 	// call took its own; from here on only seq's reply is accepted.
 	select {
@@ -421,25 +425,19 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	}()
 
 	// A request that fits one packet is sent as it is, header pushed in
-	// place; only a longer one (or one without the header room) is split,
-	// and then the fragments are what is held for retransmission.
-	var frags []*msg.Msg
-	if maxFrag := p.cfg.MaxPacket - HeaderLen; args.Len() > maxFrag || !xk.RoomInPlace(args, HeaderLen) {
-		var err error
-		if frags, err = args.Split(maxFrag, msg.DefaultLeader); err != nil {
-			return nil, err
-		}
-		if len(frags) > 16 {
-			return nil, fmt.Errorf("%s: %d fragments (max 16): %w", p.Name(), len(frags), xk.ErrMsgTooBig)
-		}
-	}
+	// place; a longer one (or one without the header room) is held as it
+	// is, and each fragment is cut from it as it is sent.
+	maxFrag := p.cfg.MaxPacket - HeaderLen
+	inPlace := args.Len() <= maxFrag && xk.RoomInPlace(args, HeaderLen)
 	numFrags := uint16(1)
 	interval := p.cfg.RetransmitInterval
-	if len(frags) > 1 {
-		numFrags = uint16(len(frags))
+	if n := fragmask.Count(args.Len(), maxFrag); n > fragmask.Max {
+		return nil, fmt.Errorf("%s: %d fragments (max %d): %w", p.Name(), n, fragmask.Max, xk.ErrMsgTooBig)
+	} else if n > 1 {
+		numFrags = uint16(n)
 		// Multi-fragment patience: give the peer time to collect
 		// everything before retransmitting.
-		interval += time.Duration(len(frags)) * (p.cfg.RetransmitInterval / 4)
+		interval += time.Duration(n) * (p.cfg.RetransmitInterval / 4)
 	}
 	h := header{
 		flags:    flagRequest,
@@ -458,7 +456,7 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	}
 
 	lls := s.Down(0)
-	full := fullMask(numFrags)
+	full := fragmask.Full(numFrags)
 	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
 		cs.mu.Lock()
 		if attempt > 0 && cs.acked == full {
@@ -478,12 +476,17 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 			if acked&(1<<i) != 0 {
 				continue // already at the server
 			}
-			// The protocol keeps the request for retransmission, so
-			// it clones; the layers below consume what they are pushed.
+			// The protocol keeps the request for retransmission: a
+			// fragment is cut from it and leaves it as it was; sent in
+			// place it is cloned first, for the layers below consume it.
 			var out *msg.Msg
 			switch {
-			case frags != nil:
-				out = frags[i].Clone()
+			case !inPlace:
+				off := i * maxFrag
+				var err error
+				if out, err = args.Fragment(off, min(args.Len()-off, maxFrag), msg.DefaultLeader); err != nil {
+					return nil, err
+				}
 			case attempt < p.cfg.MaxRetries:
 				out, args = args, args.Clone()
 			default:
@@ -557,6 +560,10 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		return fmt.Errorf("%s: %w", p.Name(), xk.ErrBadHeader)
 	}
 	h := decodeHeader(hb)
+	if h.numFrags > fragmask.Max {
+		// More fragments than mask bits: no such message can complete.
+		return fmt.Errorf("%s: %d fragments (max %d): %w", p.Name(), h.numFrags, fragmask.Max, xk.ErrBadHeader)
+	}
 	switch {
 	case h.flags&flagRequest != 0:
 		return p.serveRequest(h, m, lls)
@@ -599,14 +606,13 @@ func (p *Protocol) clientReceive(h header, m *msg.Msg) error {
 	// and its checks like any other.
 	full := m
 	if !oneFragment(h) || cs.reply.collecting(h.seq) {
-		if cs.reply == nil || cs.reply.seq != h.seq {
-			cs.reply = newCollector(h.seq, h.numFrags)
+		if !cs.reply.collecting(h.seq) {
+			cs.reply.start(h.seq, h.numFrags)
 		}
 		if !cs.reply.add(h.fragMask, m) {
 			return nil
 		}
 		full = cs.reply.assemble()
-		cs.reply = nil
 	}
 	var res callResult
 	switch {

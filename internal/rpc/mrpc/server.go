@@ -6,6 +6,7 @@ import (
 
 	"xkernel/internal/ledger"
 	"xkernel/internal/msg"
+	"xkernel/internal/rpc/fragmask"
 	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
@@ -29,7 +30,7 @@ type srvChan struct {
 	bootID    uint32
 	lastSeq   uint32
 	executing bool
-	collect   *collector
+	collect   collector
 }
 
 // ledgerKey is the execution-ledger name for a client channel.
@@ -107,7 +108,7 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 		sc.bootID = h.bootID
 		sc.lastSeq = 0
 		sc.executing = false
-		sc.collect = nil
+		sc.collect.reset()
 		//xk:allow locksafety — retire must be ordered with the boot-epoch flip under sc.mu; the fsync Schedule only enqueues
 		if err := p.cfg.Ledger.Retire(lk); err != nil {
 			trace.Printf(trace.Events, p.Name(), "ledger retire channel=%d: %v", h.channel, err)
@@ -129,7 +130,7 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 			// tells the client to stop retransmitting.
 			p.ctr.acksSent.Add(1)
 			sc.mu.Unlock()
-			return p.sendAck(h, fullMask(h.numFrags), lls)
+			return p.sendAck(h, fragmask.Full(h.numFrags), lls)
 		}
 		if e, ok := p.cfg.Ledger.Lookup(lk); ok && e.ClientBoot == h.bootID && e.Seq == h.seq {
 			// "timeouts trigger retransmissions which sometimes
@@ -149,8 +150,8 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 		// request records its own.
 		args := m // a one-fragment request is complete as it stands
 		if !oneFragment(h) || sc.collect.collecting(h.seq) {
-			if sc.collect == nil || sc.collect.seq != h.seq {
-				sc.collect = newCollector(h.seq, h.numFrags)
+			if !sc.collect.collecting(h.seq) {
+				sc.collect.start(h.seq, h.numFrags)
 			}
 			complete := sc.collect.add(h.fragMask, m)
 			if !complete {
@@ -172,7 +173,7 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 			}
 			args = sc.collect.assemble()
 		}
-		sc.collect = nil
+		sc.collect.reset() // a part-collected older request is superseded
 		sc.lastSeq = h.seq
 		sc.executing = true
 		sc.mu.Unlock()
@@ -255,12 +256,12 @@ func (p *Protocol) frameReply(req header, flags uint16, reply *msg.Msg) ([]*msg.
 		return nil, fmt.Errorf("%s: reply %d bytes: %w", p.Name(), reply.Len(), xk.ErrMsgTooBig)
 	}
 	maxFrag := p.cfg.MaxPacket - HeaderLen
+	if n := fragmask.Count(reply.Len(), maxFrag); n > fragmask.Max {
+		return nil, fmt.Errorf("%s: reply needs %d fragments: %w", p.Name(), n, xk.ErrMsgTooBig)
+	}
 	frags, err := reply.Split(maxFrag, msg.DefaultLeader)
 	if err != nil {
 		return nil, err
-	}
-	if len(frags) > 16 {
-		return nil, fmt.Errorf("%s: reply needs %d fragments: %w", p.Name(), len(frags), xk.ErrMsgTooBig)
 	}
 	for i, f := range frags {
 		p.pushReplyHeader(f, req, flags, uint16(len(frags)), 1<<i)

@@ -70,9 +70,13 @@ go test -short ./internal/chaos/ -run 'TestPartitionReboot|TestScenarioLibrarySo
 echo "== msg fuzz smoke (op sequences vs naive model) =="
 go test ./internal/msg/ -fuzz FuzzPushPopFragmentJoin -fuzztime 5s
 
-echo "== demux fuzz smoke (arbitrary frames through CHANNEL and FRAGMENT) =="
+echo "== demux fuzz smoke (arbitrary frames through CHANNEL, FRAGMENT and M.RPC) =="
+# The seed corpora carry the num_frags = 17 and num_frags = 0xffff frames
+# (a full mask with a fragment no bit can name; a collection sized from
+# the wire) as named regression inputs.
 go test ./internal/rpc/channel/ -run '^$' -fuzz FuzzChannelPop -fuzztime 5s
 go test ./internal/rpc/fragment/ -run '^$' -fuzz FuzzFragmentPop -fuzztime 5s
+go test ./internal/rpc/mrpc/ -run '^$' -fuzz FuzzMRPCDemux -fuzztime 5s
 
 echo "== udp frame fuzz smoke (hostile datagrams at the socket boundary) =="
 # The UDP backend's decode path faces raw bytes from the network; any
