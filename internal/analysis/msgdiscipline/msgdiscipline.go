@@ -10,10 +10,23 @@
 //     after a subsequent Push/Pop/Append/Join/Truncate of the same Msg
 //     reads bytes that may have been overwritten.
 //
-// The pass checks both rules within each function body: conservative,
+// and the rule that makes handing a message on free ("Push consumes",
+// DESIGN.md §14):
+//
+//  3. a *msg.Msg passed to a session's Push or Call, or to a wire's
+//     SendMsg, is dead — the callee pushes headers onto it in place and,
+//     since a frame crosses the wire as the message, it may already be
+//     another host's message on another goroutine. Any later use of the
+//     variable is a data race waiting for an async network.
+//
+// The pass checks the rules within each function body: conservative,
 // flow-insensitive statement ordering by source position, which matches
 // how the hot paths are written (straight-line header parsing). Copy the
-// bytes, or finish with them before mutating, to satisfy it.
+// bytes, or finish with them before mutating, to satisfy rules 1 and 2;
+// Clone (or CopyInto) before the push, or assign the variable a fresh
+// message, to satisfy rule 3. Rule 3 follows block structure one step
+// further than source order: a push in a block that ends by leaving the
+// function or the loop (`return s.Push(m)`) kills nothing after the block.
 package msgdiscipline
 
 import (
@@ -27,7 +40,7 @@ import (
 // Analyzer is the msgdiscipline pass.
 var Analyzer = &xkanalysis.Analyzer{
 	Name: "msgdiscipline",
-	Doc:  "slices from msg.Pop/Peek are read-only and die at the Msg's next mutation",
+	Doc:  "slices from msg.Pop/Peek are read-only and die at the Msg's next mutation; a Msg dies at Push/Call/SendMsg",
 	Run:  run,
 }
 
@@ -76,6 +89,11 @@ func msgMethod(info *types.Info, call *ast.CallExpr) (name, recv string) {
 }
 
 func checkBody(pass *xkanalysis.Pass, body *ast.BlockStmt) {
+	checkSlices(pass, body)
+	checkConsumed(pass, body)
+}
+
+func checkSlices(pass *xkanalysis.Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 
 	// First sweep: collect taints (b, _ := m.Pop(n) / b := m.Peek(n))
@@ -199,6 +217,182 @@ func checkBody(pass *xkanalysis.Pass, body *ast.BlockStmt) {
 					}
 				}
 			}
+		}
+		return true
+	})
+}
+
+// isMsgPtr reports whether t is *msg.Msg.
+func isMsgPtr(t types.Type) bool {
+	p, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	n, ok := p.Elem().(*types.Named)
+	return ok && n.Obj().Name() == "Msg" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == msgPath
+}
+
+// consumes reports whether call hands its *msg.Msg arguments to a new
+// owner: a SendMsg method, or the Push or Call of a session — a type
+// whose method set has Push(*msg.Msg) error, which is what makes it one.
+func consumes(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	obj := xkanalysis.FuncObj(info, call)
+	if obj == nil || obj.Type().(*types.Signature).Recv() == nil {
+		return false
+	}
+	switch obj.Name() {
+	case "SendMsg":
+		return true
+	case "Push", "Call":
+		recv := info.TypeOf(sel.X)
+		if recv == nil {
+			return false
+		}
+		push, _, _ := types.LookupFieldOrMethod(recv, true, obj.Pkg(), "Push")
+		f, ok := push.(*types.Func)
+		if !ok {
+			return false
+		}
+		sig := f.Type().(*types.Signature)
+		return sig.Params().Len() == 1 && isMsgPtr(sig.Params().At(0).Type()) &&
+			sig.Results().Len() == 1 && sig.Results().At(0).Type().String() == "error"
+	}
+	return false
+}
+
+// leaves reports whether s never falls through to the statement after it.
+func leaves(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.BranchStmt:
+		return s.Tok != token.FALLTHROUGH
+	case *ast.ExprStmt:
+		call, ok := s.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && id.Name == "panic"
+	}
+	return false
+}
+
+// checkConsumed enforces rule 3. A consumed variable is dead from the end
+// of the consuming call to the end of the innermost enclosing statement
+// list that does not leave (see leaves) — the whole function body at the
+// outside — except where a later assignment gives it a fresh message.
+func checkConsumed(pass *xkanalysis.Pass, body *ast.BlockStmt) {
+	info := pass.TypesInfo
+
+	type death struct {
+		obj      types.Object
+		how      string    // "s.Push"
+		from, to token.Pos // the dead range
+	}
+	var deaths []death
+
+	// lists is the stack of enclosing statement lists, innermost last.
+	var lists [][]ast.Stmt
+	reach := func() token.Pos {
+		for i := len(lists) - 1; i > 0; i-- {
+			if l := lists[i]; len(l) > 0 && leaves(l[len(l)-1]) {
+				return l[len(l)-1].End()
+			}
+		}
+		return body.End()
+	}
+	var walk func(n ast.Node) bool
+	walkList := func(l []ast.Stmt) {
+		lists = append(lists, l)
+		for _, st := range l {
+			ast.Inspect(st, walk)
+		}
+		lists = lists[:len(lists)-1]
+	}
+	walk = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			walkList(n.List)
+			return false
+		case *ast.CaseClause:
+			walkList(n.Body)
+			return false
+		case *ast.CommClause:
+			if n.Comm != nil {
+				ast.Inspect(n.Comm, walk)
+			}
+			walkList(n.Body)
+			return false
+		case *ast.FuncLit:
+			checkConsumed(pass, n.Body) // a function of its own
+			return false
+		case *ast.CallExpr:
+			if !consumes(info, n) {
+				return true
+			}
+			for _, arg := range n.Args {
+				id, ok := ast.Unparen(arg).(*ast.Ident)
+				if !ok || !isMsgPtr(info.TypeOf(id)) {
+					continue
+				}
+				if obj, ok := info.Uses[id].(*types.Var); ok {
+					deaths = append(deaths, death{obj, types.ExprString(n.Fun), n.End(), reach()})
+				}
+			}
+		}
+		return true
+	}
+	walkList(body.List)
+	if len(deaths) == 0 {
+		return
+	}
+
+	// An assignment to the variable gives it a new message: the
+	// identifier assigned is not a use, and uses after it are of the new
+	// message.
+	type revival struct {
+		obj types.Object
+		pos token.Pos
+	}
+	var revivals []revival
+	lhs := make(map[*ast.Ident]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok {
+			for _, l := range as.Lhs {
+				if id, ok := l.(*ast.Ident); ok {
+					lhs[id] = true
+					revivals = append(revivals, revival{info.ObjectOf(id), as.End()})
+				}
+			}
+		}
+		return true
+	})
+
+	ast.Inspect(body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok || lhs[id] {
+			return true
+		}
+		obj := info.Uses[id]
+	next:
+		for _, d := range deaths {
+			if d.obj != obj || id.Pos() < d.from || id.Pos() >= d.to {
+				continue
+			}
+			for _, r := range revivals {
+				if r.obj == obj && r.pos > d.from && r.pos <= id.Pos() {
+					continue next
+				}
+			}
+			pass.Reportf(id.Pos(),
+				"%s used after %s consumed it: the message belongs to the callee, and may already be on another host (Clone before the push, or build a fresh message)",
+				id.Name, d.how)
+			return true
 		}
 		return true
 	})

@@ -16,39 +16,36 @@ import (
 // budget only ever changes on purpose: update the constant in the same
 // change and say where the allocation went.
 //
-// What the null budgets buy (L_RPC-VIP, 8): the caller's request message,
-// CHANNEL's clone of it for retransmission, the frame's bytes at the
-// driver (Msg.Bytes), the server's message around the received frame, the
-// handler's reply message, the ledger blob of the framed reply, the
-// reply frame's bytes, the client's message around it. Nothing else: no
-// timer, no channel, no map entry, no boxed trace argument.
+// A frame crosses the simulator as the message it was pushed as, so the
+// driver seam costs nothing: no Msg.Bytes going down, no msg.New coming
+// up. What is left is what the application and the protocols make.
+//
+// What the null budgets buy (L_RPC-VIP and M_RPC-VIP, 3): the caller's
+// request message, the handler's reply message, and the ledger blob of
+// the framed reply — the one copy at-most-once needs, kept apart from
+// anything a later call could overwrite. The retransmission hold is a
+// value in the channel, not an object. Nothing else: no timer, no
+// channel, no map entry, no boxed trace argument. VIP and FRAGMENT-VIP,
+// which keep no ledger, are the two messages.
 //
 // What the 16 KB budgets buy (twelve fragments):
 //
-//	L_RPC-VIP 45: the request 1, CHANNEL's clone of it 1, the fragments
-//	  cut from the held request 12, SELECT's and CHANNEL's headers copied
-//	  into fragment 0 1, the frames' bytes at the driver 12, the server's
-//	  messages around the received frames 12, the reassembled chain moved
-//	  out of line 2 (spill record + exact-size slice), and the null
-//	  budget's reply path 4 (message, ledger blob, frame bytes, client
-//	  message).
-//	M_RPC-VIP 43: the same without the clone (M.RPC cuts from the
-//	  caller's message) and without the header copy (nothing is pushed
+//	L_RPC-VIP 18: the request 1, the fragments cut from the held
+//	  request 12, SELECT's and CHANNEL's headers copied into fragment 0
+//	  1, the reassembled chain moved out of line 2 (spill record +
+//	  exact-size slice), the reply 1 and its ledger blob 1.
+//	M_RPC-VIP 17: the same without the header copy (nothing is pushed
 //	  above it).
-//	FRAGMENT-VIP 42: request 1, fragments 12, frame bytes 12, server
-//	  messages 12, chain 2, null reply 3 (message, frame bytes, client
-//	  message).
+//	FRAGMENT-VIP 16: request 1, fragments 12, chain 2, reply 1.
 //
 // No Split slice, no Clone per frame, no hold record, no collection
 // record and no gap timer: those belong to the session, not the message.
 //
 // The 4 KB echoes (three fragments each way) hold the reply direction to
-// the same rule. L_RPC-VIP 28 is 14 out (request, clone, 3 fragments,
-// header copy, 3 frame bytes, 3 server messages, chain 2) and 14 back
-// (ledger blob, 3 fragments, header copy, 3 frame bytes, 3 client
-// messages, chain 2, the caller's Bytes); M_RPC-VIP 26 is 12 out (no
-// clone, no header copy) and 14 back (frameReply's Split: slice + 3
-// fragments, then as above).
+// the same rule. L_RPC-VIP 15 is 7 out (request, 3 fragments, header
+// copy, chain 2) and 8 back (ledger blob, 3 fragments, header copy, chain
+// 2, the caller's Bytes); M_RPC-VIP 14 is 6 out (no header copy) and 8
+// back (frameReply's Split: slice + 3 fragments, blob, chain 2, Bytes).
 //
 // The race detector instruments allocation, so the file is built
 // without it; scripts/check.sh runs it as its own no-race stage.
@@ -58,16 +55,16 @@ var allocBudgets = []struct {
 	echo    bool // reply carries the payload back
 	want    float64
 }{
-	{VIPOnly, 0, false, 6},
-	{FragVIP, 0, false, 6},
-	{ChanFragVIP, 0, false, 8},
-	{LRPCVIP, 0, false, 8},
-	{MRPCVIP, 0, false, 8},
-	{FragVIP, 16 * 1024, false, 42},
-	{LRPCVIP, 16 * 1024, false, 45},
-	{MRPCVIP, 16 * 1024, false, 43},
-	{LRPCVIP, 4 * 1024, true, 28},
-	{MRPCVIP, 4 * 1024, true, 26},
+	{VIPOnly, 0, false, 2},
+	{FragVIP, 0, false, 2},
+	{ChanFragVIP, 0, false, 3},
+	{LRPCVIP, 0, false, 3},
+	{MRPCVIP, 0, false, 3},
+	{FragVIP, 16 * 1024, false, 16},
+	{LRPCVIP, 16 * 1024, false, 18},
+	{MRPCVIP, 16 * 1024, false, 17},
+	{LRPCVIP, 4 * 1024, true, 15},
+	{MRPCVIP, 4 * 1024, true, 14},
 }
 
 func TestAllocBudgets(t *testing.T) {

@@ -204,6 +204,8 @@ type Run struct {
 	clock event.Clock
 	// inj carries the scripted faults when the run is off-simulator.
 	inj *wire.Injector
+	// worker watches the goroutine that makes the workload's calls.
+	worker *settle.Watch
 
 	clientMAC, serverMAC xk.EthAddr
 	partRule             int
@@ -337,19 +339,6 @@ func (r *Run) At(d time.Duration, name string, f func(*Run)) {
 // calls of their own).
 const maxRetriesPerCall = 8
 
-// settleYields is how many scheduler yields the driver gives the worker
-// before concluding it is parked and advancing the virtual clock. Each
-// runtime.Gosched surrenders the processor to every other runnable
-// goroutine, so a few hundred rounds dwarf the handful of handoffs a
-// synchronous delivery chain needs — which is what keeps runs
-// reproducible in practice, without touching the wall clock.
-const settleYields = 256
-
-// idleLimit is how many consecutive driver iterations with no pending
-// timers and no call progress are tolerated before the call is declared
-// hung (a real hang has nothing scheduled and nothing moving).
-const idleLimit = 2000
-
 // wirePatience is the wall-clock allowance the shutdown check gives a
 // real wire backend's listener goroutines to exit after Close; the
 // simulator needs none.
@@ -466,10 +455,12 @@ func Execute(cfg Config) (*Result, error) {
 
 	start := make(chan int)
 	results := make(chan CallResult)
+	watch := make(chan *settle.Watch)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		watch <- settle.WatchSelf()
 		for i := range start {
 			var err error
 			if cfg.Workload.Echo {
@@ -486,6 +477,8 @@ func Execute(cfg Config) (*Result, error) {
 		}
 	}()
 
+	r.worker = <-watch
+
 	next := 0
 	for i := 0; i < cfg.Workload.Calls && !res.Hung; i++ {
 		for next < len(steps) && steps[next].BeforeCall <= i {
@@ -500,7 +493,7 @@ func Execute(cfg Config) (*Result, error) {
 		if !ok {
 			res.Hung = true
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("call %d hung: no reply, no timers pending, no progress", i))
+				fmt.Sprintf("call %d hung: no reply, and no timer pending or the worker never stopped", i))
 			break
 		}
 		res.Calls = append(res.Calls, cr)
@@ -627,22 +620,29 @@ func dumpName(stack bench.Stack, scenario string) string {
 	}, s)
 }
 
-// awaitTimeout is how long a real-clock run waits for one call before
-// declaring it hung: far past the deepest typed-failure path (eight
-// retransmits at 50ms plus crash-detection probes).
+// awaitTimeout is how much wall time one call gets before it is declared
+// hung: far past the deepest typed-failure path on the real clock (eight
+// retransmits at 50ms plus crash-detection probes), and on the virtual
+// clock, where a call takes no wall time to speak of, past any stall of
+// the machine.
 const awaitTimeout = 10 * time.Second
 
-// await waits for the in-flight call to finish, advancing the virtual
-// clock only when the worker has had real time to make progress and has
-// not. Returns ok=false when the call is hung.
+// await waits for the in-flight call to finish. On the virtual clock it
+// advances time only once the worker has stopped: parked in its call's
+// select with nothing ready, which on the synchronous simulator means
+// nothing more happens until a timer fires. That test is exact — it reads
+// the worker's state from the runtime (settle.Watch) — so the clock can
+// never jump ahead of work the worker has not done yet, however little
+// processor the scheduler gives it. Returns ok=false when the call is
+// hung: the worker stopped with no timer pending, or (the wall-clock
+// backstop, scheduled through the event package so this file stays free
+// of time-package calls) never stopped or finished at all.
 func (r *Run) await(results chan CallResult) (CallResult, bool) {
+	timeout := make(chan struct{})
+	ev := event.Real().Schedule(awaitTimeout, func() { close(timeout) })
+	defer ev.Cancel()
 	if r.Clock == nil {
-		// Real clock: the reliability layers' timers fire on their own;
-		// the driver only needs a hang backstop, scheduled through the
-		// event package so this file stays free of time-package calls.
-		timeout := make(chan struct{})
-		ev := r.clock.Schedule(awaitTimeout, func() { close(timeout) })
-		defer ev.Cancel()
+		// Real clock: the reliability layers' timers fire on their own.
 		select {
 		case cr := <-results:
 			return cr, true
@@ -650,27 +650,25 @@ func (r *Run) await(results chan CallResult) (CallResult, bool) {
 			return CallResult{}, false
 		}
 	}
-	idle := 0
 	for {
 		select {
 		case cr := <-results:
 			return cr, true
+		case <-timeout:
+			return CallResult{}, false
 		default:
 		}
-		for i := 0; i < settleYields; i++ {
+		if !r.worker.Parked() {
 			runtime.Gosched()
+			continue
 		}
+		// Parked, but perhaps in the send of its result.
 		select {
 		case cr := <-results:
 			return cr, true
 		default:
 		}
-		if r.Clock.AdvanceToNext() {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle >= idleLimit {
+		if !r.Clock.AdvanceToNext() {
 			return CallResult{}, false
 		}
 	}

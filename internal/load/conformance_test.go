@@ -13,6 +13,7 @@ import (
 
 	"xkernel/internal/bench"
 	"xkernel/internal/chaos"
+	"xkernel/internal/event"
 	"xkernel/internal/obs/flight"
 	"xkernel/internal/settle"
 	"xkernel/internal/sim"
@@ -124,17 +125,10 @@ func TestConformanceMatrix(t *testing.T) {
 	}
 }
 
-func conformanceMatrixOne(t *testing.T, stack bench.Stack, backend string) {
-	baseline := runtime.NumGoroutine()
-	f, err := WireFactory(backend, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := bench.BuildOn(stack, f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flightOnFailure(t, tb)
+// sequentialWorkload is the matrix's single-client part, and returns how
+// many calls it made, every one an echo checked byte for byte.
+func sequentialWorkload(t *testing.T, tb *bench.Testbed) int {
+	t.Helper()
 	calls := 0
 
 	// Phase 1: every framing boundary, sequentially.
@@ -166,6 +160,66 @@ func conformanceMatrixOne(t *testing.T, stack bench.Stack, backend string) {
 		}
 		calls++
 	}
+	return calls
+}
+
+// TestConformanceCaptureOnOff runs the matrix's seeded single-client
+// workload twice over the simulator, once with packet capture on and once
+// off. Capture moves every frame from the simulator's message path (the
+// receiver is handed the sender's message) to its byte path (flattened,
+// recorded, re-wrapped); a stack must not be able to tell. Every echo is
+// byte-checked in both runs, and the server's execution count and the
+// segment's frame and byte counters must come out identical.
+func TestConformanceCaptureOnOff(t *testing.T) {
+	type outcome struct {
+		calls int
+		execs int64
+		wire  sim.Stats
+	}
+	for _, stack := range conformanceStacks {
+		t.Run(string(stack), func(t *testing.T) {
+			run := func(capture bool) outcome {
+				// A clock that never advances: on a lossless synchronous
+				// segment no call needs a timer, and N.RPC's probe
+				// schedule would otherwise depend on how long the run took.
+				tb, err := bench.BuildOn(stack, sim.Factory(sim.Config{}), event.NewFake())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tb.Close()
+				var captured int64
+				if capture {
+					tb.Network.SetCapture(func(sim.FrameRecord) { captured++ })
+				}
+				tb.Network.ResetStats() // setup traffic (ARP) happens before capture can be on
+				o := outcome{calls: sequentialWorkload(t, tb), wire: tb.Network.Stats()}
+				if tb.ServerExecs != nil {
+					o.execs = tb.ServerExecs()
+				}
+				if capture && captured != o.wire.FramesSent {
+					t.Errorf("captured %d of %d frames", captured, o.wire.FramesSent)
+				}
+				return o
+			}
+			if on, off := run(true), run(false); on != off {
+				t.Errorf("capture changed the run:\non  %+v\noff %+v", on, off)
+			}
+		})
+	}
+}
+
+func conformanceMatrixOne(t *testing.T, stack bench.Stack, backend string) {
+	baseline := runtime.NumGoroutine()
+	f, err := WireFactory(backend, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := bench.BuildOn(stack, f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flightOnFailure(t, tb)
+	calls := sequentialWorkload(t, tb)
 
 	// Phase 3: concurrent clients through the endpoint factory.
 	const clients = 8

@@ -30,8 +30,9 @@
 // as documented on each method; bytes returned by Pop/Peek are only valid
 // until the next mutation of the Msg. A message handed to a session's
 // Push (or Call) belongs to that session from then on — the layers push
-// their headers onto it in place — so a protocol that needs it again
-// Clones it first. Msgs are not safe for concurrent mutation; protocols
+// their headers onto it in place, and the wire may hand that very object
+// to the receiving host — so a protocol that needs it again Clones it (or
+// CopyIntos it) first. Msgs are not safe for concurrent mutation; protocols
 // that share a Msg across goroutines must Clone first (Clone copies the
 // Msg itself and shares the payload: never O(bytes)).
 package msg
@@ -459,15 +460,22 @@ func (m *Msg) JoinAll(others []*Msg) {
 // push and pop independently. Attributes are shallow-copied.
 func (m *Msg) Clone() *Msg {
 	c := new(Msg)
-	*c = *m
+	m.CopyInto(c)
+	return c
+}
+
+// CopyInto makes *dst a clone of m in storage the caller already has — a
+// field of a per-binding structure that keeps a message for later without
+// a heap object per message. It allocates nothing unless m has spilled.
+func (m *Msg) CopyInto(dst *Msg) {
+	*dst = *m
 	if sp := m.spill; sp != nil {
-		c.spill = &spill{
+		dst.spill = &spill{
 			leader: append([]byte(nil), sp.leader...),
 			blocks: append([]block(nil), sp.blocks...),
 			attrs:  append([]attr(nil), sp.attrs...),
 		}
 	}
-	return c
 }
 
 // Bytes flattens the whole message into a single fresh slice. It is the
@@ -503,6 +511,19 @@ func (m *Msg) SetAttr(k AttrKey, v any) {
 		m.spill = &spill{}
 	}
 	m.spill.attrs = append(m.spill.attrs, attr{k, v})
+}
+
+// ClearAttrs removes every out-of-band attribute. Attributes describe a
+// message to the host it is on; a wire that hands the message itself to
+// the next host clears them on the way.
+func (m *Msg) ClearAttrs() {
+	if m.nattrs != 0 {
+		m.attrs = [inlineAttrs]attr{}
+		m.nattrs = 0
+	}
+	if m.spill != nil {
+		m.spill.attrs = nil
+	}
 }
 
 // Attr retrieves an out-of-band attribute; ok reports whether it was set.

@@ -653,3 +653,62 @@ func TestCloneIndependenceInline(t *testing.T) {
 	}
 	check("SetAttr")
 }
+
+// CopyInto is Clone into storage the caller has: independent leader and
+// attributes, shared payload, and no allocation unless the message spilled.
+func TestCopyIntoIsCloneWithoutTheObject(t *testing.T) {
+	m := New([]byte("payload"))
+	m.MustPush([]byte("hdr"))
+	m.SetAttr(1, "a")
+	var held Msg
+	if n := testing.AllocsPerRun(100, func() { m.CopyInto(&held) }); n != 0 {
+		t.Fatalf("CopyInto of an unspilled message: %.0f allocations", n)
+	}
+	m.MustPush([]byte("more"))
+	m.SetAttr(1, "b")
+	if got := string(held.Bytes()); got != "hdrpayload" {
+		t.Fatalf("held copy changed with its original: %q", got)
+	}
+	if v, _ := held.Attr(1); v != "a" {
+		t.Fatalf("held attribute = %v", v)
+	}
+	if got := string(held.Clone().Bytes()); got != "hdrpayload" {
+		t.Fatalf("clone of the held copy: %q", got)
+	}
+
+	// Spilled leader, chain and attributes are copied deep, as Clone does.
+	big := NewWithLeader([]byte("a"), DefaultLeader+8)
+	for _, s := range []string{"b", "c", "d"} {
+		big.Append([]byte(s))
+	}
+	for k := AttrKey(1); k <= 3; k++ {
+		big.SetAttr(k, int(k))
+	}
+	big.CopyInto(&held)
+	big.MustPush([]byte("X"))
+	big.Append([]byte("e"))
+	big.SetAttr(3, "changed")
+	if got := string(held.Bytes()); got != "abcd" {
+		t.Fatalf("held copy of a spilled message: %q", got)
+	}
+	if v, _ := held.Attr(3); v != 3 {
+		t.Fatalf("held spilled attribute = %v", v)
+	}
+}
+
+func TestClearAttrs(t *testing.T) {
+	m := New([]byte("x"))
+	for k := AttrKey(1); k <= 4; k++ { // two inline, two spilled
+		m.SetAttr(k, int(k))
+	}
+	m.ClearAttrs()
+	for k := AttrKey(1); k <= 4; k++ {
+		if _, ok := m.Attr(k); ok {
+			t.Fatalf("attribute %d survived ClearAttrs", k)
+		}
+	}
+	m.SetAttr(2, "again")
+	if v, ok := m.Attr(2); !ok || v != "again" || string(m.Bytes()) != "x" {
+		t.Fatalf("after ClearAttrs: attr %v %v, bytes %q", v, ok, m.Bytes())
+	}
+}

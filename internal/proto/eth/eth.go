@@ -37,12 +37,15 @@ const (
 // high-level protocol (the demux key).
 type Type uint16
 
-// Wire abstracts the hardware beneath the driver; *sim.NIC implements it.
+// Wire abstracts the hardware beneath the driver: the message pair of a
+// wire.Link, which *sim.NIC and every other backend's link implement. A
+// frame goes to the wire as the message the driver was pushed and comes
+// from it as a message the driver owns (the contract is internal/wire's).
 type Wire interface {
-	Send(dst xk.EthAddr, frame []byte) error
+	SendMsg(dst xk.EthAddr, m *msg.Msg) error
 	Addr() xk.EthAddr
 	MTU() int
-	SetReceiver(func(frame []byte))
+	SetMsgReceiver(func(m *msg.Msg))
 }
 
 // Protocol is the ethernet protocol object.
@@ -63,7 +66,7 @@ func New(name string, wire Wire) *Protocol {
 		active:       pmap.New(16),
 		enables:      pmap.New(8),
 	}
-	wire.SetReceiver(p.receive)
+	wire.SetMsgReceiver(p.receive)
 	return p
 }
 
@@ -136,12 +139,11 @@ func (p *Protocol) OpenDisable(hlp xk.Protocol, ps *xk.Participants) error {
 // Reattach reinstalls the driver's receive handler on the wire. Tests
 // simulate a network partition by overriding the NIC's receiver and heal
 // it with Reattach.
-func (p *Protocol) Reattach() { p.wire.SetReceiver(p.receive) }
+func (p *Protocol) Reattach() { p.wire.SetMsgReceiver(p.receive) }
 
 // receive is the wire's frame handler: the start of the shepherd's path
 // upward.
-func (p *Protocol) receive(frame []byte) {
-	m := msg.New(frame)
+func (p *Protocol) receive(m *msg.Msg) {
 	if err := p.Demux(nil, m); err != nil {
 		trace.Printf(trace.Events, p.Name(), "drop: %v", err)
 	}
@@ -230,7 +232,7 @@ func newSession(p *Protocol, hlp xk.Protocol, t Type, remote xk.EthAddr) *sessio
 
 func (s *session) ref() { s.refs.Add(1) }
 
-// Push frames the message and hands it to the wire.
+// Push frames the message and hands it to the wire, which consumes it.
 func (s *session) Push(m *msg.Msg) error {
 	if s.Closed() {
 		return xk.ErrClosed
@@ -242,7 +244,7 @@ func (s *session) Push(m *msg.Msg) error {
 	if trace.Enabled(trace.Packets) {
 		trace.Printf(trace.Packets, s.p.Name(), "push type=%#04x dst=%s len=%d", uint16(s.t), s.remote, m.Len())
 	}
-	return s.p.wire.Send(s.remote, m.Bytes())
+	return s.p.wire.SendMsg(s.remote, m)
 }
 
 // Pop delivers an already-deframed message to the protocol above.

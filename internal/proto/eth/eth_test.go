@@ -15,7 +15,7 @@ type fakeWire struct {
 	addr xk.EthAddr
 	mtu  int
 	sent []sentFrame
-	recv func([]byte)
+	recv func(*msg.Msg)
 }
 
 type sentFrame struct {
@@ -27,13 +27,13 @@ func newFakeWire() *fakeWire {
 	return &fakeWire{addr: xk.EthAddr{2, 0, 0, 0, 0, 1}, mtu: 1500}
 }
 
-func (w *fakeWire) Send(dst xk.EthAddr, frame []byte) error {
-	w.sent = append(w.sent, sentFrame{dst: dst, frame: frame})
+func (w *fakeWire) SendMsg(dst xk.EthAddr, m *msg.Msg) error {
+	w.sent = append(w.sent, sentFrame{dst: dst, frame: m.Bytes()})
 	return nil
 }
-func (w *fakeWire) Addr() xk.EthAddr           { return w.addr }
-func (w *fakeWire) MTU() int                   { return w.mtu }
-func (w *fakeWire) SetReceiver(f func([]byte)) { w.recv = f }
+func (w *fakeWire) Addr() xk.EthAddr                { return w.addr }
+func (w *fakeWire) MTU() int                        { return w.mtu }
+func (w *fakeWire) SetMsgReceiver(f func(*msg.Msg)) { w.recv = f }
 
 // inject builds a frame from a remote host and delivers it.
 func (w *fakeWire) inject(src xk.EthAddr, typ uint16, payload []byte) {
@@ -42,7 +42,7 @@ func (w *fakeWire) inject(src xk.EthAddr, typ uint16, payload []byte) {
 	copy(f[6:12], src[:])
 	binary.BigEndian.PutUint16(f[12:14], typ)
 	copy(f[14:], payload)
-	w.recv(f)
+	w.recv(msg.New(f))
 }
 
 var peer = xk.EthAddr{2, 0, 0, 0, 0, 9}

@@ -43,6 +43,13 @@ type Session struct {
 	// the next call starts.
 	replyCh chan result
 	timeout *event.Timeout
+
+	// held is the request of the call in progress, kept for
+	// retransmission: a copy of the message by value, in the channel's own
+	// storage, filled before the first transmission and cleared when Call
+	// returns. Only Call touches it, and only while it owns the channel
+	// (active). Last, so the fields above share a cache line.
+	held msg.Msg
 }
 
 type result struct {
@@ -72,7 +79,7 @@ func (s *Session) Remote() xk.IPAddr { return s.remote }
 // Call sends the request and blocks for the reply, retransmitting on the
 // step-function timeout. Call consumes m: the first transmission pushes
 // the header onto m itself, and only a retransmission — which needs the
-// request again — works from a clone taken beforehand.
+// request again — clones it, from the copy the channel holds.
 func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 	if s.Closed() {
 		return nil, xk.ErrClosed
@@ -99,7 +106,11 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 	s.mu.Unlock()
 	p.ctr.callsInFlight.Add(1)
 	retransCounted := false
+	// CHANNEL keeps the request for retransmission, so it is the layer
+	// that copies: the layers below consume what they are pushed.
+	m.CopyInto(&s.held)
 	defer func() {
+		s.held = msg.Msg{} // a finished call pins no payload
 		s.mu.Lock()
 		s.active = false
 		s.mu.Unlock()
@@ -117,9 +128,6 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 	// the request a second time in its new life.
 	hint := uint16(p.PeerBootID(s.remote))
 
-	// CHANNEL keeps the request for retransmission, so it is the layer
-	// that clones: the layers below consume what they are pushed.
-	held := m
 	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
 		h := header{
 			flags:    flagRequest,
@@ -147,9 +155,9 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 			// Each (re)transmission is an independent message to
 			// the layer below: FRAGMENT assigns it a new sequence
 			// number of its own.
-			out := held
-			if attempt < p.cfg.MaxRetries {
-				held = out.Clone()
+			out := m
+			if attempt > 0 {
+				out = s.held.Clone()
 			}
 			out.MustPush(hb[:])
 			if err := lls.Push(out); err != nil {

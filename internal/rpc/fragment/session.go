@@ -3,6 +3,7 @@ package fragment
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xkernel/internal/event"
@@ -26,6 +27,12 @@ type session struct {
 	// through Control on every message, and boxing per answer would
 	// allocate per message.
 	peerHost any
+
+	// collecting is len(rcv), readable without mu: while it is zero no
+	// collection exists for a whole-message frame to contradict, so the
+	// one-fragment receive path takes no lock. Written under mu, beside
+	// every insert into and delete from rcv.
+	collecting atomic.Int32
 
 	mu      sync.Mutex
 	nextSeq uint32
@@ -248,19 +255,26 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 		return fmt.Errorf("%s: frag mask %#04x of %d: %w", p.Name(), h.fragMask, numFrags, xk.ErrBadHeader)
 	}
 
+	// A complete message in one fragment: nothing to collect, so it never
+	// enters the collection map (which kept no duplicate filter for it
+	// either — the entry was created and deleted under one lock hold).
+	// With no collection live there is none it could contradict, and it is
+	// delivered without the lock; a collection that starts concurrently is
+	// ordered after this frame.
+	if numFrags == 1 && s.collecting.Load() == 0 {
+		return s.deliver(h.seq, m)
+	}
+
 	s.mu.Lock()
 	r := s.rcv[h.seq]
 	if r == nil && numFrags == 1 {
-		// A complete message in one fragment: nothing to collect, so
-		// it never enters the collection map (which kept no duplicate
-		// filter for it either — the entry was created and deleted
-		// under one lock hold).
 		s.mu.Unlock()
 		return s.deliver(h.seq, m)
 	}
 	if r == nil {
 		r = s.newRcvLocked(h.seq, numFrags)
 		s.rcv[h.seq] = r
+		s.collecting.Add(1)
 		s.armGapTimerLocked(r)
 	} else if numFrags != r.numFrags {
 		// The collection was started by the first fragment's claim; a
@@ -281,7 +295,7 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 		s.mu.Unlock()
 		return nil
 	}
-	delete(s.rcv, h.seq)
+	s.forgetLocked(h.seq)
 	// The message is its first fragment with the others joined on; a
 	// received fragment is held by this session and nothing else.
 	full := r.frags[0]
@@ -289,6 +303,12 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 	s.recycleLocked(r)
 	s.mu.Unlock()
 	return s.deliver(h.seq, full)
+}
+
+// forgetLocked ends the collection of message seq. Caller holds s.mu.
+func (s *session) forgetLocked(seq uint32) {
+	delete(s.rcv, seq)
+	s.collecting.Add(-1)
 }
 
 // newRcvLocked returns a record to collect message seq in, off the free
@@ -353,7 +373,7 @@ func (s *session) chase(r *rcvMsg) {
 	}
 	r.retries++
 	if r.retries > p.cfg.GapRetries {
-		delete(s.rcv, seq)
+		s.forgetLocked(seq)
 		s.mu.Unlock()
 		p.ctr.messagesAbandoned.Add(1)
 		trace.Printf(trace.Events, p.Name(), "abandon seq=%d from %s (mask %#04x of %d)", seq, s.remote, r.mask, r.numFrags)
@@ -454,7 +474,7 @@ func (s *session) Close() error {
 	for seq, r := range s.rcv {
 		//xk:allow locksafety — Cancel is a non-blocking flag; it never waits for a running handler
 		r.gap.Cancel()
-		delete(s.rcv, seq)
+		s.forgetLocked(seq)
 	}
 	s.free = nil
 	s.mu.Unlock()

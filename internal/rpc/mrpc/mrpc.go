@@ -365,6 +365,12 @@ type chanState struct {
 	replyCh chan callResult
 	timeout *event.Timeout
 
+	// held is the one-packet request of the call in progress, kept for
+	// retransmission: a copy of the message by value, in the channel's own
+	// storage, filled before the first transmission and cleared when Call
+	// returns. Only the Call that owns the channel touches it.
+	held msg.Msg
+
 	// reply collects a multi-fragment reply; last, so a one-fragment
 	// call stays on the cache line of the fields above.
 	reply collector
@@ -419,16 +425,21 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	}
 	cs.mu.Unlock()
 	defer func() {
+		cs.held = msg.Msg{} // a finished call pins no payload
 		cs.mu.Lock()
 		cs.active = false
 		cs.mu.Unlock()
 	}()
 
 	// A request that fits one packet is sent as it is, header pushed in
-	// place; a longer one (or one without the header room) is held as it
-	// is, and each fragment is cut from it as it is sent.
+	// place, and the channel holds a copy for retransmission; a longer one
+	// (or one without the header room) is held as it is, and each fragment
+	// is cut from it as it is sent.
 	maxFrag := p.cfg.MaxPacket - HeaderLen
 	inPlace := args.Len() <= maxFrag && xk.RoomInPlace(args, HeaderLen)
+	if inPlace {
+		args.CopyInto(&cs.held)
+	}
 	numFrags := uint16(1)
 	interval := p.cfg.RetransmitInterval
 	if n := fragmask.Count(args.Len(), maxFrag); n > fragmask.Max {
@@ -478,8 +489,9 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 			}
 			// The protocol keeps the request for retransmission: a
 			// fragment is cut from it and leaves it as it was; sent in
-			// place it is cloned first, for the layers below consume it.
-			var out *msg.Msg
+			// place, the layers below consume it, and a retransmission
+			// is a clone of the held copy.
+			out := args
 			switch {
 			case !inPlace:
 				off := i * maxFrag
@@ -487,10 +499,8 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 				if out, err = args.Fragment(off, min(args.Len()-off, maxFrag), msg.DefaultLeader); err != nil {
 					return nil, err
 				}
-			case attempt < p.cfg.MaxRetries:
-				out, args = args, args.Clone()
-			default:
-				out = args
+			case attempt > 0:
+				out = cs.held.Clone()
 			}
 			h.fragMask = 1 << i
 			h.data1Sz = uint16(out.Len())

@@ -9,9 +9,16 @@
 // clock — chaos calls Goroutines with zero patience. Real-clock
 // testbeds may still have short timers (fragment send-hold) due, so a
 // positive patience adds a wall-clock phase of short sleeps for them.
+//
+// Watch answers the other question a deterministic driver asks of the
+// scheduler: has this one goroutine stopped? Yielding a fixed number of
+// times only guesses — on a loaded machine the yields return before the
+// goroutine has run at all — so Watch reads the goroutine's state from
+// the runtime's own stack dump, which cannot be early.
 package settle
 
 import (
+	"bytes"
 	"runtime"
 	"time"
 )
@@ -66,4 +73,49 @@ func Expect(t TB, baseline int, patience time.Duration) {
 	if n := Goroutines(baseline, patience); n > baseline {
 		t.Errorf("goroutine leak: baseline %d, now %d", baseline, n)
 	}
+}
+
+// Watch observes one goroutine. It is created by that goroutine and used
+// by another.
+type Watch struct {
+	header []byte // "\ngoroutine 17 ["
+	buf    []byte
+}
+
+// WatchSelf returns a Watch on the calling goroutine.
+func WatchSelf() *Watch {
+	var b [64]byte
+	line := b[:runtime.Stack(b[:], false)] // "goroutine 17 [running]:..."
+	id, _, _ := bytes.Cut(bytes.TrimPrefix(line, []byte("goroutine ")), []byte(" "))
+	return &Watch{
+		header: []byte("\ngoroutine " + string(id) + " ["),
+		buf:    make([]byte, 64<<10),
+	}
+}
+
+// Parked reports whether the watched goroutine is blocked in a channel
+// operation — a select, a send or a receive with nothing ready — or has
+// exited. Until another goroutine acts it will do nothing more. A
+// goroutine that is running, runnable, in a system call or waiting for a
+// lock someone else is about to release is not parked.
+func (w *Watch) Parked() bool {
+	n := runtime.Stack(w.buf, true)
+	for n == len(w.buf) { // truncated: the goroutine may be past the end
+		w.buf = make([]byte, 2*len(w.buf))
+		n = runtime.Stack(w.buf, true)
+	}
+	dump := w.buf[:n]
+	// The dump opens with the caller's own goroutine, never the watched
+	// one; every other header follows a blank line.
+	i := bytes.Index(dump, w.header)
+	if i < 0 {
+		return true // exited
+	}
+	state := dump[i+len(w.header):]
+	state = state[:bytes.IndexAny(state, ",]")]
+	switch string(state) {
+	case "select", "chan receive", "chan send":
+		return true
+	}
+	return false
 }

@@ -64,3 +64,38 @@ func TestExpect(t *testing.T) {
 		t.Fatalf("leak not reported (errs=%d)", leaky.errs)
 	}
 }
+
+func TestWatchParked(t *testing.T) {
+	watch := make(chan *Watch)
+	block := make(chan struct{})
+	spin := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		watch <- WatchSelf()
+		<-block // parked in a receive
+		for {   // busy: never parked while spinning
+			select {
+			case <-spin:
+				return
+			default:
+			}
+		}
+	}()
+	w := <-watch
+	for !w.Parked() {
+		runtime.Gosched()
+	}
+	close(block)
+	for i := 0; i < 100; i++ {
+		if w.Parked() {
+			t.Fatal("a spinning goroutine reported as parked")
+		}
+		runtime.Gosched()
+	}
+	close(spin)
+	<-done
+	for !w.Parked() { // an exited goroutine will do nothing more either
+		runtime.Gosched()
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"xkernel/internal/event"
+	"xkernel/internal/msg"
 	"xkernel/internal/obs/flight"
 	"xkernel/internal/obs/gauge"
 	"xkernel/internal/obs/span"
@@ -347,9 +348,10 @@ type NIC struct {
 	net  *Network
 	addr xk.EthAddr
 
-	// recv is read on every delivery, concurrently with other
-	// deliveries; an atomic pointer keeps the receive path off any lock.
-	recv atomic.Pointer[func(frame []byte)]
+	// recv is the one receive slot, in whichever form it was installed.
+	// It is read on every delivery, concurrently with other deliveries;
+	// an atomic pointer keeps the receive path off any lock.
+	recv atomic.Pointer[wire.Receiver]
 }
 
 // Attach creates a NIC with the given hardware address. Attaching a
@@ -426,14 +428,63 @@ func (nic *NIC) Addr() xk.EthAddr { return nic.addr }
 // MTU reports the segment MTU.
 func (nic *NIC) MTU() int { return nic.net.cfg.MTU }
 
-// SetReceiver installs the frame handler; it is the entry point of the
-// shepherd path upward through the protocol stack.
+// SetMsgReceiver installs the driver's frame handler; it is the entry
+// point of the shepherd path upward through the protocol stack.
+func (nic *NIC) SetMsgReceiver(f func(m *msg.Msg)) {
+	nic.recv.Store(wire.MsgReceiver(f))
+}
+
+// SetReceiver installs a raw-frame handler in the same slot.
 func (nic *NIC) SetReceiver(f func(frame []byte)) {
-	if f == nil {
-		nic.recv.Store(nil)
-		return
+	nic.recv.Store(wire.FrameReceiver(f))
+}
+
+// sendFast is the contended-delivery fast path: with no faults, capture,
+// spans, or scenario state configured, a unicast frame needs only counter
+// updates and a lookup in the read-only NIC snapshot — concurrent senders
+// never touch the segment lock. It accounts one frame of size bytes and
+// returns the NIC it is delivered to, nil when nothing is attached at
+// dst; ok is false when the frame must take the locked path instead. A
+// mutator flipping the flag concurrently is ordered exactly as if it ran
+// just after this send.
+func (n *Network) sendFast(dst xk.EthAddr, size int) (t *NIC, ok bool) {
+	if dst.IsBroadcast() || !n.fast.Load() {
+		return nil, false
 	}
-	nic.recv.Store(&f)
+	n.ctr.framesSent.Add(1)
+	n.ctr.bytesSent.Add(int64(size))
+	n.ctr.wireTimeNs.Add(int64(n.serialization(size)))
+	if t = (*n.nicsRO.Load())[dst]; t != nil {
+		n.ctr.framesDelivered.Add(1)
+	} else {
+		n.ctr.framesNoDest.Add(1)
+	}
+	return t, true
+}
+
+// serialization is the wire time charged to a frame of size bytes.
+func (n *Network) serialization(size int) time.Duration {
+	return serializationTime(size+EthHeaderBytes-14, n.cfg.BandwidthBps)
+}
+
+// SendMsg transmits the frame m to dst and consumes m. On the fast path
+// the receiving NIC is handed m itself: the sender's message is the
+// receiver's, and no byte is copied. Anything the fast path does not
+// cover — faults, scenario rules that read frame bytes, capture, spans,
+// broadcast — flattens m once and is Send, so frame records, wire logs
+// and fault schedules do not depend on which form a frame was sent in.
+func (nic *NIC) SendMsg(dst xk.EthAddr, m *msg.Msg) error {
+	n := nic.net
+	if m.Len() > n.cfg.MTU+EthHeaderBytes {
+		return ErrFrameTooBig
+	}
+	if t, ok := n.sendFast(dst, m.Len()); ok {
+		if t != nil {
+			t.handleMsg(m)
+		}
+		return nil
+	}
+	return nic.Send(dst, m.Bytes())
 }
 
 // Send transmits frame to dst. The frame includes the ethernet header
@@ -446,25 +497,13 @@ func (nic *NIC) Send(dst xk.EthAddr, frame []byte) error {
 	if len(frame) > n.cfg.MTU+EthHeaderBytes {
 		return ErrFrameTooBig
 	}
-	ser := serializationTime(len(frame)+EthHeaderBytes-14, n.cfg.BandwidthBps)
-
-	// Contended-delivery fast path: with no faults, capture, spans, or
-	// scenario state configured, a unicast frame needs only counter
-	// updates and a lookup in the read-only NIC snapshot — concurrent
-	// senders never touch the segment lock. A mutator flipping the flag
-	// concurrently is ordered exactly as if it ran just after this Send.
-	if !dst.IsBroadcast() && n.fast.Load() {
-		n.ctr.framesSent.Add(1)
-		n.ctr.bytesSent.Add(int64(len(frame)))
-		n.ctr.wireTimeNs.Add(int64(ser))
-		if t, ok := (*n.nicsRO.Load())[dst]; ok {
-			n.ctr.framesDelivered.Add(1)
-			t.handle(frame, n.cfg.Latency, n.cfg.Async)
-		} else {
-			n.ctr.framesNoDest.Add(1)
+	if t, ok := n.sendFast(dst, len(frame)); ok {
+		if t != nil {
+			t.handle(frame)
 		}
 		return nil
 	}
+	ser := n.serialization(len(frame))
 
 	n.mu.Lock()
 	index := n.ctr.framesSent.Add(1)
@@ -619,33 +658,51 @@ func (n *Network) deliver(src *NIC, dst xk.EthAddr, frame []byte) {
 	n.mu.Unlock()
 
 	for _, t := range targets {
-		t.handle(frame, n.cfg.Latency, n.cfg.Async)
+		t.handle(frame)
 	}
 }
 
-func (t *NIC) handle(frame []byte, latency time.Duration, async bool) {
-	p := t.recv.Load()
-	if p == nil {
+// handle delivers a frame held as bytes to the NIC's receiver:
+// synchronously on the sender's goroutine unless the segment is configured
+// otherwise.
+func (t *NIC) handle(frame []byte) {
+	r := t.recv.Load()
+	if r == nil {
 		return
 	}
-	recv := *p
-	switch {
-	case latency > 0:
-		f := frame
-		t.net.deliveriesInFlight.Add(1)
-		t.net.clock.Schedule(latency, func() {
-			t.net.deliveriesInFlight.Add(-1)
-			recv(f)
-		})
-	case async:
-		t.net.deliveriesInFlight.Add(1)
-		go func() {
-			t.net.deliveriesInFlight.Add(-1)
-			recv(frame)
-		}()
-	default:
-		recv(frame)
+	if n := t.net; n.cfg.Latency > 0 || n.cfg.Async {
+		n.deliverLater(func() { r.Frame(frame) })
+		return
 	}
+	r.Frame(frame)
+}
+
+// handleMsg is handle for a frame held as a message.
+func (t *NIC) handleMsg(m *msg.Msg) {
+	r := t.recv.Load()
+	if r == nil {
+		return
+	}
+	if n := t.net; n.cfg.Latency > 0 || n.cfg.Async {
+		n.deliverLater(func() { r.Msg(m) })
+		return
+	}
+	r.Msg(m)
+}
+
+// deliverLater runs one delivery off the sender's goroutine: on the
+// latency timer, or (Async) on a shepherd goroutine of its own.
+func (n *Network) deliverLater(deliver func()) {
+	n.deliveriesInFlight.Add(1)
+	run := func() {
+		n.deliveriesInFlight.Add(-1)
+		deliver()
+	}
+	if n.cfg.Latency > 0 {
+		n.clock.Schedule(n.cfg.Latency, run)
+		return
+	}
+	go run()
 }
 
 // DeliveriesInFlight reports how many frames the segment has accepted

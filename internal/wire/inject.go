@@ -16,6 +16,7 @@ package wire
 import (
 	"sync"
 
+	"xkernel/internal/msg"
 	"xkernel/internal/xk"
 )
 
@@ -227,37 +228,75 @@ type injLink struct {
 func (l *injLink) Addr() xk.EthAddr { return l.inner.Addr() }
 func (l *injLink) MTU() int         { return l.inner.MTU() }
 
-func (l *injLink) Send(dst xk.EthAddr, frame []byte) error {
-	if len(frame) > MaxFrame(l.inner.MTU()) {
-		// Refuse before the veto so oversize frames are a send error,
-		// not an injected drop, on every backend.
-		return l.inner.Send(dst, frame)
+// vetoed decides a frame of size bytes offered for dst, reporting the
+// drop to OnDrop. An oversize frame is passed, so that it is the inner
+// backend's send error, not an injected drop, on every backend.
+func (l *injLink) vetoed(dst xk.EthAddr, size int) bool {
+	if size > MaxFrame(l.inner.MTU()) {
+		return false
 	}
 	src := l.inner.Addr()
 	disp, index := l.inj.veto(src, dst)
-	if disp != "" {
-		if f := l.inj.OnDrop; f != nil {
-			f(disp, src, dst, index, len(frame))
-		}
+	if disp == "" {
+		return false
+	}
+	if f := l.inj.OnDrop; f != nil {
+		f(disp, src, dst, index, size)
+	}
+	return true
+}
+
+func (l *injLink) Send(dst xk.EthAddr, frame []byte) error {
+	if l.vetoed(dst, len(frame)) {
 		return nil
 	}
 	return l.inner.Send(dst, frame)
 }
 
-// SetReceiver interposes on delivery so a down link also stops hearing.
+// SendMsg vetoes on (src, dst, length) alone and passes the message
+// through as it is.
+func (l *injLink) SendMsg(dst xk.EthAddr, m *msg.Msg) error {
+	if l.vetoed(dst, m.Len()) {
+		return nil
+	}
+	return l.inner.SendMsg(dst, m)
+}
+
+// recvVetoed decides a frame of size bytes at delivery time: a down link
+// also stops hearing.
+func (l *injLink) recvVetoed(size int) bool {
+	self := l.inner.Addr()
+	eaten, index := l.inj.vetoRecv(self)
+	if eaten {
+		if h := l.inj.OnDrop; h != nil {
+			h(DropLinkDown, self, self, index, size)
+		}
+	}
+	return eaten
+}
+
+// SetReceiver interposes on delivery.
 func (l *injLink) SetReceiver(f func(frame []byte)) {
 	if f == nil {
 		l.inner.SetReceiver(nil)
 		return
 	}
-	self := l.inner.Addr()
 	l.inner.SetReceiver(func(frame []byte) {
-		if eaten, index := l.inj.vetoRecv(self); eaten {
-			if h := l.inj.OnDrop; h != nil {
-				h(DropLinkDown, self, self, index, len(frame))
-			}
-			return
+		if !l.recvVetoed(len(frame)) {
+			f(frame)
 		}
-		f(frame)
+	})
+}
+
+// SetMsgReceiver interposes on delivery.
+func (l *injLink) SetMsgReceiver(f func(m *msg.Msg)) {
+	if f == nil {
+		l.inner.SetMsgReceiver(nil)
+		return
+	}
+	l.inner.SetMsgReceiver(func(m *msg.Msg) {
+		if !l.recvVetoed(m.Len()) {
+			f(m)
+		}
 	})
 }

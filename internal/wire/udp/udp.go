@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xkernel/internal/msg"
 	"xkernel/internal/wire"
 	"xkernel/internal/xk"
 )
@@ -256,9 +257,10 @@ type Link struct {
 	detached atomic.Bool
 	wg       sync.WaitGroup
 
-	// recv is read on every delivery; an atomic pointer keeps the
-	// receive path off any lock, exactly as in the simulator.
-	recv atomic.Pointer[func(frame []byte)]
+	// recv is the one receive slot, read on every delivery; an atomic
+	// pointer keeps the receive path off any lock, exactly as in the
+	// simulator.
+	recv atomic.Pointer[wire.Receiver]
 }
 
 // Addr returns the link's hardware address.
@@ -277,52 +279,89 @@ func (l *Link) LocalAddr() *net.UDPAddr {
 	return conn.LocalAddr().(*net.UDPAddr)
 }
 
-// SetReceiver installs the frame handler; the handler owns the slice
-// it is handed. Nil uninstalls.
+// SetMsgReceiver installs the driver's frame handler; the handler owns
+// the message it is handed. Nil uninstalls.
+func (l *Link) SetMsgReceiver(f func(m *msg.Msg)) {
+	l.recv.Store(wire.MsgReceiver(f))
+}
+
+// SetReceiver installs a raw-frame handler in the same slot; the
+// handler owns the slice it is handed. Nil uninstalls.
 func (l *Link) SetReceiver(f func(frame []byte)) {
-	if f == nil {
-		l.recv.Store(nil)
-		return
+	l.recv.Store(wire.FrameReceiver(f))
+}
+
+// SendMsg transmits the frame m to dst and consumes m. A datagram
+// leaves the process as bytes whatever it was here, and the kernel
+// copies them out before the write returns, so a unicast frame is
+// flattened into scratch on this goroutine's stack: the send allocates
+// nothing. Broadcast (ARP, once per peer) flattens to the heap.
+func (l *Link) SendMsg(dst xk.EthAddr, m *msg.Msg) error {
+	if dst.IsBroadcast() {
+		return l.Send(dst, m.Bytes())
 	}
-	l.recv.Store(&f)
+	// Sized for the default MTU; a frame for a larger configured MTU
+	// outgrows it and AppendTo moves to the heap.
+	var scratch [wire.DefaultMTU + wire.EthHeaderBytes]byte
+	return l.sendUnicast(dst, m.AppendTo(scratch[:0]))
 }
 
 // Send transmits frame to dst: unicast through the peer table, or
 // fan-out to every other peer for broadcast. Unicast to an unknown
 // address is silent (FramesNoDest), matching the ethernet contract.
 func (l *Link) Send(dst xk.EthAddr, frame []byte) error {
-	w := l.w
-	if len(frame) > w.maxFrame {
-		return wire.ErrFrameTooBig
+	if !dst.IsBroadcast() {
+		return l.sendUnicast(dst, frame)
 	}
-	conn := l.conn.Load()
-	if conn == nil {
-		return wire.ErrDetached
+	conn, err := l.account(len(frame))
+	if err != nil {
+		return err
 	}
-	w.ctr.sent.Add(1)
-	w.ctr.bytes.Add(int64(len(frame)))
-	peers := *w.peers.Load()
-	if dst.IsBroadcast() {
-		targets := make([]*net.UDPAddr, 0, len(peers))
-		for a, ua := range peers {
-			if a != l.addr {
-				targets = append(targets, ua)
-			}
+	peers := *l.w.peers.Load()
+	targets := make([]*net.UDPAddr, 0, len(peers))
+	for a, ua := range peers {
+		if a != l.addr {
+			targets = append(targets, ua)
 		}
-		if err := sendBatch(conn, targets, frame); err != nil {
-			return l.sendErr(err)
-		}
-		return nil
 	}
-	ua, known := peers[dst]
+	if err := sendBatch(conn, targets, frame); err != nil {
+		return l.sendErr(err)
+	}
+	return nil
+}
+
+// sendUnicast is Send for one destination. It is its own function so
+// that frame does not escape: SendMsg's stack scratch stays on the stack.
+func (l *Link) sendUnicast(dst xk.EthAddr, frame []byte) error {
+	conn, err := l.account(len(frame))
+	if err != nil {
+		return err
+	}
+	ua, known := (*l.w.peers.Load())[dst]
 	if !known {
-		w.ctr.noDest.Add(1)
+		l.w.ctr.noDest.Add(1)
 		return nil
 	}
 	if _, err := conn.WriteToUDP(frame, ua); err != nil {
 		return l.sendErr(err)
 	}
 	return nil
+}
+
+// account polices one outgoing frame of size bytes against the MTU and
+// the link's attachment, counts it, and returns the socket to write to.
+func (l *Link) account(size int) (*net.UDPConn, error) {
+	w := l.w
+	if size > w.maxFrame {
+		return nil, wire.ErrFrameTooBig
+	}
+	conn := l.conn.Load()
+	if conn == nil {
+		return nil, wire.ErrDetached
+	}
+	w.ctr.sent.Add(1)
+	w.ctr.bytes.Add(int64(size))
+	return conn, nil
 }
 
 // sendErr maps socket errors on a racing detach to the seam's
@@ -369,12 +408,12 @@ func (l *Link) accept(buf []byte, dlen int) {
 		w.ctr.dropped.Add(1)
 		return
 	}
-	p := l.recv.Load()
-	if p == nil {
+	r := l.recv.Load()
+	if r == nil {
 		return
 	}
 	frame := make([]byte, dlen)
 	copy(frame, buf)
 	w.ctr.delivered.Add(1)
-	(*p)(frame)
+	r.Frame(frame)
 }

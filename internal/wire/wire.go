@@ -24,6 +24,34 @@
 //   - Received frames arrive on the receiver callback installed with
 //     SetReceiver; the callback owns the slice it is handed.
 //
+// A frame crosses the seam in one of two forms. The message pair
+// (SendMsg, SetMsgReceiver) is the driver's: the frame is the *msg.Msg
+// ETH was pushed, header and all, and a backend that can hand it to the
+// receiving driver as it is does so — no flattening, no re-wrapping, no
+// byte copied. The byte pair (Send, SetReceiver) is the raw-frame entry
+// for everything that is not a driver: the contract harness, fuzzers,
+// tests that override a NIC's receiver. A link has one receive slot and
+// the last Set call owns it; a backend converts only where the two ends
+// disagree (bytes sent to a message receiver are wrapped with msg.New, a
+// message sent to a byte receiver is flattened).
+//
+// Ownership on the message pair follows "Push consumes" (DESIGN.md §14):
+//
+//   - SendMsg consumes m. The caller must not read or write m after the
+//     call, whatever it returned: m may already be the receiving host's
+//     message, on another goroutine. A sender that needs the frame again
+//     clones it first (Msg.CopyInto or Msg.Clone), which is what the
+//     retransmitting layers do.
+//   - The message receiver owns what it is handed, and nobody else holds
+//     it. Payload blocks may be shared with clones the sender kept; they
+//     are immutable by the message tool's rule, so sharing them is safe.
+//   - Out-of-band attributes never cross a wire: a delivered message
+//     carries none, whichever path it took.
+//   - Headroom of a delivered message is what its sender reserved (plus
+//     the headers popped on the way up) when the message itself crossed,
+//     and msg.DefaultLeader when it was rebuilt from bytes. Every message
+//     on a protocol path is built with DefaultLeader, so the two agree.
+//
 // What the seam does NOT promise: delivery order across links, a
 // virtual clock, or a bit-reproducible frame log. Those are simulator
 // properties (internal/sim keeps them); tests that need them build on
@@ -33,6 +61,7 @@ package wire
 import (
 	"errors"
 
+	"xkernel/internal/msg"
 	"xkernel/internal/xk"
 )
 
@@ -66,10 +95,14 @@ var (
 )
 
 // Link is one host's attachment to a Wire — the hardware beneath one
-// ethernet driver. Its method set is exactly the driver's Wire
-// interface (internal/proto/eth), so a Link plugs into eth.New with no
-// adapter and no indirection on the per-frame path.
+// ethernet driver. Its method set includes the driver's Wire interface
+// (internal/proto/eth), so a Link plugs into eth.New with no adapter and
+// no indirection on the per-frame path.
 type Link interface {
+	// SendMsg transmits the complete ethernet frame m to dst and
+	// consumes m (see the package comment). Refusals and silent
+	// no-destination are Send's.
+	SendMsg(dst xk.EthAddr, m *msg.Msg) error
 	// Send transmits a complete ethernet frame to dst. The frame
 	// includes the header built by the ETH protocol; dst is passed
 	// out-of-band the way hardware address-matches the header.
@@ -79,10 +112,52 @@ type Link interface {
 	Addr() xk.EthAddr
 	// MTU reports the wire MTU (largest frame payload, header excluded).
 	MTU() int
-	// SetReceiver installs the frame handler: the entry point of the
-	// shepherd path upward through the protocol stack. The handler
-	// owns the slice it is handed. Nil uninstalls.
+	// SetMsgReceiver installs the driver's frame handler: the entry
+	// point of the shepherd path upward through the protocol stack.
+	// The handler owns the message it is handed. It replaces whatever
+	// either Set call installed before; nil uninstalls.
+	SetMsgReceiver(func(m *msg.Msg))
+	// SetReceiver installs a raw-frame handler in the same slot. The
+	// handler owns the slice it is handed. Nil uninstalls.
 	SetReceiver(func(frame []byte))
+}
+
+// Receiver is a link's one receive slot, ready to be handed a frame in
+// either form: a backend calls Frame with a frame it holds as bytes and
+// Msg with one it holds as a message, and whichever of the two is not the
+// form the handler was installed in converts. FrameReceiver and
+// MsgReceiver build it; they are where the seam's conversion rule lives.
+type Receiver struct {
+	Frame func(frame []byte) // the callee owns the slice
+	Msg   func(m *msg.Msg)   // the callee owns the message
+}
+
+// FrameReceiver is the slot for a handler installed with SetReceiver
+// (nil for a nil handler): a message sent to it is flattened.
+func FrameReceiver(f func(frame []byte)) *Receiver {
+	if f == nil {
+		return nil
+	}
+	return &Receiver{
+		Frame: f,
+		Msg:   func(m *msg.Msg) { f(m.Bytes()) },
+	}
+}
+
+// MsgReceiver is the slot for a handler installed with SetMsgReceiver
+// (nil for a nil handler): bytes sent to it are wrapped with msg.New, and
+// a message is handed over as it is, its attributes left behind.
+func MsgReceiver(f func(m *msg.Msg)) *Receiver {
+	if f == nil {
+		return nil
+	}
+	return &Receiver{
+		Frame: func(frame []byte) { f(msg.New(frame)) },
+		Msg: func(m *msg.Msg) {
+			m.ClearAttrs()
+			f(m)
+		},
+	}
 }
 
 // Wire is one broadcast domain: the segment Links attach to.

@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"xkernel/internal/msg"
 	"xkernel/internal/settle"
 	"xkernel/internal/wire"
 	"xkernel/internal/xk"
@@ -63,6 +64,7 @@ func Run(t *testing.T, mk func(t *testing.T) wire.Wire, opt Options) {
 	t.Run("Unicast", func(t *testing.T) { testUnicast(t, mk(t)) })
 	t.Run("Broadcast", func(t *testing.T) { testBroadcast(t, mk(t)) })
 	t.Run("ReceiverReplace", func(t *testing.T) { testReceiverReplace(t, mk(t)) })
+	t.Run("MsgPair", func(t *testing.T) { testMsgPair(t, mk(t)) })
 	t.Run("ConcurrentSenders", func(t *testing.T) { testConcurrentSenders(t, mk(t), opt) })
 	t.Run("CloseSettles", func(t *testing.T) { testCloseSettles(t, mk, opt) })
 }
@@ -218,6 +220,70 @@ func testReceiverReplace(t *testing.T, w wire.Wire) {
 	case <-old:
 		t.Fatal("old receiver still hearing frames")
 	default:
+	}
+}
+
+// testMsgPair holds the message pair to the byte pair's wire: whichever
+// form a frame is sent in and whichever form the receiver takes, the same
+// bytes arrive; the one receive slot belongs to the last Set call; no
+// attribute crosses; the MTU refuses a message at the length it refuses
+// a slice.
+func testMsgPair(t *testing.T, w wire.Wire) {
+	defer w.Close()
+	la, _ := attach(t, w, hostA)
+	lb, gotBytes := attach(t, w, hostB)
+
+	payload := []byte("a frame crosses the wire as the message")
+	want := frame(hostB, hostA, 0x3000, payload)
+	// The driver's shape: payload in a block, header pushed on the leader.
+	build := func() *msg.Msg {
+		m := msg.New(payload)
+		m.MustPush(want[:14])
+		m.SetAttr(1, "the sender's")
+		return m
+	}
+
+	if err := la.SendMsg(hostB, build()); err != nil {
+		t.Fatalf("SendMsg to a byte receiver: %v", err)
+	}
+	if got := <-gotBytes; !bytes.Equal(got, want) {
+		t.Fatalf("message flattened for a byte receiver: got %x want %x", got, want)
+	}
+
+	gotMsg := make(chan *msg.Msg, 16)
+	lb.SetMsgReceiver(func(m *msg.Msg) { gotMsg <- m })
+	if err := la.SendMsg(hostB, build()); err != nil {
+		t.Fatalf("SendMsg to a message receiver: %v", err)
+	}
+	if err := la.Send(hostB, want); err != nil {
+		t.Fatalf("Send to a message receiver: %v", err)
+	}
+	for _, form := range []string{"message", "bytes"} {
+		got := <-gotMsg
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("frame sent as %s mangled for a message receiver", form)
+		}
+		if _, ok := got.Attr(1); ok {
+			t.Fatalf("frame sent as %s: an attribute crossed the wire", form)
+		}
+	}
+	select {
+	case <-gotBytes:
+		t.Fatal("the replaced byte receiver still hears frames")
+	default:
+	}
+
+	max := wire.MaxFrame(w.MTU())
+	if err := la.SendMsg(hostB, msg.New(make([]byte, max+1))); !errors.Is(err, wire.ErrFrameTooBig) {
+		t.Fatalf("oversize SendMsg: got %v, want ErrFrameTooBig", err)
+	}
+	atMax := make([]byte, max)
+	copy(atMax, hostB[:])
+	if err := la.SendMsg(hostB, msg.New(atMax)); err != nil {
+		t.Fatalf("max-size SendMsg refused: %v", err)
+	}
+	if got := <-gotMsg; got.Len() != max {
+		t.Fatalf("max-size message arrived as %d bytes, want %d", got.Len(), max)
 	}
 }
 

@@ -173,10 +173,12 @@ type Session interface {
 	//
 	// Push consumes m (and so does the Call of a request/reply
 	// session): the session may push its header onto m itself and
-	// hand that same message on, so the caller must not touch m
-	// again. A layer that needs the message later — CHANNEL for
-	// retransmission, FRAGMENT's hold of a multi-fragment message —
-	// clones it before pushing; nobody else pays for a copy.
+	// hand that same message on — all the way to the wire, which may
+	// hand it to the receiving host as it is — so the caller must not
+	// touch m again. A layer that needs the message later keeps its
+	// own: CHANNEL copies it into the channel before pushing
+	// (Msg.CopyInto), FRAGMENT holds a multi-fragment message and
+	// pushes fragments cut from it; nobody else pays for a copy.
 	Push(m *msg.Msg) error
 
 	// Pop receives a message coming up through this session: the

@@ -52,13 +52,36 @@ if awk -v t="$total" -v f="$floor" 'BEGIN { exit !(t < f) }'; then
 fi
 echo "total coverage ${total}% (floor ${floor}%)"
 
+echo "== chaos + load together under the race detector (quiescence, -count=3) =="
+# The two packages that drive chaos.Execute, in ONE invocation so their
+# test binaries compete for the processors: that pairing is what starved
+# the chaos worker and let the driver advance the virtual clock past work
+# not yet done. The driver now reads the worker's state from the runtime
+# (settle.Watch); byte-identical wire logs and exact replay counts must
+# hold however little processor the worker gets.
+go test -race -count=3 ./internal/chaos ./internal/load
+
+echo "== message handoff under the race detector (one wire, two paths) =="
+# The suite above already ran these; naming them makes a break in the
+# copy-free driver seam its own failed stage. The property test holds the
+# simulator's message path and byte path to one behaviour; the stress
+# test runs L_RPC and M_RPC over an async segment that loses and
+# duplicates messages, where a layer touching a message it has pushed is
+# a data race between two hosts.
+go test -race -count=1 ./internal/sim/ -run 'TestFastPathAndCapturedPathAreOneWire|TestReceiverFormsConvert|TestBroadcastMsg'
+go test -race -count=1 ./internal/bench/ -run 'TestHandoffUnderLossAndDup'
+go test -race -count=1 ./internal/load/ -run 'TestConformanceCaptureOnOff'
+go test -race -count=1 ./internal/rpc/fragment/ -run 'TestAsyncOneAndMultiFragmentInterleaved|TestOneFragmentFrameContradictingCollection'
+
 echo "== allocation budgets (exact allocs per round trip, no race detector) =="
-# internal/bench/allocs_test.go is built only without -race (the
-# detector instruments allocation), so the suite above skipped it. The
-# budgets are exact: one allocation more OR fewer per round trip on any
-# gated stack fails here until the committed constant is changed on
-# purpose.
+# internal/bench/allocs_test.go and internal/wire/udp/allocs_test.go are
+# built only without -race (the detector instruments allocation), so the
+# suite above skipped them. The budgets are exact: one allocation more OR
+# fewer per round trip on any gated stack fails here until the committed
+# constant is changed on purpose; the UDP row holds SendMsg to the one
+# allocation that is the message itself.
 go test -count=1 ./internal/bench/ -run 'TestAllocBudgets'
+go test -count=1 ./internal/wire/udp/ -run 'TestSendMsgAllocations'
 
 echo "== chaos smoke (partition+reboot per stack family) =="
 # The -short sweep runs one canned scenario set per reliability stack;

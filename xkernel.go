@@ -99,7 +99,10 @@ type (
 	// counters, close the backend.
 	Wire = wire.Wire
 	// WireLink is one attached interface on a Wire — the eth driver's
-	// view of its NIC (Send, Addr, MTU, SetReceiver).
+	// view of its NIC. The driver uses the message pair (SendMsg, which
+	// consumes the frame it is given, and SetMsgReceiver, whose handler
+	// owns what it is handed): a frame crosses the wire as the message.
+	// Send and SetReceiver are the raw-frame entry to the same slot.
 	WireLink = wire.Link
 	// WireStats counts frames sent, delivered, and dropped on a Wire.
 	WireStats = wire.Stats
