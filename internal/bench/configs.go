@@ -85,9 +85,11 @@ type Testbed struct {
 	// the seam every testbed is built over. With the default builder it
 	// is the simulator; BuildOn accepts any backend.
 	Wire wire.Wire
-	// Network is the simulator behind Wire when the backend is the
-	// simulator, nil otherwise (a real-socket wire has no virtual
-	// clock, capture taps, or fault board to expose).
+	// Network is the simulator behind Wire — directly, or behind a
+	// wire.Injector — when the backend is the simulator, nil otherwise
+	// (a real-socket wire has no virtual clock or capture taps to
+	// expose). Scripted faults are not its business on any backend: the
+	// injector is the fault board.
 	Network *sim.Network
 	End     Endpoint
 
@@ -181,12 +183,13 @@ func (tb *Testbed) RegisterGauges(set *gauge.Set) {
 	}
 }
 
-// SetFlight attaches a flight recorder to the simulated wire so frame
-// anomalies (losses, duplicates, corruptions, partition vetoes) land in
-// the black box. Attaching a recorder never changes the bytes on the
-// wire; clean segments keep the lock-free send path. On a non-simulated
-// backend the wire has no capture tap and this is a no-op — the fault
-// injector's OnDrop hook is the flight feed there.
+// SetFlight attaches a flight recorder to the simulated wire so the
+// anomalies the simulator itself causes (seeded losses, duplicates,
+// corruptions, reorder holds) land in the black box. Attaching a recorder
+// never changes the bytes on the wire; clean segments keep the lock-free
+// send path. Scripted vetoes never reach the segment: on every backend
+// the injector's OnDrop hook is their flight feed, and on a non-simulated
+// backend, which has no anomalies of its own to report, this is a no-op.
 func (tb *Testbed) SetFlight(r *flight.Recorder) {
 	if tb.Network != nil {
 		tb.Network.SetFlight(r)

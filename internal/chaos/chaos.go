@@ -19,10 +19,12 @@
 //     its configured budget per call;
 //   - clean shutdown: no goroutines or pending timer events leak.
 //
-// Everything is driven by a virtual clock and the simulator's
-// deterministic scenario faults, so a run's wire log (the capture
-// dispositions, wall-clock excluded) is reproducible bit for bit from
-// the seed and scenario.
+// Every scripted fault goes through one board, a wire.Injector the
+// engine interposes between the stack and whatever backend carries the
+// frames. On the simulator everything is driven by a virtual clock, so a
+// run's wire log (every frame offered, with what became of it,
+// wall-clock excluded) is reproducible bit for bit from the seed and
+// scenario.
 package chaos
 
 import (
@@ -94,17 +96,16 @@ type Config struct {
 	// Net is the simulated segment's config (seed, probabilistic rates).
 	Net sim.Config
 	// WireFactory, when set, runs the scenario over a real transport
-	// backend instead of the simulator built from Net: the engine wraps
-	// the factory's wire in a wire.Injector so the deterministic fault
-	// steps (drops, link state, crash/reboot) still work, and feeds the
-	// injector's vetoes to the flight recorder. The run then lives on
-	// the real clock — frames take kernel time, so virtual time would
-	// race them — which costs the bit-for-bit reproducibility and the
+	// backend instead of the simulator built from Net. The fault steps
+	// work the same — the engine wraps every backend's wire in a
+	// wire.Injector — and two things differ. The clock: the run lives on
+	// the real one (frames take kernel time, so virtual time would race
+	// them), which costs the bit-for-bit reproducibility and the
 	// pending-timer shutdown check; what remains checkable (and is
-	// checked) are the invariants themselves. The probabilistic
-	// simulator faults in Net are unavailable off-simulator, and the
-	// wire log shrinks to the vetoed frames (a real wire has no capture
-	// tap for clean traffic).
+	// checked) are the invariants themselves. The capture tap: a real
+	// wire has none for clean traffic, so the wire log holds only the
+	// vetoed frames. The probabilistic faults in Net are the simulator's
+	// and are unavailable here.
 	WireFactory wire.Factory
 	// Workload is the client activity.
 	Workload Workload
@@ -170,8 +171,13 @@ type Result struct {
 	// with an explicit (suffixed) ledger.
 	LedgerDump string
 
-	// Wire is the capture log projected to its deterministic fields:
-	// "index src>dst disposition len", one line per sent frame.
+	// Wire is the wire log: "line src>dst disposition len", one line per
+	// frame offered to the wire, in offer order — a vetoed frame by the
+	// injector's report, a frame that reached the simulator by its
+	// capture record (a real wire has no tap, so the log is the vetoes
+	// alone). A copy the injector eats at delivery (a broadcast reaching
+	// a down link) adds a line of its own. Lines are numbered as they
+	// arrive.
 	Wire []string
 
 	// Violations lists every invariant the run broke; empty means the
@@ -192,8 +198,9 @@ type Result struct {
 // Run is the live state a Step acts on.
 type Run struct {
 	Testbed *bench.Testbed
-	// Network is the simulator when the run is on the simulated wire,
-	// nil when Config.WireFactory chose a real backend.
+	// Network is the simulator behind the injector when the run is on
+	// the simulated wire (its capture tap, gauges and counters; no fault
+	// goes through it), nil when Config.WireFactory chose a real backend.
 	Network *sim.Network
 	// Clock is the virtual clock driving a simulated run; nil on a real
 	// wire, where time is the wall's.
@@ -202,7 +209,7 @@ type Run struct {
 	// clock is the run's time base for scheduled steps: the fake clock
 	// on the simulator, the real clock on a real wire.
 	clock event.Clock
-	// inj carries the scripted faults when the run is off-simulator.
+	// inj is the fault board: every scripted fault on every backend.
 	inj *wire.Injector
 	// worker watches the goroutine that makes the workload's calls.
 	worker *settle.Watch
@@ -212,14 +219,10 @@ type Run struct {
 	flight               *flight.Recorder
 }
 
-// PartitionClientServer splits the segment between the two hosts. Off
-// the simulator the partition is an unlimited bidirectional drop rule
-// between the two addresses — indistinguishable on a two-host segment.
+// PartitionClientServer splits the segment between the two hosts: an
+// unlimited bidirectional drop rule between the two addresses, decided
+// when a frame is sent.
 func (r *Run) PartitionClientServer() {
-	if r.Network != nil {
-		r.Network.Partition([]xk.EthAddr{r.clientMAC}, []xk.EthAddr{r.serverMAC})
-		return
-	}
 	c, s := r.clientMAC, r.serverMAC
 	r.partRule = r.inj.DropWhere(func(src, dst xk.EthAddr) bool {
 		return (src == c && (dst == s || dst.IsBroadcast())) ||
@@ -228,13 +231,7 @@ func (r *Run) PartitionClientServer() {
 }
 
 // Heal removes the partition.
-func (r *Run) Heal() {
-	if r.Network != nil {
-		r.Network.Heal()
-		return
-	}
-	r.inj.RemoveRule(r.partRule)
-}
+func (r *Run) Heal() { r.inj.RemoveRule(r.partRule) }
 
 // CrashServer models the server host dying: its link leaves the wire
 // and the RPC layer's volatile state is dropped (the boot id advances).
@@ -265,35 +262,17 @@ func (r *Run) ServerLink(up bool) { r.setLink(r.serverMAC, up) }
 // ClientLink raises or cuts the client's link.
 func (r *Run) ClientLink(up bool) { r.setLink(r.clientMAC, up) }
 
-func (r *Run) setLink(addr xk.EthAddr, up bool) {
-	if r.Network != nil {
-		r.Network.SetLinkState(addr, up)
-		return
-	}
-	r.inj.SetLinkState(addr, up)
-}
+func (r *Run) setLink(addr xk.EthAddr, up bool) { r.inj.SetLinkState(addr, up) }
 
 // DropNext eats the next count frames on the segment, whoever sends
 // them.
-func (r *Run) DropNext(count int) {
-	if r.Network != nil {
-		r.Network.AddRule(sim.BurstLoss(r.Network.Stats().FramesSent, count))
-		return
-	}
-	r.inj.DropNext(count)
-}
+func (r *Run) DropNext(count int) { r.inj.DropNext(count) }
 
 // DropReplies eats the next count unicast frames from the server to the
 // client — replies and explicit acks — leaving requests untouched. The
 // match is unicast-only so broadcast traffic cannot consume the budget.
 func (r *Run) DropReplies(count int) {
 	src, dst := r.serverMAC, r.clientMAC
-	if r.Network != nil {
-		r.Network.AddRule(sim.Rule{Name: "drop-replies", Count: count, Match: func(fi sim.FaultInfo) bool {
-			return fi.Src == src && fi.Dst == dst
-		}})
-		return
-	}
 	r.inj.DropWhere(func(s, d xk.EthAddr) bool { return s == src && d == dst }, count)
 }
 
@@ -361,31 +340,22 @@ func Execute(cfg Config) (*Result, error) {
 	cfg.Workload.fill()
 	baseline := runtime.NumGoroutine()
 
+	// The backend decides the clock and nothing else. A real wire runs on
+	// the real clock: frames take kernel time, and a virtual clock would
+	// burn retransmit budgets while a datagram is still in flight. The
+	// simulator runs on a fake clock this driver advances.
+	var fake *event.FakeClock
+	var clk event.Clock = event.Real()
+	inner := cfg.WireFactory
+	if inner == nil {
+		fake = event.NewFake()
+		clk = fake
+		inner = sim.Factory(withClock(cfg.Net, fake))
+	}
+	f := wire.Injected(inner)
 	var tb *bench.Testbed
 	var meter *obs.Meter
 	var err error
-	var inj *wire.Injector
-	var fake *event.FakeClock
-	var clk event.Clock
-	var f wire.Factory
-	if cfg.WireFactory != nil {
-		// A real wire runs on the real clock: frames take kernel time,
-		// and a virtual clock would burn retransmit budgets while a
-		// datagram is still in flight.
-		clk = event.Real()
-		f = func() (wire.Wire, error) {
-			inner, err := cfg.WireFactory()
-			if err != nil {
-				return nil, err
-			}
-			inj = wire.NewInjector(inner)
-			return inj, nil
-		}
-	} else {
-		fake = event.NewFake()
-		clk = fake
-		f = sim.Factory(withClock(cfg.Net, fake))
-	}
 	if cfg.Instrument {
 		tb, meter, err = bench.BuildInstrumentedOn(cfg.Stack, f, clk)
 	} else {
@@ -396,10 +366,11 @@ func Execute(cfg Config) (*Result, error) {
 	}
 	defer tb.Close()
 
-	// Arm the black box: wire anomalies land in it via the network, the
+	// Arm the black box: the simulator's own anomalies land in it via
+	// the network, scripted vetoes via the injector's hook below, and the
 	// engine adds scenario steps and call outcomes. Timestamps are
-	// virtual nanoseconds since the run's epoch, so a dump is as
-	// reproducible as the wire log.
+	// nanoseconds on the run's clock since its epoch, so on the virtual
+	// clock a dump is as reproducible as the wire log.
 	fr := cfg.Flight
 	if fr == nil {
 		fr = flight.New(0)
@@ -410,27 +381,29 @@ func Execute(cfg Config) (*Result, error) {
 	tb.SetFlight(fr)
 
 	res := &Result{Stack: cfg.Stack, Scenario: cfg.Scenario.Name, Meter: meter, Flight: fr}
+	// One wire log, two feeds: the injector reports each frame it vetoes,
+	// the simulator's capture tap each frame that reached the segment.
+	// Lines are numbered here, as they arrive, so the two share one
+	// ordinal space; a black-box veto event carries its line's number.
 	var wireMu sync.Mutex
-	if tb.Network != nil {
-		tb.Network.SetCapture(func(fr sim.FrameRecord) {
-			line := fmt.Sprintf("%04d %s>%s %s %d", fr.Index, fr.Src, fr.Dst, fr.Disposition, fr.Len)
-			wireMu.Lock()
-			res.Wire = append(res.Wire, line)
-			wireMu.Unlock()
-		})
-	} else {
-		// Off-simulator the only observable frames are the injector's
-		// vetoes; they feed the wire log and the black box with the
-		// simulator's disposition vocabulary.
-		inj.OnDrop = func(disp string, src, dst xk.EthAddr, index int64, size int) {
-			line := fmt.Sprintf("%04d %s>%s %s %d", index, src, dst, disp, size)
-			wireMu.Lock()
-			res.Wire = append(res.Wire, line)
-			wireMu.Unlock()
-			if fr.Enabled() {
-				fr.Record("wire", disp, fmt.Sprintf("%s>%s", src, dst), index, int64(size))
-			}
+	logFrame := func(src, dst xk.EthAddr, disp string, size int) int64 {
+		wireMu.Lock()
+		defer wireMu.Unlock()
+		line := len(res.Wire) + 1
+		res.Wire = append(res.Wire, fmt.Sprintf("%04d %s>%s %s %d", line, src, dst, disp, size))
+		return int64(line)
+	}
+	inj := tb.Wire.(*wire.Injector)
+	inj.OnDrop = func(disp string, src, dst xk.EthAddr, _ int64, size int) {
+		line := logFrame(src, dst, disp, size)
+		if fr.Enabled() {
+			fr.Record("wire", disp, fmt.Sprintf("%s>%s", src, dst), line, int64(size))
 		}
+	}
+	if tb.Network != nil {
+		tb.Network.SetCapture(func(rec sim.FrameRecord) {
+			logFrame(rec.Src, rec.Dst, rec.Disposition, rec.Len)
+		})
 	}
 
 	r := &Run{
@@ -551,11 +524,11 @@ func Execute(cfg Config) (*Result, error) {
 				st.RecoveredRecords, res.LedgerReplays)
 		}
 	}
-	// Off-simulator the wire owns real listener goroutines; close it
-	// before the shutdown check so the settle pass measures the stack,
-	// not the sockets. Closing again via the testbed is a no-op.
+	// A real wire owns real listener goroutines; close it before the
+	// shutdown check so the settle pass measures the stack, not the
+	// sockets. Closing again via the testbed is a no-op.
 	patience := time.Duration(0)
-	if tb.Network == nil {
+	if fake == nil {
 		tb.Wire.Close()
 		patience = wirePatience
 	}

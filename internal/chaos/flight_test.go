@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"xkernel/internal/bench"
 	"xkernel/internal/obs/flight"
 	"xkernel/internal/sim"
+	"xkernel/internal/wire"
 )
 
 // brokenScenario cuts the server's link before call 1 and never heals
@@ -60,7 +62,7 @@ func TestFlightDumpOnViolation(t *testing.T) {
 	var sawLinkDown, sawViolation bool
 	for _, e := range dump.Events {
 		kinds[e.Kind]++
-		if e.Kind == "wire" && strings.Contains(e.Layer, sim.FrameLinkDown) {
+		if e.Kind == "wire" && strings.Contains(e.Layer, wire.DropLinkDown) {
 			sawLinkDown = true
 		}
 		if e.Kind == "violation" && strings.Contains(e.Detail, "convergence") {
@@ -87,6 +89,55 @@ func TestFlightDumpOnViolation(t *testing.T) {
 			t.Fatalf("event %d time %d precedes predecessor %d", e.Seq, e.TNs, last)
 		}
 		last = e.TNs
+	}
+}
+
+// TestWireLogShowsWhatTheScenarioAte holds the one wire log to the one
+// fault board: on the simulator, where the log also carries every clean
+// frame, the lines with a veto disposition are exactly the frames the
+// injector ate — as many as it counted, in its vocabulary — and the black
+// box holds the same events under the same line numbers.
+func TestWireLogShowsWhatTheScenarioAte(t *testing.T) {
+	vetoes := map[string]bool{wire.DropRuled: true, wire.DropNexted: true, wire.DropLinkDown: true}
+	for _, sc := range []Scenario{PartitionReboot(3), BurstDrop(3, 3), LinkFlap(3)} {
+		t.Run(sc.Name, func(t *testing.T) {
+			var run *Run
+			sc.Steps = append(sc.Steps, Step{Name: "observe", Do: func(r *Run) { run = r }})
+			res, err := Execute(Config{
+				Stack:        bench.LRPCVIP,
+				Net:          sim.Config{Seed: 7}, // no loss rate: every drop is the board's
+				Workload:     Workload{Calls: 9, Payload: 64},
+				Scenario:     sc,
+				ConvergeTail: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Violations) != 0 {
+				t.Fatalf("violations: %v", res.Violations)
+			}
+			var ate []string
+			for _, line := range res.Wire {
+				switch disp := strings.Fields(line)[2]; {
+				case vetoes[disp]:
+					ate = append(ate, line)
+				case disp != sim.FrameDelivered:
+					t.Errorf("wire line %q: disposition from nobody's vocabulary", line)
+				}
+			}
+			if want := run.Testbed.Wire.Stats().FramesDropped; want == 0 || int64(len(ate)) != want {
+				t.Fatalf("wire log shows %d vetoed frames, the injector ate %d", len(ate), want)
+			}
+			var boxed []string
+			for _, e := range res.Flight.Events() {
+				if e.Kind == "wire" {
+					boxed = append(boxed, fmt.Sprintf("%04d %s %s %d", e.A, e.Detail, e.Layer, e.B))
+				}
+			}
+			if strings.Join(boxed, "\n") != strings.Join(ate, "\n") {
+				t.Fatalf("black box:\n%s\nwire log vetoes:\n%s", strings.Join(boxed, "\n"), strings.Join(ate, "\n"))
+			}
+		})
 	}
 }
 

@@ -136,11 +136,6 @@ func (p *Protocol) OpenDisable(hlp xk.Protocol, ps *xk.Participants) error {
 	return nil
 }
 
-// Reattach reinstalls the driver's receive handler on the wire. Tests
-// simulate a network partition by overriding the NIC's receiver and heal
-// it with Reattach.
-func (p *Protocol) Reattach() { p.wire.SetMsgReceiver(p.receive) }
-
 // receive is the wire's frame handler: the start of the shepherd's path
 // upward.
 func (p *Protocol) receive(m *msg.Msg) {

@@ -13,6 +13,7 @@ import (
 	"xkernel/internal/rpc/fragment"
 	"xkernel/internal/sim"
 	"xkernel/internal/stacks"
+	"xkernel/internal/wire"
 	"xkernel/internal/xk"
 )
 
@@ -29,12 +30,14 @@ type party struct {
 }
 
 // build assembles n hosts on one segment, each running Psync over
-// FRAGMENT over VIP, all joined to one conversation.
+// FRAGMENT over VIP, all joined to one conversation. The segment sits
+// behind a wire.Injector (a host's Wire()) for tests that script a fault.
 func build(t *testing.T, n int, netCfg sim.Config, cfg psync.Config) ([]*party, *event.FakeClock, *sim.Network) {
 	t.Helper()
 	clock := event.NewFake()
 	cfg.Clock = clock
 	network := sim.New(netCfg)
+	inj := wire.NewInjector(network.AsWire())
 	var parties []*party
 	var addrs []xk.IPAddr
 	for i := 0; i < n; i++ {
@@ -42,11 +45,11 @@ func build(t *testing.T, n int, netCfg sim.Config, cfg psync.Config) ([]*party, 
 	}
 	for i := 0; i < n; i++ {
 		h, err := stacks.NewHost(stacks.HostConfig{
-			Name:    string(rune('A' + i)),
-			Eth:     xk.EthAddr{2, 0, 0, 0, 0, byte(i + 1)},
-			IP:      addrs[i],
-			Network: network,
-			Clock:   clock,
+			Name:  string(rune('A' + i)),
+			Eth:   xk.EthAddr{2, 0, 0, 0, 0, byte(i + 1)},
+			IP:    addrs[i],
+			Wire:  inj,
+			Clock: clock,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -186,13 +189,14 @@ func TestMissingContextChased(t *testing.T) {
 	parties, clock, _ := build(t, 3, sim.Config{}, psync.Config{})
 	a, b, c := parties[0], parties[1], parties[2]
 
-	// Partition C while A sends.
-	c.host.NIC.SetReceiver(func([]byte) {}) // drop everything
+	// Cut C's link while A sends.
+	inj := c.host.Wire().(*wire.Injector)
+	inj.SetLinkState(c.host.Link.Addr(), false)
 	if _, err := a.c.Send([]byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	// Heal the partition.
-	c.host.Eth.Reattach()
+	// Raise it again.
+	inj.SetLinkState(c.host.Link.Addr(), true)
 	// B saw the first message; its reply depends on it.
 	id2, err := b.c.Send([]byte("reply"))
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"xkernel/internal/rpc/fragment"
 	"xkernel/internal/sim"
 	"xkernel/internal/stacks"
+	"xkernel/internal/wire"
 	"xkernel/internal/xk"
 )
 
@@ -24,6 +25,7 @@ type bed struct {
 	clock          *event.FakeClock
 	client, server *stacks.Host
 	network        *sim.Network
+	inj            *wire.Injector // the segment's fault board
 	cc, sc         *channel.Protocol
 	sf             *fragment.Protocol
 }
@@ -32,13 +34,14 @@ func build(t *testing.T, netCfg sim.Config, ccfg channel.Config) *bed {
 	t.Helper()
 	clock := event.NewFake()
 	ccfg.Clock = clock
-	client, server, network, err := stacks.TwoHosts(netCfg, clock)
+	netCfg.Clock = clock
+	client, server, w, err := stacks.TwoHostsOn(wire.Injected(sim.Factory(netCfg)), clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	client.ARP.AddEntry(xk.IP(10, 0, 0, 2), xk.EthAddr{0x02, 0, 0, 0, 0, 2})
 	server.ARP.AddEntry(xk.IP(10, 0, 0, 1), xk.EthAddr{0x02, 0, 0, 0, 0, 1})
-	b := &bed{clock: clock, client: client, server: server, network: network}
+	b := &bed{clock: clock, client: client, server: server, network: sim.Unwrap(w), inj: w.(*wire.Injector)}
 	mk := func(h *stacks.Host) (*channel.Protocol, *fragment.Protocol) {
 		v, err := vip.New(h.Name+"/vip", h.Eth, h.IP, h.ARP)
 		if err != nil {

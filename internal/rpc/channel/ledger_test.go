@@ -37,9 +37,7 @@ func TestLedgerReplayAcrossCrash(t *testing.T) {
 	// reply is recorded in the ledger but never reaches the client.
 	serverMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 2}
 	clientMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 1}
-	b.network.AddRule(sim.Rule{Name: "eat reply", Count: 1, Match: func(fi sim.FaultInfo) bool {
-		return fi.Src == serverMAC && fi.Dst == clientMAC
-	}})
+	b.inj.DropWhere(func(src, dst xk.EthAddr) bool { return src == serverMAC && dst == clientMAC }, 1)
 
 	payload := []byte("replay me byte for byte")
 	done := make(chan struct{})
@@ -120,9 +118,7 @@ func TestLedgerVolatileMatchesPaperSemantics(t *testing.T) {
 	}
 	serverMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 2}
 	clientMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 1}
-	b.network.AddRule(sim.Rule{Name: "eat reply", Count: 1, Match: func(fi sim.FaultInfo) bool {
-		return fi.Src == serverMAC && fi.Dst == clientMAC
-	}})
+	b.inj.DropWhere(func(src, dst xk.EthAddr) bool { return src == serverMAC && dst == clientMAC }, 1)
 	done := make(chan error, 1)
 	go func() {
 		_, err := s.Call(msg.New([]byte("doomed")))

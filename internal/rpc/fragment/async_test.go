@@ -21,10 +21,7 @@ import (
 func buildAsync(t *testing.T, netCfg sim.Config, cfg fragment.Config) *bed {
 	t.Helper()
 	netCfg.Async = true
-	client, server, network, err := stacks.TwoHosts(netCfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	client, server, inj := twoHosts(t, netCfg, nil)
 	client.ARP.AddEntry(xk.IP(10, 0, 0, 2), xk.EthAddr{0x02, 0, 0, 0, 0, 2})
 	server.ARP.AddEntry(xk.IP(10, 0, 0, 1), xk.EthAddr{0x02, 0, 0, 0, 0, 1})
 	mk := func(h *stacks.Host) *fragment.Protocol {
@@ -39,7 +36,7 @@ func buildAsync(t *testing.T, netCfg sim.Config, cfg fragment.Config) *bed {
 		return f
 	}
 	return &bed{
-		client: client, server: server, network: network,
+		client: client, server: server, network: sim.Unwrap(inj), inj: inj,
 		cf: mk(client), sf: mk(server),
 	}
 }
@@ -84,9 +81,15 @@ func TestAsyncDupReorderWithDrops(t *testing.T) {
 		GapRetries: 50,
 	})
 	clientMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 1}
-	fromClient := func(fi sim.FaultInfo) bool { return fi.Src == clientMAC }
-	for _, after := range []int64{4, 11, 23} {
-		b.network.AddRule(sim.Rule{Name: "eat-frag", Match: fromClient, After: after, Count: 1})
+	// Each rule eats one client frame once `after` frames have been
+	// offered to it; match runs under the injector's lock, so counting
+	// its calls is safe.
+	for _, after := range []int{4, 11, 23} {
+		after, offered := after, 0
+		b.inj.DropWhere(func(src, _ xk.EthAddr) bool {
+			offered++
+			return offered > after && src == clientMAC
+		}, 1)
 	}
 
 	collected := lockedSink(t, b.sf)

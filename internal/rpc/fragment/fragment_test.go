@@ -13,6 +13,7 @@ import (
 	"xkernel/internal/rpc/fragment"
 	"xkernel/internal/sim"
 	"xkernel/internal/stacks"
+	"xkernel/internal/wire"
 	"xkernel/internal/xk"
 )
 
@@ -22,7 +23,21 @@ type bed struct {
 	clock          *event.FakeClock
 	client, server *stacks.Host
 	network        *sim.Network
+	inj            *wire.Injector // the segment's fault board
 	cf, sf         *fragment.Protocol
+}
+
+// twoHosts is stacks.TwoHosts with the segment behind a wire.Injector.
+func twoHosts(t *testing.T, netCfg sim.Config, clock event.Clock) (client, server *stacks.Host, inj *wire.Injector) {
+	t.Helper()
+	if netCfg.Clock == nil {
+		netCfg.Clock = clock
+	}
+	client, server, w, err := stacks.TwoHostsOn(wire.Injected(sim.Factory(netCfg)), clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client, server, w.(*wire.Injector)
 }
 
 // build assembles FRAGMENT over VIP on two hosts. Fault-injection tests
@@ -31,10 +46,7 @@ func build(t *testing.T, netCfg sim.Config, cfg fragment.Config) *bed {
 	t.Helper()
 	clock := event.NewFake()
 	cfg.Clock = clock
-	client, server, network, err := stacks.TwoHosts(netCfg, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
+	client, server, inj := twoHosts(t, netCfg, clock)
 	client.ARP.AddEntry(xk.IP(10, 0, 0, 2), xk.EthAddr{0x02, 0, 0, 0, 0, 2})
 	server.ARP.AddEntry(xk.IP(10, 0, 0, 1), xk.EthAddr{0x02, 0, 0, 0, 0, 1})
 	mk := func(h *stacks.Host) *fragment.Protocol {
@@ -49,7 +61,7 @@ func build(t *testing.T, netCfg sim.Config, cfg fragment.Config) *bed {
 		return f
 	}
 	return &bed{
-		clock: clock, client: client, server: server, network: network,
+		clock: clock, client: client, server: server, network: sim.Unwrap(inj), inj: inj,
 		cf: mk(client), sf: mk(server),
 	}
 }

@@ -19,11 +19,11 @@ var clientMAC = xk.EthAddr{0x02, 0, 0, 0, 0, 1}
 // loseTailFromClient drops every client frame after the first, so the
 // receiver holds exactly one fragment and every resend goes unanswered.
 func loseTailFromClient(b *bed) {
-	b.network.AddRule(sim.Rule{
-		Name:  "client-tail",
-		After: 1,
-		Match: func(fi sim.FaultInfo) bool { return fi.Src == clientMAC },
-	})
+	offered := 0
+	b.inj.DropWhere(func(src, _ xk.EthAddr) bool {
+		offered++ // every frame on the segment, in offer order
+		return offered > 1 && src == clientMAC
+	}, 0)
 }
 
 func TestNoGapRetriesAbandonsWithoutAsking(t *testing.T) {

@@ -25,7 +25,7 @@ func TestLedgerReplayAcrossCrashMultiFragment(t *testing.T) {
 	}
 	defer led.Close()
 	clock := event.NewFake()
-	cli, srv, network := testbed(t, "vip", sim.Config{}, clock, mrpc.Config{Ledger: led})
+	cli, srv, inj := testbed(t, "vip", sim.Config{}, clock, mrpc.Config{Ledger: led})
 	s := open(t, cli, xk.IP(10, 0, 0, 2))
 
 	if _, err := s.CallBytes(cmdEcho, []byte("warm")); err != nil {
@@ -37,9 +37,7 @@ func TestLedgerReplayAcrossCrashMultiFragment(t *testing.T) {
 	// ledger but never reaches the client.
 	serverMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 2}
 	clientMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 1}
-	network.AddRule(sim.Rule{Name: "eat reply frags", Count: 3, Match: func(fi sim.FaultInfo) bool {
-		return fi.Src == serverMAC && fi.Dst == clientMAC
-	}})
+	inj.DropWhere(func(src, dst xk.EthAddr) bool { return src == serverMAC && dst == clientMAC }, 3)
 
 	payload := msg.MakeData(4096)
 	done := make(chan struct{})

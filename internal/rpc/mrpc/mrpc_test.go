@@ -12,6 +12,7 @@ import (
 	"xkernel/internal/rpc/mrpc"
 	"xkernel/internal/sim"
 	"xkernel/internal/stacks"
+	"xkernel/internal/wire"
 	"xkernel/internal/xk"
 )
 
@@ -22,10 +23,14 @@ const (
 )
 
 // testbed builds client and server M.RPC instances over the requested
-// lower layer: "eth", "ip", or "vip".
-func testbed(t *testing.T, lower string, netCfg sim.Config, clock event.Clock, cfg mrpc.Config) (cli, srv *mrpc.Protocol, network *sim.Network) {
+// lower layer: "eth", "ip", or "vip". The segment sits behind the
+// returned injector, the board a test scripts its drops on.
+func testbed(t *testing.T, lower string, netCfg sim.Config, clock event.Clock, cfg mrpc.Config) (cli, srv *mrpc.Protocol, inj *wire.Injector) {
 	t.Helper()
-	client, server, network, err := stacks.TwoHosts(netCfg, clock)
+	if netCfg.Clock == nil {
+		netCfg.Clock = clock
+	}
+	client, server, w, err := stacks.TwoHostsOn(wire.Injected(sim.Factory(netCfg)), clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +73,7 @@ func testbed(t *testing.T, lower string, netCfg sim.Config, clock event.Clock, c
 	srv.Register(cmdSize, func(_ uint16, args *msg.Msg) (*msg.Msg, error) {
 		return msg.New([]byte{byte(args.Len() >> 8), byte(args.Len())}), nil
 	})
-	return cli, srv, network
+	return cli, srv, w.(*wire.Injector)
 }
 
 func hostIP(h *stacks.Host) xk.IPAddr {

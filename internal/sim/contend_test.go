@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"xkernel/internal/obs/span"
+	"xkernel/internal/wire"
 	"xkernel/internal/xk"
 )
 
@@ -73,13 +75,13 @@ func TestConcurrentSendsAccountExactly(t *testing.T) {
 	}
 }
 
-// TestFastPathDisabledByScenarioState checks the flag bookkeeping: each
-// scenario mutator must push Sends onto the locked path while active and
-// restore the fast path when reverted, with the veto actually applied in
-// between (a stale fast flag would leak frames through a partition).
+// TestFastPathDisabledByScenarioState checks the flag bookkeeping: what
+// can still push Sends onto the locked path (capture, spans, a
+// probabilistic rate) does, and reverting it restores the fast path. The
+// converse is the point of keeping scripted faults off the segment: an
+// injector above it that has eaten a burst leaves the segment lock-free.
 func TestFastPathDisabledByScenarioState(t *testing.T) {
 	n := New(Config{})
-	a, _ := n.Attach(addr(1))
 	if _, err := n.Attach(addr(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -87,41 +89,38 @@ func TestFastPathDisabledByScenarioState(t *testing.T) {
 		t.Fatal("fresh fault-free segment should start fast")
 	}
 
-	n.Partition([]xk.EthAddr{addr(1)}, []xk.EthAddr{addr(2)})
-	if n.fast.Load() {
-		t.Fatal("partition left the fast path enabled")
-	}
-	if err := a.Send(addr(2), []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if st := n.Stats(); st.FramesPartitioned != 1 {
-		t.Fatalf("FramesPartitioned = %d; want 1", st.FramesPartitioned)
-	}
-	n.Heal()
-	if !n.fast.Load() {
-		t.Fatal("Heal did not restore the fast path")
-	}
-
-	n.SetLinkState(addr(2), false)
-	if n.fast.Load() {
-		t.Fatal("link cut left the fast path enabled")
-	}
-	n.SetLinkState(addr(2), true)
-	id := n.AddRule(Rule{Name: "r"})
-	if n.fast.Load() {
-		t.Fatal("drop rule left the fast path enabled")
-	}
-	n.RemoveRule(id)
 	n.SetCapture(func(FrameRecord) {})
 	if n.fast.Load() {
 		t.Fatal("capture left the fast path enabled")
 	}
 	n.SetCapture(nil)
-	if !n.fast.Load() {
-		t.Fatal("fast path not restored after clearing all scenario state")
+	n.SetSpans(span.NewRecorder(16))
+	if n.fast.Load() {
+		t.Fatal("spans left the fast path enabled")
 	}
-
+	n.SetSpans(nil)
+	if !n.fast.Load() {
+		t.Fatal("fast path not restored after detaching capture and spans")
+	}
 	if nn := New(Config{LossRate: 0.1}); nn.fast.Load() {
 		t.Fatal("probabilistic faults must pin the locked path")
+	}
+
+	inj := wire.NewInjector(n.AsWire())
+	a, err := inj.Attach(addr(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.DropNext(2)
+	for i := 0; i < 3; i++ {
+		if err := a.Send(addr(2), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := inj.Stats(); st.FramesDropped != 2 || st.FramesDelivered != 1 {
+		t.Fatalf("burst of 2 in 3 sends: %+v", st)
+	}
+	if !n.fast.Load() {
+		t.Fatal("a burst dropped above the segment took it off the fast path")
 	}
 }

@@ -15,9 +15,14 @@
 // A non-zero Latency switches a link to timer-driven asynchronous
 // delivery for demos that want to watch real time pass.
 //
-// Fault injection (loss, duplication, one-frame reordering, corruption)
-// is deterministic given the Seed, so protocol tests that drive
-// retransmission logic are reproducible.
+// The segment is a physical model. The faults it injects are the ones
+// that need its seeded RNG and its place on the wire to mean anything
+// reproducible — loss, duplication, one-frame reordering, corruption, at
+// configured rates, deterministic given the Seed — plus the crash model
+// (Detach and Reattach: an interface vanishing with its host and coming
+// back). Scripted adversity — "the third reply vanishes", a partition, a
+// link cut — is not decided here: wire.Injector interposes on the seam
+// above any backend and is the one place such a fault lives.
 //
 // The Network also keeps virtual wire-occupancy accounting: every frame
 // charges its serialization time at the configured bandwidth to a
@@ -27,6 +32,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -92,18 +98,15 @@ type Config struct {
 
 // Stats counts network activity.
 type Stats struct {
-	FramesSent        int64
-	FramesDelivered   int64
-	FramesDropped     int64 // fault-injected losses
-	FramesNoDest      int64 // unicast to an unattached address
-	FramesDuplicate   int64
-	FramesReordered   int64
-	FramesCorrupted   int64
-	FramesLinkDown    int64 // scenario: sender or receiver link down
-	FramesPartitioned int64 // scenario: endpoints on different sides
-	FramesRuleDropped int64 // scenario: matched a drop rule
-	BytesSent         int64
-	WireTime          time.Duration // cumulative serialization time
+	FramesSent      int64
+	FramesDelivered int64
+	FramesDropped   int64 // fault-injected losses
+	FramesNoDest    int64 // unicast to an unattached address
+	FramesDuplicate int64
+	FramesReordered int64
+	FramesCorrupted int64
+	BytesSent       int64
+	WireTime        time.Duration // cumulative serialization time
 }
 
 // Network is one ethernet segment.
@@ -119,11 +122,10 @@ type Network struct {
 	ctr counters
 
 	// fast is true while nothing on the segment needs the locked path:
-	// no probabilistic faults, no capture or span hooks, no scenario
-	// rules, link cuts, or partition. Unicast Sends then run entirely on
-	// atomics plus the read-only NIC snapshot, so concurrent senders do
-	// not serialize on mu. Recomputed under mu by every mutator that
-	// could change the answer.
+	// no probabilistic faults, no capture or span hooks. Unicast Sends
+	// then run entirely on atomics plus the read-only NIC snapshot, so
+	// concurrent senders do not serialize on mu. Recomputed under mu by
+	// every mutator that could change the answer.
 	fast   atomic.Bool
 	nicsRO atomic.Pointer[map[xk.EthAddr]*NIC] // copy-on-write; rebuilt on attach/detach
 
@@ -140,37 +142,27 @@ type Network struct {
 	capture func(FrameRecord)
 	spanrec *span.Recorder
 	flight  *flight.Recorder
-
-	// Scenario faults (see faults.go).
-	rules     []*ruleState
-	ruleSeq   int
-	linkDown  map[xk.EthAddr]bool
-	partition map[xk.EthAddr]int
 }
 
 // counters mirrors Stats field-for-field with atomic cells; WireTime is
 // kept in nanoseconds.
 type counters struct {
-	framesSent        atomic.Int64
-	framesDelivered   atomic.Int64
-	framesDropped     atomic.Int64
-	framesNoDest      atomic.Int64
-	framesDuplicate   atomic.Int64
-	framesReordered   atomic.Int64
-	framesCorrupted   atomic.Int64
-	framesLinkDown    atomic.Int64
-	framesPartitioned atomic.Int64
-	framesRuleDropped atomic.Int64
-	bytesSent         atomic.Int64
-	wireTimeNs        atomic.Int64
+	framesSent      atomic.Int64
+	framesDelivered atomic.Int64
+	framesDropped   atomic.Int64
+	framesNoDest    atomic.Int64
+	framesDuplicate atomic.Int64
+	framesReordered atomic.Int64
+	framesCorrupted atomic.Int64
+	bytesSent       atomic.Int64
+	wireTimeNs      atomic.Int64
 }
 
 // recomputeFastLocked re-derives the fast-path flag; called with n.mu
 // held by every mutator of the state it reads. A held reorder frame
 // implies ReorderRate > 0 and therefore hasRand, so it needs no term.
 func (n *Network) recomputeFastLocked() {
-	n.fast.Store(!n.hasRand && n.capture == nil && n.spanrec == nil &&
-		len(n.rules) == 0 && len(n.linkDown) == 0 && n.partition == nil)
+	n.fast.Store(!n.hasRand && n.capture == nil && n.spanrec == nil)
 }
 
 // snapshotNicsLocked republishes the read-only NIC table after an
@@ -192,11 +184,6 @@ const (
 	FrameCorrupted = "corrupt" // one payload byte flipped (modifier)
 	FrameDup       = "dup"     // delivered twice (modifier)
 	FrameReordered = "reorder" // held one frame, delivered behind the next
-
-	// Scenario-fault dispositions (see faults.go).
-	FrameLinkDown    = "linkdown"  // sender or receiver link is down
-	FramePartitioned = "partition" // endpoints are on different sides
-	FrameRuleDropped = "ruledrop"  // matched a drop rule (":<name>" appended)
 )
 
 // FrameRecord describes one frame observed on the wire. Records are
@@ -245,11 +232,12 @@ func (n *Network) SetSpans(r *span.Recorder) {
 }
 
 // SetFlight attaches a flight recorder; every frame the segment does
-// anything adversarial to (drop, corruption, duplication, reorder hold,
-// link cut, partition, rule drop) is recorded as a "wire" event with
-// the disposition, frame index, and length. Cleanly delivered frames
-// are not recorded — the black box keeps the anomalies, not the
-// traffic. Pass nil to detach.
+// anything adversarial to (drop, corruption, duplication, reorder hold)
+// is recorded as a "wire" event with the disposition, frame index, and
+// length. Cleanly delivered frames are not recorded — the black box
+// keeps the anomalies, not the traffic — and neither are scripted
+// vetoes, which never reach the segment (wire.Injector.OnDrop reports
+// those). Pass nil to detach.
 //
 // Deliberately not folded into the contended-delivery fast path
 // predicate: adversarial dispositions only arise on the locked path,
@@ -385,21 +373,39 @@ func (n *Network) Detach(nic *NIC) {
 	}
 }
 
+// Reattach restores a previously detached NIC at its old address — the
+// second half of the crash model (Detach is the NIC vanishing with the
+// crashed host; Reattach is the rebooted host's interface coming back).
+// The NIC keeps its receiver, so the host's stack resumes receiving
+// frames; protocol state above it is the host's problem (that is what
+// Reboot on the RPC layers models). Reattaching while another NIC holds
+// the address fails.
+func (n *Network) Reattach(nic *NIC) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if cur, dup := n.nics[nic.addr]; dup {
+		if cur == nic {
+			return nil
+		}
+		return fmt.Errorf("sim: address %s: %w", nic.addr, wire.ErrDuplicateAddr)
+	}
+	n.nics[nic.addr] = nic
+	n.snapshotNicsLocked()
+	return nil
+}
+
 // Stats returns a snapshot of the segment counters.
 func (n *Network) Stats() Stats {
 	return Stats{
-		FramesSent:        n.ctr.framesSent.Load(),
-		FramesDelivered:   n.ctr.framesDelivered.Load(),
-		FramesDropped:     n.ctr.framesDropped.Load(),
-		FramesNoDest:      n.ctr.framesNoDest.Load(),
-		FramesDuplicate:   n.ctr.framesDuplicate.Load(),
-		FramesReordered:   n.ctr.framesReordered.Load(),
-		FramesCorrupted:   n.ctr.framesCorrupted.Load(),
-		FramesLinkDown:    n.ctr.framesLinkDown.Load(),
-		FramesPartitioned: n.ctr.framesPartitioned.Load(),
-		FramesRuleDropped: n.ctr.framesRuleDropped.Load(),
-		BytesSent:         n.ctr.bytesSent.Load(),
-		WireTime:          time.Duration(n.ctr.wireTimeNs.Load()),
+		FramesSent:      n.ctr.framesSent.Load(),
+		FramesDelivered: n.ctr.framesDelivered.Load(),
+		FramesDropped:   n.ctr.framesDropped.Load(),
+		FramesNoDest:    n.ctr.framesNoDest.Load(),
+		FramesDuplicate: n.ctr.framesDuplicate.Load(),
+		FramesReordered: n.ctr.framesReordered.Load(),
+		FramesCorrupted: n.ctr.framesCorrupted.Load(),
+		BytesSent:       n.ctr.bytesSent.Load(),
+		WireTime:        time.Duration(n.ctr.wireTimeNs.Load()),
 	}
 }
 
@@ -412,9 +418,6 @@ func (n *Network) ResetStats() {
 	n.ctr.framesDuplicate.Store(0)
 	n.ctr.framesReordered.Store(0)
 	n.ctr.framesCorrupted.Store(0)
-	n.ctr.framesLinkDown.Store(0)
-	n.ctr.framesPartitioned.Store(0)
-	n.ctr.framesRuleDropped.Store(0)
 	n.ctr.bytesSent.Store(0)
 	n.ctr.wireTimeNs.Store(0)
 }
@@ -439,10 +442,10 @@ func (nic *NIC) SetReceiver(f func(frame []byte)) {
 	nic.recv.Store(wire.FrameReceiver(f))
 }
 
-// sendFast is the contended-delivery fast path: with no faults, capture,
-// spans, or scenario state configured, a unicast frame needs only counter
-// updates and a lookup in the read-only NIC snapshot — concurrent senders
-// never touch the segment lock. It accounts one frame of size bytes and
+// sendFast is the contended-delivery fast path: with no faults, capture
+// or spans configured, a unicast frame needs only counter updates and a
+// lookup in the read-only NIC snapshot — concurrent senders never touch
+// the segment lock. It accounts one frame of size bytes and
 // returns the NIC it is delivered to, nil when nothing is attached at
 // dst; ok is false when the frame must take the locked path instead. A
 // mutator flipping the flag concurrently is ordered exactly as if it ran
@@ -470,9 +473,9 @@ func (n *Network) serialization(size int) time.Duration {
 // SendMsg transmits the frame m to dst and consumes m. On the fast path
 // the receiving NIC is handed m itself: the sender's message is the
 // receiver's, and no byte is copied. Anything the fast path does not
-// cover — faults, scenario rules that read frame bytes, capture, spans,
-// broadcast — flattens m once and is Send, so frame records, wire logs
-// and fault schedules do not depend on which form a frame was sent in.
+// cover — faults, capture, spans, broadcast — flattens m once and is
+// Send, so frame records, wire logs and fault schedules do not depend on
+// which form a frame was sent in.
 func (nic *NIC) SendMsg(dst xk.EthAddr, m *msg.Msg) error {
 	n := nic.net
 	if m.Len() > n.cfg.MTU+EthHeaderBytes {
@@ -512,19 +515,6 @@ func (nic *NIC) Send(dst xk.EthAddr, frame []byte) error {
 	capture := n.capture
 	fl := n.flight
 	rec, sid, sendNs := n.wireSpanLocked(len(frame))
-
-	// Scenario faults (link state, partition, drop rules) veto frames
-	// before the probabilistic injector sees them; a vetoed frame does
-	// not release the reorder hold.
-	if disp := n.vetoLocked(nic.addr, dst, index, frame); disp != "" {
-		n.mu.Unlock()
-		n.closeWireSpan(rec, sid, sendNs, ser.Nanoseconds(), 0, nic.addr, dst, disp)
-		if capture != nil {
-			capture(n.record(index, nic.addr, dst, frame, disp))
-		}
-		flightWire(fl, disp, nic.addr, dst, index, len(frame))
-		return nil
-	}
 
 	// Fault injection.
 	if n.cfg.LossRate > 0 && n.rng.Float64() < n.cfg.LossRate {
@@ -639,18 +629,13 @@ func (n *Network) deliver(src *NIC, dst xk.EthAddr, frame []byte) {
 	n.mu.Lock()
 	if dst.IsBroadcast() {
 		for _, t := range n.nics {
-			if t != src && n.receivableLocked(src.addr, t.addr) {
+			if t != src {
 				targets = append(targets, t)
 			}
 		}
 		sortNICs(targets)
 	} else if t, ok := n.nics[dst]; ok {
-		// Re-check scenario faults at delivery time: a frame released
-		// from the reorder hold may have crossed a link or partition
-		// change since its send-time veto check.
-		if n.receivableLocked(src.addr, t.addr) {
-			targets = append(targets, t)
-		}
+		targets = append(targets, t)
 	} else {
 		n.ctr.framesNoDest.Add(1)
 	}
@@ -659,6 +644,16 @@ func (n *Network) deliver(src *NIC, dst xk.EthAddr, frame []byte) {
 
 	for _, t := range targets {
 		t.handle(frame)
+	}
+}
+
+// sortNICs orders NICs by hardware address so broadcast fan-out is
+// deterministic (map iteration order is not).
+func sortNICs(nics []*NIC) {
+	for i := 1; i < len(nics); i++ {
+		for j := i; j > 0 && bytes.Compare(nics[j].addr[:], nics[j-1].addr[:]) < 0; j-- {
+			nics[j], nics[j-1] = nics[j-1], nics[j]
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // contract; the Network already honors it (the seam's contract was
 // written from this implementation), so the adapter below only narrows
 // types: *NIC is a wire.Link as-is, and netWire maps the segment's
-// richer fault taxonomy onto the seam's flat counters.
+// counters onto the seam's.
 
 package sim
 
@@ -15,8 +15,8 @@ import (
 // stateless: every call lands on the Network, and the Links it hands
 // out are the Network's own *NICs, so the per-frame path gains no
 // indirection. Callers that need the simulator's extra surface
-// (scenario faults, capture, the virtual clock) unwrap it with
-// Unwrap.
+// (capture, spans, the virtual clock, wire-time accounting) unwrap it
+// with Unwrap.
 func (n *Network) AsWire() wire.Wire { return netWire{n} }
 
 // Factory returns a wire.Factory minting one fresh segment per call
@@ -28,9 +28,13 @@ func Factory(cfg Config) wire.Factory {
 }
 
 // Unwrap recovers the *Network behind a seam Wire, or nil when w is a
-// different backend (or an Injector — the chaos engine reaches the
-// simulator directly, never through the injector).
+// different backend. It looks through a wire.Injector: scripted faults
+// are the injector's on every backend, so a chaos run reaches the
+// simulator behind one for what only a simulator has.
 func Unwrap(w wire.Wire) *Network {
+	if inj, ok := w.(*wire.Injector); ok {
+		w = inj.Inner()
+	}
 	if nw, ok := w.(netWire); ok {
 		return nw.n
 	}
@@ -67,16 +71,14 @@ func (w netWire) MTU() int { return w.n.MTU() }
 // Close is a no-op: the segment holds no sockets or goroutines.
 func (w netWire) Close() error { return nil }
 
-// Stats folds the simulator's fault taxonomy into the seam's flat
-// counters: everything the segment deliberately ate is a drop.
+// Stats narrows the segment's counters to the seam's.
 func (w netWire) Stats() wire.Stats {
 	s := w.n.Stats()
 	return wire.Stats{
 		FramesSent:      s.FramesSent,
 		FramesDelivered: s.FramesDelivered,
-		FramesDropped: s.FramesDropped + s.FramesLinkDown +
-			s.FramesPartitioned + s.FramesRuleDropped,
-		FramesNoDest: s.FramesNoDest,
-		BytesSent:    s.BytesSent,
+		FramesDropped:   s.FramesDropped,
+		FramesNoDest:    s.FramesNoDest,
+		BytesSent:       s.BytesSent,
 	}
 }

@@ -51,11 +51,8 @@ type Host struct {
 	Name  string
 	Clock event.Clock
 
-	// Link is the host's attachment to its wire, whatever the backend;
-	// NIC is the same attachment when the backend is the simulator
-	// (nil otherwise — sim-coupled tests and chaos faults use it).
+	// Link is the host's attachment to its wire, whatever the backend.
 	Link    wire.Link
-	NIC     *sim.NIC
 	wire    wire.Wire
 	network *sim.Network
 	Eth     *eth.Protocol
@@ -94,9 +91,6 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	h.Link = link
 	h.wire = w
 	h.network = sim.Unwrap(w)
-	if nic, ok := link.(*sim.NIC); ok {
-		h.NIC = nic
-	}
 	h.Eth = eth.New(cfg.Name+"/eth", link)
 
 	acfg := cfg.ARP

@@ -1,15 +1,17 @@
-// Fault injection at the seam. The simulator carries its own scenario
-// fault machinery (sim/faults.go) because it IS the wire there; a real
-// backend like wire/udp carries none — the OS delivers what it
-// delivers. The Injector restores the scripted-adversity half of the
-// chaos contract for such backends: a wrapper Wire that vetoes frames
-// between the driver and the inner backend, deterministically, with
-// every veto visible through a hook.
+// Fault injection at the seam: the one place a scripted fault is
+// decided. A backend is a physical model — the simulator's segment, the
+// OS's sockets — and carries no scenario machinery of its own. The
+// Injector is the object interposed on the uniform interface: a wrapper
+// Wire that vetoes frames between the driver and the inner backend,
+// deterministically, with every veto visible through a hook. Chaos
+// scenarios, and any test that wants "the third reply vanishes", script
+// it here, over whichever backend carries the frames.
 //
-// Only the deterministic scenario faults are reproduced (count-based
-// drops, predicate drops, link state). The probabilistic knobs and the
-// reorder hold stay simulator-only: they need a seeded RNG and a
-// virtual clock to mean anything reproducible.
+// The board is deterministic by construction: a rule either matches a
+// frame or it does not, a link is either down or it is not, and nothing
+// consults an RNG. What needs a seeded RNG and a virtual clock to mean
+// anything reproducible — the probabilistic loss/dup/corrupt knobs and
+// the reorder hold — stays in the simulator.
 
 package wire
 
@@ -25,22 +27,28 @@ type Injector struct {
 	inner Wire
 
 	// OnDrop, when set, observes every vetoed frame (the chaos engine
-	// points it at the flight recorder). It runs on the sender's
-	// goroutine; index is the 1-based ordinal of the frame among all
-	// frames offered to this injector. Set it before traffic flows.
+	// points it at the wire log and the flight recorder). A frame vetoed
+	// when offered is reported on the sender's goroutine with its 1-based
+	// ordinal among all frames offered to this injector. A copy eaten at
+	// delivery (the receiving link is down) is reported on the delivering
+	// goroutine with dst the link that ate it, src the sender named in
+	// the frame's ethernet header (zero when the frame is too short to
+	// carry one) and index 0: the frame was numbered when it was offered,
+	// and the ordinal does not cross the inner wire with it. Set OnDrop
+	// before traffic flows.
 	OnDrop func(disposition string, src, dst xk.EthAddr, index int64, size int)
 
-	mu       sync.Mutex
-	links    map[Link]*injLink
-	down     map[xk.EthAddr]bool
-	dropNext int
-	rules    []*injRule
-	ruleSeq  int
-	seq      int64
-	dropped  int64
+	mu        sync.Mutex
+	down      map[xk.EthAddr]bool
+	dropNext  int
+	rules     []*injRule
+	ruleSeq   int
+	seq       int64 // frames offered so far
+	sendDrops int64 // vetoed when offered: the inner wire never saw them
+	recvDrops int64 // eaten at delivery: the inner wire counted them delivered
 }
 
-// injRule mirrors the simulator's Rule in its deterministic subset.
+// injRule is one installed predicate drop plus its accounting.
 type injRule struct {
 	id    int
 	match func(src, dst xk.EthAddr) bool
@@ -48,19 +56,37 @@ type injRule struct {
 	hits  int
 }
 
-// Injector dispositions, matching the simulator's capture vocabulary so
-// flight dumps read the same off-simulator.
+// Injector dispositions: the whole vocabulary of a scripted veto, on
+// every backend. "drop" is also what the simulator calls a frame its
+// seeded loss rate ate, so a burst reads the same in a wire log whichever
+// of the two caused it.
 const (
-	DropRuled    = "ruledrop"
-	DropNexted   = "drop"
-	DropLinkDown = "linkdown"
+	DropRuled    = "ruledrop" // matched a DropWhere rule (a partition is one)
+	DropNexted   = "drop"     // consumed DropNext budget
+	DropLinkDown = "linkdown" // sent from, to, or delivered to a down link
 )
 
 // NewInjector wraps inner. The zero state injects nothing: every frame
 // passes through untouched.
 func NewInjector(inner Wire) *Injector {
-	return &Injector{inner: inner, links: make(map[Link]*injLink)}
+	return &Injector{inner: inner}
 }
+
+// Injected returns a factory minting f's wires each behind an Injector
+// of its own; the Wire it returns is the *Injector.
+func Injected(f Factory) Factory {
+	return func() (Wire, error) {
+		inner, err := f()
+		if err != nil {
+			return nil, err
+		}
+		return NewInjector(inner), nil
+	}
+}
+
+// Inner returns the wire the injector wraps, for callers that need the
+// backend's own surface (sim.Unwrap finds the simulator through it).
+func (i *Injector) Inner() Wire { return i.inner }
 
 // Attach binds a link on the inner wire and interposes on it.
 func (i *Injector) Attach(addr xk.EthAddr) (Link, error) {
@@ -68,24 +94,15 @@ func (i *Injector) Attach(addr xk.EthAddr) (Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &injLink{inj: i, inner: inner}
-	i.mu.Lock()
-	i.links[inner] = l
-	i.mu.Unlock()
-	return l, nil
+	return &injLink{inj: i, inner: inner}, nil
 }
 
 // Detach removes the wrapped link from the inner wire.
 func (i *Injector) Detach(l Link) {
-	il, ok := l.(*injLink)
-	if !ok {
-		i.inner.Detach(l)
-		return
+	if il, ok := l.(*injLink); ok {
+		l = il.inner
 	}
-	i.mu.Lock()
-	delete(i.links, il.inner)
-	i.mu.Unlock()
-	i.inner.Detach(il.inner)
+	i.inner.Detach(l)
 }
 
 // Reattach restores a previously detached wrapped link, provided the
@@ -99,13 +116,7 @@ func (i *Injector) Reattach(l Link) error {
 	if !ok {
 		return ErrDetached
 	}
-	if err := r.Reattach(il.inner); err != nil {
-		return err
-	}
-	i.mu.Lock()
-	i.links[il.inner] = il
-	i.mu.Unlock()
-	return nil
+	return r.Reattach(il.inner)
 }
 
 // MTU reports the inner wire's MTU.
@@ -114,16 +125,20 @@ func (i *Injector) MTU() int { return i.inner.MTU() }
 // Close closes the inner wire.
 func (i *Injector) Close() error { return i.inner.Close() }
 
-// Stats folds the injector's vetoes into the inner counters: a vetoed
-// frame counts as sent and dropped, matching the simulator's accounting
-// for frames its own injector ate.
+// Stats folds the injector's vetoes into the inner counters, so that
+// FramesDropped is everything deliberately eaten, whoever ate it. A
+// frame vetoed when offered never reached the inner wire: it is sent
+// and dropped here. A copy eaten at delivery was sent once and counted
+// delivered by the inner wire: it moves from delivered to dropped and is
+// not another send.
 func (i *Injector) Stats() Stats {
 	s := i.inner.Stats()
 	i.mu.Lock()
-	d := i.dropped
+	sent, recv := i.sendDrops, i.recvDrops
 	i.mu.Unlock()
-	s.FramesSent += d
-	s.FramesDropped += d
+	s.FramesSent += sent
+	s.FramesDelivered -= recv
+	s.FramesDropped += sent + recv
 	return s
 }
 
@@ -137,7 +152,11 @@ func (i *Injector) DropNext(n int) {
 
 // DropWhere installs a predicate drop rule eating up to count frames
 // (0 = unlimited) for which match(src, dst) is true. It returns an id
-// for RemoveRule.
+// for RemoveRule. Rules are tried in installation order and the first
+// match wins. match runs with the injector's lock held, once per offered
+// frame in offer order until the rule's budget is spent — so a closure
+// that counts its calls arms a rule late, deterministically — and must
+// not call back into the injector.
 func (i *Injector) DropWhere(match func(src, dst xk.EthAddr) bool, count int) int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -160,7 +179,9 @@ func (i *Injector) RemoveRule(id int) {
 
 // SetLinkState raises (up=true) or cuts (up=false) the link bound to
 // addr: frames sent from it, unicast to it, or delivered to it are
-// eaten while it is down. The link stays attached, as in the simulator.
+// eaten while it is down. The link stays attached — a down link models a
+// cable pull or a powered-off interface, while Detach models the
+// interface itself going away.
 func (i *Injector) SetLinkState(addr xk.EthAddr, up bool) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -174,8 +195,10 @@ func (i *Injector) SetLinkState(addr xk.EthAddr, up bool) {
 	i.down[addr] = true
 }
 
-// veto decides one offered frame; it returns the disposition of a
-// dropped frame ("" = pass) and the frame's ordinal.
+// veto decides one offered frame, in precedence order: link state, the
+// DropNext budget, then the rules. It returns the disposition of a
+// dropped frame ("" = pass) and the frame's ordinal — the only place an
+// ordinal is handed out.
 func (i *Injector) veto(src, dst xk.EthAddr) (string, int64) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -202,21 +225,22 @@ func (i *Injector) veto(src, dst xk.EthAddr) (string, int64) {
 		}
 	}
 	if disp != "" {
-		i.dropped++
+		i.sendDrops++
 	}
 	return disp, index
 }
 
-// vetoRecv decides a frame at delivery time (receiver link down).
-func (i *Injector) vetoRecv(dst xk.EthAddr) (bool, int64) {
+// vetoRecv decides a frame at delivery time: a down link also stops
+// hearing. Send-time vetoes cover unicast; this covers broadcast fan-out
+// and a frame that was in flight when the link went down.
+func (i *Injector) vetoRecv(dst xk.EthAddr) bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if i.down[dst] {
-		i.seq++
-		i.dropped++
-		return true, i.seq
+		i.recvDrops++
+		return true
 	}
-	return false, 0
+	return false
 }
 
 // injLink interposes on one attachment.
@@ -262,17 +286,16 @@ func (l *injLink) SendMsg(dst xk.EthAddr, m *msg.Msg) error {
 	return l.inner.SendMsg(dst, m)
 }
 
-// recvVetoed decides a frame of size bytes at delivery time: a down link
-// also stops hearing.
-func (l *injLink) recvVetoed(size int) bool {
-	self := l.inner.Addr()
-	eaten, index := l.inj.vetoRecv(self)
-	if eaten {
-		if h := l.inj.OnDrop; h != nil {
-			h(DropLinkDown, self, self, index, size)
+// dropAtDelivery reports a copy of size bytes eaten at this link; hdr is
+// the frame's leading bytes, from which the sender is read.
+func (l *injLink) dropAtDelivery(hdr []byte, size int) {
+	if f := l.inj.OnDrop; f != nil {
+		var src xk.EthAddr
+		if len(hdr) >= 12 {
+			copy(src[:], hdr[6:12]) // ethernet header: dst(6) src(6) type(2)
 		}
+		f(DropLinkDown, src, l.inner.Addr(), 0, size)
 	}
-	return eaten
 }
 
 // SetReceiver interposes on delivery.
@@ -282,9 +305,11 @@ func (l *injLink) SetReceiver(f func(frame []byte)) {
 		return
 	}
 	l.inner.SetReceiver(func(frame []byte) {
-		if !l.recvVetoed(len(frame)) {
-			f(frame)
+		if l.inj.vetoRecv(l.inner.Addr()) {
+			l.dropAtDelivery(frame, len(frame))
+			return
 		}
+		f(frame)
 	})
 }
 
@@ -295,8 +320,14 @@ func (l *injLink) SetMsgReceiver(f func(m *msg.Msg)) {
 		return
 	}
 	l.inner.SetMsgReceiver(func(m *msg.Msg) {
-		if !l.recvVetoed(m.Len()) {
-			f(m)
+		if l.inj.vetoRecv(l.inner.Addr()) {
+			hdr, err := m.Peek(12)
+			if err != nil {
+				hdr = nil // too short to name a sender
+			}
+			l.dropAtDelivery(hdr, m.Len())
+			return
 		}
+		f(m)
 	})
 }

@@ -109,8 +109,11 @@ go test ./internal/wire/udp/ -run '^$' -fuzz FuzzUDPFrame -fuzztime 5s
 
 echo "== udp loopback smoke (real sockets under the load engine) =="
 # One quick sweep over the real UDP wire: proves the seam end-to-end
-# off-simulator and that the report is well-formed.
-go run ./cmd/xkload -wire udp -stacks L_RPC-VIP -clients 1 -duration 100ms -json - | grep -q '"kind": "load"'
+# off-simulator and that the report is well-formed. (grep reads the whole
+# stream here and in the two smokes below: under pipefail, grep -q leaving
+# at the first match kills the producer with SIGPIPE on its next write and
+# fails a stage whose output was right.)
+go run ./cmd/xkload -wire udp -stacks L_RPC-VIP -clients 1 -duration 100ms -json - | grep '"kind": "load"' > /dev/null
 
 echo "== allow-grammar fuzz smoke (xkvet suppression parser) =="
 # The //xk:allow parser gates what the analyzers silence; it must never
@@ -134,7 +137,7 @@ echo "== xkmon smoke (gauge sweep + saturation-knee render) =="
 # A minimal live sweep must render the knee summary and the per-level
 # gauge table; the flight-dump path is exercised by the chaos flight
 # tests in the race suite above.
-go run ./cmd/xkmon -live -stacks L_RPC-VIP -clients 1,8 -duration 100ms | grep -q "saturation knees"
+go run ./cmd/xkmon -live -stacks L_RPC-VIP -clients 1,8 -duration 100ms | grep "saturation knees" > /dev/null
 
 echo "== benchmark regression gate (vs committed Table I baseline) =="
 # Relative mode normalizes by the table mean, so the committed baseline
@@ -162,7 +165,7 @@ echo "== xkprof smoke (profile capture -> stdlib decode -> layer table) =="
 # stack, decodes them with the stdlib-only pprof reader, and requires
 # a non-empty per-layer resource table.
 profdir="$(mktemp -d)"
-go run ./cmd/xkprof -capture "$profdir" -json "$profdir/xkprof.json" | grep -q "total: cpu"
+go run ./cmd/xkprof -capture "$profdir" -json "$profdir/xkprof.json" | grep "total: cpu" > /dev/null
 rm -rf "$profdir"
 
 echo "== profile regression gate (vs committed resource anatomy) =="
@@ -173,5 +176,9 @@ echo "== profile regression gate (vs committed resource anatomy) =="
 # work reintroduced in channel. Mutex shares are reported but too
 # sparse in a short capture to gate.
 go run ./cmd/xkbench -compare BENCH_prof1.json -threshold 20
+
+echo "== size (Go lines; the non-test count is the one ROADMAP aim 2 tracks) =="
+echo "non-test: $(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+echo "test:     $(find . -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 
 echo "OK"

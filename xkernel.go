@@ -110,7 +110,8 @@ type (
 	// to choose a transport backend.
 	WireFactory = wire.Factory
 	// WireInjector wraps any Wire with deterministic scripted faults
-	// (targeted drops, link state) for off-simulator chaos.
+	// (burst and targeted drops, link state): the one fault board, over
+	// the simulator and real backends alike.
 	WireInjector = wire.Injector
 	// UDPWireConfig parameterizes the real UDP-socket backend.
 	UDPWireConfig = udpwire.Config
@@ -140,10 +141,6 @@ type (
 	SpanEpsilon = anatomy.Epsilon
 	// FrameRecord is one captured wire frame with its disposition.
 	FrameRecord = sim.FrameRecord
-	// FaultRule is a deterministic, predicate-targeted frame drop.
-	FaultRule = sim.Rule
-	// FaultInfo describes a frame at fault-rule decision time.
-	FaultInfo = sim.FaultInfo
 	// Stack names a measured protocol configuration from the paper.
 	Stack = bench.Stack
 	// ChaosConfig parameterizes one chaos run: stack, network,
@@ -252,8 +249,8 @@ var (
 	UDPWireFactory = udpwire.Factory
 	// NewWireInjector wraps a Wire with the scripted fault injector.
 	NewWireInjector = wire.NewInjector
-	// UnwrapNetwork returns the simulator behind a Wire, or nil when
-	// the backend is not the simulator.
+	// UnwrapNetwork returns the simulator behind a Wire (looking through
+	// a WireInjector), or nil when the backend is not the simulator.
 	UnwrapNetwork = sim.Unwrap
 	// NewApp wraps a delivery callback as a top-of-stack Protocol.
 	NewApp = xk.NewApp
