@@ -114,12 +114,7 @@ func main() {
 }
 
 func lookupStack(name string) (bench.Stack, error) {
-	all := []bench.Stack{
-		bench.NRPC, bench.MRPCEth, bench.MRPCIP, bench.MRPCVIP, bench.LRPCVIP,
-		bench.VIPOnly, bench.FragVIP, bench.ChanFragVIP, bench.SelChanFragVIP,
-		bench.SelChanVIPsize, bench.UDPIP,
-	}
-	for _, s := range all {
+	for _, s := range bench.Stacks() {
 		if strings.EqualFold(string(s), name) {
 			return s, nil
 		}

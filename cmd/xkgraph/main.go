@@ -20,7 +20,8 @@ import (
 	"xkernel"
 )
 
-// figure pairs a caption with a composition spec.
+// figure pairs a caption with a composition spec. Figure 3's two halves
+// are measured stacks, so their specs are the stack table's.
 type figure struct {
 	caption string
 	spec    string
@@ -42,22 +43,11 @@ psync     fragment
 	},
 	3: {
 		caption: "Figure 3(a): layered RPC — SELECT-CHANNEL-FRAGMENT-VIP",
-		spec: `
-vip      eth ip
-fragment vip
-channel  fragment
-select   channel
-`,
+		spec:    xkernel.StackSpec(xkernel.StackLRPCVIP),
 	},
 	4: {
 		caption: "Figure 3(b): FRAGMENT moved below VIPsize — SELECT-CHANNEL-VIPsize{FRAGMENT-VIPaddr, VIPaddr}",
-		spec: `
-vipaddr  eth ip
-fragment vipaddr
-vipsize  fragment vipaddr
-channel  vipsize
-select   channel
-`,
+		spec:    xkernel.StackSpec(xkernel.StackVIPsize),
 	},
 }
 

@@ -42,24 +42,12 @@ import (
 	"xkernel"
 )
 
-var specs = map[string]string{
-	"layered": `
-vip      eth ip
-fragment vip
-channel  fragment
-select   channel
-`,
-	"mono": `
-vip  eth ip
-mrpc vip
-`,
-	"bypass": `
-vipaddr  eth ip
-fragment vipaddr
-vipsize  fragment vipaddr
-channel  vipsize
-select   channel
-`,
+// stacks maps the -stack names onto the measured configurations; the
+// graph traced is the table's spec for it, the one bench composes.
+var stacks = map[string]xkernel.Stack{
+	"layered": xkernel.StackLRPCVIP,
+	"mono":    xkernel.StackMRPCVIP,
+	"bypass":  xkernel.StackVIPsize,
 }
 
 func main() {
@@ -72,14 +60,14 @@ func main() {
 	chaosRun := flag.Bool("chaos", false, "run the partition+reboot chaos scenario against the stack instead of tracing a call")
 	flag.Parse()
 
-	spec, ok := specs[*stack]
+	target, ok := stacks[*stack]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "xktrace: unknown stack %q (want layered, mono, or bypass)\n", *stack)
 		os.Exit(1)
 	}
 
 	if *chaosRun {
-		if err := runChaos(*stack, *size); err != nil {
+		if err := runChaos(target, *size); err != nil {
 			fmt.Fprintf(os.Stderr, "xktrace: %v\n", err)
 			os.Exit(1)
 		}
@@ -97,13 +85,14 @@ func main() {
 		xkernel.SetTraceLevel(xkernel.TraceEvents)
 	}
 
-	if err := run(human, spec, *stack, *size, *jsonl, *filter, *spans); err != nil {
+	if err := run(human, target, *size, *jsonl, *filter, *spans); err != nil {
 		fmt.Fprintf(os.Stderr, "xktrace: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(human io.Writer, spec, stack string, size int, jsonl bool, filter string, spans bool) error {
+func run(human io.Writer, stack xkernel.Stack, size int, jsonl bool, filter string, spans bool) error {
+	spec := xkernel.StackSpec(stack)
 	client, server, network, err := xkernel.TwoHosts(xkernel.NetConfig{}, nil)
 	if err != nil {
 		return err
@@ -159,7 +148,7 @@ func run(human io.Writer, spec, stack string, size int, jsonl bool, filter strin
 	}
 
 	var sess xkernel.Session
-	if stack == "mono" {
+	if stack == xkernel.StackMRPCVIP {
 		srv, err := server.MRPC("mrpc")
 		if err != nil {
 			return err
@@ -258,19 +247,10 @@ func us(ns int64) string {
 	return fmt.Sprintf("%.1fus", float64(ns)/1000)
 }
 
-// chaosStacks maps the -stack names onto bench configurations with a
-// reliability layer (the ones whose invariants a chaos run can check).
-var chaosStacks = map[string]xkernel.Stack{
-	"layered": xkernel.StackLRPCVIP,
-	"mono":    xkernel.StackMRPCVIP,
-	"bypass":  xkernel.StackVIPsize,
-}
-
 // runChaos drives the partition+server-reboot scenario against the
 // chosen stack and prints the call ledger, wire log, and invariant
 // verdict.
-func runChaos(stack string, size int) error {
-	target := chaosStacks[stack]
+func runChaos(target xkernel.Stack, size int) error {
 	const calls = 12
 	res, err := xkernel.ChaosExecute(xkernel.ChaosConfig{
 		Stack:        target,

@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"xkernel/internal/msg"
@@ -9,10 +12,89 @@ import (
 )
 
 // allStacks lists every configuration the experiments measure.
-var allStacks = []Stack{
-	NRPC, MRPCEth, MRPCIP, MRPCVIP,
-	LRPCVIP, ChanFragVIP, FragVIP, VIPOnly,
-	SelChanVIPsize, UDPIP,
+var allStacks = Stacks()
+
+// TestDesignStackTable keeps DESIGN.md's stack → spec table a reading of
+// stackTable rather than a copy that can drift: one row per entry,
+// spelled from the code's spec and top instance.
+func TestDesignStackTable(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, def := range stackTable {
+		spec := "(the base graph alone)"
+		if lines := strings.Split(strings.TrimSpace(def.spec), "\n"); def.spec != "" {
+			spec = "`" + strings.Join(lines, "` / `") + "`"
+		}
+		row := fmt.Sprintf("| `%s` | %s | `%s` |\n", def.stack, spec, def.top)
+		if !bytes.Contains(design, []byte(row)) {
+			t.Errorf("DESIGN.md lacks the row %q", row)
+		}
+	}
+}
+
+// boundAbove marks the stacks whose endpoint opens sessions through the
+// uniform interface and so binds above a boundary on its top instance;
+// the typed endpoints (SELECT, the Sprite engines, SUN_SELECT) drive
+// theirs directly.
+var boundAbove = map[Stack]bool{VIPOnly: true, FragVIP: true, ChanFragVIP: true, UDPIP: true}
+
+// TestEveryStackIsItsSpec holds the table to its word: each stack's two
+// kernels hold exactly the spec's instances and edges, a plain build
+// interposes nothing, and an instrumented one has a meter layer on both
+// hosts for every edge of the spec (and above the top instance where the
+// endpoint binds through it) — one placement rule for every stack.
+func TestEveryStackIsItsSpec(t *testing.T) {
+	for _, def := range stackTable {
+		t.Run(string(def.stack), func(t *testing.T) {
+			var lines [][]string
+			for _, line := range strings.Split(def.spec, "\n") {
+				if f := strings.Fields(line); len(f) > 0 {
+					lines = append(lines, f)
+				}
+			}
+			plain, err := Build(def.stack, sim.Config{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, m, err := BuildInstrumented(def.stack, sim.Config{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layers := make(map[string]bool)
+			for _, l := range m.Layers() {
+				layers[l] = true
+			}
+			for i, host := range []string{"client", "server"} {
+				k := plain.kernels[i]
+				if got, want := len(k.Instances()), 5+len(lines); got != want {
+					t.Errorf("%s: %d instances %v, want the base graph's 5 plus %d", host, got, k.Instances(), len(lines))
+				}
+				for _, f := range lines {
+					edge := fmt.Sprintf("  %-12s -> %s\n", f[0], strings.Join(f[1:], ", "))
+					if !strings.Contains(k.Graph(), edge) {
+						t.Errorf("%s graph lacks %q:\n%s", host, edge, k.Graph())
+					}
+				}
+				if made := k.Meter().Layers(); len(made) != 0 {
+					t.Errorf("%s: plain build interposed boundaries %v", host, made)
+				}
+				var boundaries []string
+				for _, f := range lines {
+					boundaries = append(boundaries, f[1:]...)
+				}
+				if boundAbove[def.stack] {
+					boundaries = append(boundaries, def.top)
+				}
+				for _, b := range boundaries {
+					if !layers[host+"/"+b] {
+						t.Errorf("instrumented build has no %s/%s layer (have %v)", host, b, m.Layers())
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestNullRoundTripEveryStack(t *testing.T) {

@@ -2,13 +2,18 @@ package bench
 
 import (
 	"bytes"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"xkernel/internal/msg"
+	"xkernel/internal/settle"
 	"xkernel/internal/sim"
+	"xkernel/internal/wire"
+	udpwire "xkernel/internal/wire/udp"
 )
 
 // tiny makes table generation fast enough for unit tests.
@@ -85,9 +90,33 @@ func TestSlopeFit(t *testing.T) {
 	}
 }
 
+// TestBuildUnknownStack: a build that fails leaves nothing behind. An
+// unknown name is refused from the table before a wire is minted; a
+// ledger whose directory cannot be created closes the wire the hosts were
+// attached to — over UDP, two sockets and their reader goroutines.
 func TestBuildUnknownStack(t *testing.T) {
-	if _, err := Build(Stack("NOPE"), sim.Config{}, nil); err == nil {
-		t.Fatal("unknown stack accepted")
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing")) // os.MkdirTemp fails
+	for _, c := range []struct {
+		stack Stack
+		wires int
+	}{
+		{"NOPE", 0},
+		{"NOPE+mem", 0},
+		{LRPCVIP + "+wal-always", 1},
+	} {
+		baseline := runtime.NumGoroutine()
+		minted := 0
+		f := func() (wire.Wire, error) {
+			minted++
+			return udpwire.New(udpwire.Config{})
+		}
+		if _, err := BuildOn(c.stack, f, nil); err == nil {
+			t.Errorf("%s: build succeeded", c.stack)
+		}
+		if minted != c.wires {
+			t.Errorf("%s: minted %d wires, want %d", c.stack, minted, c.wires)
+		}
+		settle.Expect(t, baseline, time.Second)
 	}
 }
 

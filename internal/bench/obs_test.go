@@ -2,8 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
+	"xkernel/internal/event"
 	"xkernel/internal/obs"
 	"xkernel/internal/sim"
 )
@@ -15,33 +19,34 @@ var echoStacks = map[Stack]bool{
 	LRPCVIP: true, SelChanFragVIP: true, ChanFragVIP: true, SelChanVIPsize: true,
 }
 
-// equivStacks lists every distinct configuration (LRPCVIP and
-// SelChanFragVIP are the same build, so only one appears).
-var equivStacks = []Stack{
-	NRPC, MRPCEth, MRPCIP, MRPCVIP, SelChanFragVIP,
-	ChanFragVIP, FragVIP, VIPOnly, SelChanVIPsize, UDPIP,
-}
+// equivStacks lists every distinct configuration: the table minus
+// L_RPC-VIP, the second name of SELECT-CHANNEL-FRAGMENT-VIP's graph.
+var equivStacks = func() (distinct []Stack) {
+	for _, s := range Stacks() {
+		if s != LRPCVIP {
+			distinct = append(distinct, s)
+		}
+	}
+	return distinct
+}()
 
-// runWorkload drives a fixed, deterministic exchange and returns the
-// captured wire frames and any echo replies.
-func runWorkload(t *testing.T, stack Stack, instrumented bool) (frames []sim.FrameRecord, echoes [][]byte, m *obs.Meter) {
+// driveWorkload runs the fixed exchange every wire-equivalence test
+// compares: five nulls, one 1000-byte call, and — where the stack echoes
+// — echoes of 64 and 3000 bytes. between, if set, runs after each
+// operation.
+func driveWorkload(t *testing.T, tb *Testbed, between func()) (echoes [][]byte) {
 	t.Helper()
-	var tb *Testbed
-	var err error
-	if instrumented {
-		tb, m, err = BuildInstrumented(stack, sim.Config{}, nil)
-	} else {
-		tb, err = Build(stack, sim.Config{}, nil)
+	step := func() {
+		if between != nil {
+			between()
+		}
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.Network.SetCapture(func(r sim.FrameRecord) { frames = append(frames, r) })
-
+	stack := tb.Stack
 	for i := 0; i < 5; i++ {
 		if err := tb.End.RoundTrip(nil); err != nil {
 			t.Fatalf("%s null round trip %d: %v", stack, i, err)
 		}
+		step()
 	}
 	payload := make([]byte, 1000)
 	for i := range payload {
@@ -50,6 +55,7 @@ func runWorkload(t *testing.T, stack Stack, instrumented bool) (frames []sim.Fra
 	if err := tb.End.RoundTrip(payload); err != nil {
 		t.Fatalf("%s 1000-byte round trip: %v", stack, err)
 	}
+	step()
 	if echoStacks[stack] {
 		for _, n := range []int{64, 3000} {
 			req := make([]byte, n)
@@ -61,8 +67,31 @@ func runWorkload(t *testing.T, stack Stack, instrumented bool) (frames []sim.Fra
 				t.Fatalf("%s echo(%d): %v", stack, n, err)
 			}
 			echoes = append(echoes, got)
+			step()
 		}
 	}
+	return echoes
+}
+
+// runWorkload drives the fixed exchange and returns the captured wire
+// frames and any echo replies. The testbed runs on a fake clock that
+// never advances: N.RPC probes a peer it has not heard from for 1 ms, so
+// on the wall clock a slow run earns probe frames a fast one does not
+// and two runs are not comparable frame by frame.
+func runWorkload(t *testing.T, stack Stack, instrumented bool) (frames []sim.FrameRecord, echoes [][]byte, m *obs.Meter) {
+	t.Helper()
+	var tb *Testbed
+	var err error
+	if instrumented {
+		tb, m, err = BuildInstrumented(stack, sim.Config{}, event.NewFake())
+	} else {
+		tb, err = Build(stack, sim.Config{}, event.NewFake())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Network.SetCapture(func(r sim.FrameRecord) { frames = append(frames, r) })
+	echoes = driveWorkload(t, tb, nil)
 	if m != nil && tb.Collect != nil {
 		tb.Collect()
 	}
@@ -73,8 +102,8 @@ func runWorkload(t *testing.T, stack Stack, instrumented bool) (frames []sim.Fra
 // every configuration, composing an obs.Wrap at every protocol boundary
 // must leave the wire byte-for-byte identical and the RPC results
 // unchanged versus the uninstrumented graph. The simulator is
-// deterministic (fixed seed, zero fault rates), so the two runs are
-// directly comparable frame by frame.
+// deterministic (fixed seed, zero fault rates) and the clock is fake, so
+// the two runs are directly comparable frame by frame.
 func TestInterpositionTransparency(t *testing.T) {
 	for _, stack := range equivStacks {
 		t.Run(string(stack), func(t *testing.T) {
@@ -109,6 +138,45 @@ func TestInterpositionTransparency(t *testing.T) {
 				if ls.Retransmits != 0 {
 					t.Errorf("layer %s: %d retransmits on a lossless wire", ls.Layer, ls.Retransmits)
 				}
+			}
+		})
+	}
+}
+
+// wireGolden is a digest of the frames the fixed workload puts on the
+// wire (bytes, source, destination, disposition, in order), recorded per
+// stack at the last commit that assembled each stack by hand. It is the
+// only check that a stack composed from its spec sends what the hand
+// builder sent; a protocol change that alters a header re-records it on
+// purpose.
+var wireGolden = map[Stack]string{
+	NRPC:           "80ad02f3eb53e1848ea6e887",
+	MRPCEth:        "f30cd8d6226f7c77733da9a6",
+	MRPCIP:         "1130ea5eeb30834b6cf6432b",
+	MRPCVIP:        "f30cd8d6226f7c77733da9a6", // local peer: VIP picks ETH, so M_RPC-ETH's wire
+	SelChanFragVIP: "fed8adafd1006a33a8b2f68d",
+	ChanFragVIP:    "5358b0c026dac1eabbdf02b2",
+	FragVIP:        "e26820fc529385e6e0b7a1e9",
+	VIPOnly:        "1725274a824887306545e6dd",
+	SelChanVIPsize: "f32c7e7f1685b3038258377f",
+	UDPIP:          "0251cebebfa15f8b767e98da",
+	SunRPCVIP:      "ba3c96d7b1bd6b0f7c093713",
+}
+
+func wireDigest(frames []sim.FrameRecord) string {
+	h := sha256.New()
+	for _, r := range frames {
+		fmt.Fprintf(h, "%s %s %s %x\n", r.Src, r.Dst, r.Disposition, r.Frame)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+func TestWireGolden(t *testing.T) {
+	for _, stack := range equivStacks {
+		t.Run(string(stack), func(t *testing.T) {
+			frames, _, _ := runWorkload(t, stack, false)
+			if got := wireDigest(frames); got != wireGolden[stack] {
+				t.Errorf("%d frames digest to %q, want %q", len(frames), got, wireGolden[stack])
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"xkernel/internal/event"
 	"xkernel/internal/obs/anatomy"
 	"xkernel/internal/obs/span"
 	"xkernel/internal/sim"
@@ -14,9 +15,9 @@ import (
 // spanWorkload drives the deterministic exchange from runWorkload with
 // a span recorder attached (enabled or not) and returns the wire
 // frames, echo replies, and the recorder.
-func spanWorkload(t *testing.T, stack Stack, cfg sim.Config, enable bool) (frames []sim.FrameRecord, echoes [][]byte, rec *span.Recorder) {
+func spanWorkload(t *testing.T, stack Stack, cfg sim.Config, clock event.Clock, enable bool) (frames []sim.FrameRecord, echoes [][]byte, rec *span.Recorder) {
 	t.Helper()
-	tb, _, err := BuildInstrumented(stack, cfg, nil)
+	tb, _, err := BuildInstrumented(stack, cfg, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,31 +37,7 @@ func spanWorkload(t *testing.T, stack Stack, cfg sim.Config, enable bool) (frame
 		mu.Unlock()
 	})
 
-	for i := 0; i < 5; i++ {
-		if err := tb.End.RoundTrip(nil); err != nil {
-			t.Fatalf("%s null round trip %d: %v", stack, i, err)
-		}
-	}
-	payload := make([]byte, 1000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	if err := tb.End.RoundTrip(payload); err != nil {
-		t.Fatalf("%s 1000-byte round trip: %v", stack, err)
-	}
-	if echoStacks[stack] {
-		for _, n := range []int{64, 3000} {
-			req := make([]byte, n)
-			for i := range req {
-				req[i] = byte(i * 7)
-			}
-			got, err := tb.End.Echo(req)
-			if err != nil {
-				t.Fatalf("%s echo(%d): %v", stack, n, err)
-			}
-			echoes = append(echoes, got)
-		}
-	}
+	echoes = driveWorkload(t, tb, nil)
 	// Release anything the reorder hold still owns so its wire spans
 	// close, then stop capturing before the recorder is read.
 	tb.Network.Flush()
@@ -80,7 +57,7 @@ func TestSpanWireTransparency(t *testing.T) {
 	for _, stack := range equivStacks {
 		t.Run(string(stack), func(t *testing.T) {
 			plainFrames, plainEchoes, _ := runWorkload(t, stack, false)
-			spanFrames, spanEchoes, rec := spanWorkload(t, stack, sim.Config{}, true)
+			spanFrames, spanEchoes, rec := spanWorkload(t, stack, sim.Config{}, event.NewFake(), true)
 
 			if rec.Len() == 0 {
 				t.Fatal("recorder enabled but captured nothing")
@@ -113,7 +90,7 @@ func TestSpanWireTransparency(t *testing.T) {
 // must stay empty through a full workload — the guard really is
 // checked before any capture.
 func TestSpanDisabledCapturesNothing(t *testing.T) {
-	_, _, rec := spanWorkload(t, SelChanFragVIP, sim.Config{}, false)
+	_, _, rec := spanWorkload(t, SelChanFragVIP, sim.Config{}, event.NewFake(), false)
 	if rec.Len() != 0 || rec.Dropped() != 0 {
 		t.Fatalf("disabled recorder holds %d spans, %d dropped", rec.Len(), rec.Dropped())
 	}
@@ -145,7 +122,7 @@ func checkSpanIntegrity(t *testing.T, spans []span.Span) {
 func TestSpanIntegritySync(t *testing.T) {
 	for _, stack := range equivStacks {
 		t.Run(string(stack), func(t *testing.T) {
-			_, _, rec := spanWorkload(t, stack, sim.Config{}, true)
+			_, _, rec := spanWorkload(t, stack, sim.Config{}, event.NewFake(), true)
 			spans := rec.Spans()
 			checkSpanIntegrity(t, spans)
 			a := anatomy.Analyze(spans)
@@ -172,7 +149,7 @@ func TestSpanIntegrityUnderFaults(t *testing.T) {
 	cfg := sim.Config{LossRate: 0.05, DupRate: 0.02, ReorderRate: 0.05, Seed: 3}
 	for _, stack := range []Stack{ChanFragVIP, MRPCVIP, NRPC} {
 		t.Run(string(stack), func(t *testing.T) {
-			_, _, rec := spanWorkload(t, stack, cfg, true)
+			_, _, rec := spanWorkload(t, stack, cfg, nil, true)
 			// Let in-flight timer-driven sends settle before reading.
 			time.Sleep(30 * time.Millisecond)
 			checkSpanIntegrity(t, rec.Spans())
@@ -186,7 +163,7 @@ func TestSpanIntegrityUnderFaults(t *testing.T) {
 // TestSpanIntegrityAsync runs capture with every delivery on its own
 // shepherd goroutine — the configuration the race detector leans on.
 func TestSpanIntegrityAsync(t *testing.T) {
-	_, _, rec := spanWorkload(t, MRPCVIP, sim.Config{Async: true}, true)
+	_, _, rec := spanWorkload(t, MRPCVIP, sim.Config{Async: true}, nil, true)
 	time.Sleep(30 * time.Millisecond)
 	checkSpanIntegrity(t, rec.Spans())
 	if rec.Len() == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"xkernel/internal/event"
 	"xkernel/internal/obs/flight"
 	"xkernel/internal/obs/gauge"
 	"xkernel/internal/obs/span"
@@ -16,7 +17,7 @@ import (
 // recorder on the wire, and a gauge set sampled between operations.
 func runTelemetryWorkload(t *testing.T, stack Stack) (frames []sim.FrameRecord, echoes [][]byte, set *gauge.Set) {
 	t.Helper()
-	tb, _, err := BuildInstrumented(stack, sim.Config{}, nil)
+	tb, _, err := BuildInstrumented(stack, sim.Config{}, event.NewFake())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,34 +42,7 @@ func runTelemetryWorkload(t *testing.T, stack Stack) (frames []sim.FrameRecord, 
 		tick += 1_000_000
 	}
 	sample()
-	for i := 0; i < 5; i++ {
-		if err := tb.End.RoundTrip(nil); err != nil {
-			t.Fatalf("%s null round trip %d: %v", stack, i, err)
-		}
-		sample()
-	}
-	payload := make([]byte, 1000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	if err := tb.End.RoundTrip(payload); err != nil {
-		t.Fatalf("%s 1000-byte round trip: %v", stack, err)
-	}
-	sample()
-	if echoStacks[stack] {
-		for _, n := range []int{64, 3000} {
-			req := make([]byte, n)
-			for i := range req {
-				req[i] = byte(i * 7)
-			}
-			got, err := tb.End.Echo(req)
-			if err != nil {
-				t.Fatalf("%s echo(%d): %v", stack, n, err)
-			}
-			echoes = append(echoes, got)
-			sample()
-		}
-	}
+	echoes = driveWorkload(t, tb, sample)
 	if tb.Collect != nil {
 		tb.Collect()
 	}

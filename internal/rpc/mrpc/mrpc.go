@@ -24,6 +24,7 @@ import (
 	"xkernel/internal/event"
 	"xkernel/internal/ledger"
 	"xkernel/internal/msg"
+	"xkernel/internal/obs/gauge"
 	"xkernel/internal/proto/ip"
 	"xkernel/internal/rpc/fragmask"
 	"xkernel/internal/rpc/retry"
@@ -260,6 +261,12 @@ func (p *Protocol) Stats() Stats {
 
 // Ledger exposes the execution ledger this protocol records to.
 func (p *Protocol) Ledger() ledger.ExecLedger { return p.cfg.Ledger }
+
+// RegisterGauges adds the execution ledger's live-state gauges to set
+// under prefix ("<prefix>.ledger.*"), as CHANNEL's does for its own.
+func (p *Protocol) RegisterGauges(set *gauge.Set, prefix string) {
+	ledger.RegisterGauges(set, prefix, p.cfg.Ledger)
+}
 
 // BootID reports the current boot incarnation.
 func (p *Protocol) BootID() uint32 {

@@ -1,4 +1,4 @@
-package xkernel
+package stacks
 
 import (
 	"fmt"
@@ -6,7 +6,9 @@ import (
 	"strings"
 	"time"
 
+	"xkernel/internal/ledger"
 	"xkernel/internal/obs"
+	"xkernel/internal/proto/ip"
 	"xkernel/internal/proto/tcp"
 	"xkernel/internal/proto/vip"
 	"xkernel/internal/psync"
@@ -17,50 +19,38 @@ import (
 	"xkernel/internal/rpc/nrpc"
 	"xkernel/internal/rpc/selectp"
 	"xkernel/internal/rpc/sunrpc"
-	"xkernel/internal/stacks"
 	"xkernel/internal/xk"
 )
 
 // Kernel is one configured host: the base protocol graph (drivers, ARP,
 // IP, UDP, ICMP) plus whatever the composition spec adds on top. It is
 // the unit the paper calls "a given instance of the x-kernel"
-// (Figure 1).
+// (Figure 1), and Compose is the only place in the repository that
+// instantiates a composable protocol: the facade, the commands and every
+// measured stack in internal/bench build their graphs through it.
 type Kernel struct {
-	host  *stacks.Host
-	protl map[string]Protocol
+	host  *Host
+	protl map[string]xk.Protocol
 	below map[string][]string // graph edges for printing
 	order []string
 	mechs map[string]auth.Mechanism
 	meter *obs.Meter
 	wraps map[string]*obs.W // interposed instrumentation, one per "@name"
+
+	fragHold time.Duration     // FRAGMENT's send hold; zero is the protocol's default
+	ledger   ledger.ExecLedger // at-most-once execution ledger; nil is the protocol's own
 }
 
-// NewKernel attaches a host to its network and builds the base graph.
-func NewKernel(cfg Config) (*Kernel, error) {
-	h, err := stacks.NewHost(stacks.HostConfig{
-		Name:    cfg.Name,
-		Eth:     cfg.Eth,
-		IP:      cfg.Addr,
-		Mask:    cfg.Mask,
-		Network: cfg.Network,
-		Clock:   cfg.Clock,
-		Forward: cfg.Forward,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return wrap(h), nil
-}
-
-func wrap(h *stacks.Host) *Kernel {
+// NewKernel wraps a host's base graph as a kernel ready to Compose.
+func NewKernel(h *Host) *Kernel {
 	k := &Kernel{
 		host:  h,
-		protl: make(map[string]Protocol),
+		protl: make(map[string]xk.Protocol),
 		below: make(map[string][]string),
 		mechs: map[string]auth.Mechanism{"auth": auth.None{}},
 		wraps: make(map[string]*obs.W),
 	}
-	for name, p := range map[string]Protocol{
+	for name, p := range map[string]xk.Protocol{
 		"eth":  h.Eth,
 		"arp":  h.ARP,
 		"ip":   h.IP,
@@ -82,26 +72,26 @@ func wrap(h *stacks.Host) *Kernel {
 func (k *Kernel) Name() string { return k.host.Name }
 
 // Addr reports the host's internet address.
-func (k *Kernel) Addr() IPAddr {
+func (k *Kernel) Addr() xk.IPAddr {
 	v, err := k.host.IP.Control(xk.CtlGetMyHost, nil)
 	if err != nil {
 		panic(err) // the base graph always answers this
 	}
-	return v.(IPAddr)
+	return v.(xk.IPAddr)
 }
 
 // Host exposes the underlying wiring for advanced callers (the bench
 // harness, tests).
-func (k *Kernel) Host() *stacks.Host { return k.host }
+func (k *Kernel) Host() *Host { return k.host }
 
 // Get returns a configured protocol instance by name.
-func (k *Kernel) Get(name string) (Protocol, bool) {
+func (k *Kernel) Get(name string) (xk.Protocol, bool) {
 	p, ok := k.protl[name]
 	return p, ok
 }
 
 // MustGet is Get for instances the caller knows exist.
-func (k *Kernel) MustGet(name string) Protocol {
+func (k *Kernel) MustGet(name string) xk.Protocol {
 	p, ok := k.protl[name]
 	if !ok {
 		panic(fmt.Sprintf("xkernel: no protocol instance %q in kernel %s", name, k.Name()))
@@ -114,6 +104,18 @@ func (k *Kernel) MustGet(name string) Protocol {
 func (k *Kernel) AddMechanism(name string, mech auth.Mechanism) {
 	k.mechs[name] = mech
 }
+
+// SetFragmentHold gives "fragment" lines composed after it the time a
+// sender keeps a message for resend requests; a kernel that is never
+// told takes FRAGMENT's own default. A timing run shortens it so held
+// copies of swept 16 KB messages do not pile up as live heap.
+func (k *Kernel) SetFragmentHold(d time.Duration) { k.fragHold = d }
+
+// SetLedger gives "channel", "mrpc" and "nrpc" lines composed after it
+// the execution ledger their at-most-once state is recorded in — a
+// server's durable one, say. A kernel that is never told leaves each
+// protocol its own bounded in-memory ledger.
+func (k *Kernel) SetLedger(l ledger.ExecLedger) { k.ledger = l }
 
 // Meter returns the kernel's observability meter, creating one on
 // first use. Every "@name" boundary composed into this kernel counts
@@ -133,17 +135,27 @@ func (k *Kernel) SetMeter(m *obs.Meter) {
 	k.meter = m
 }
 
-// wrapFor returns the cached instrumentation boundary above instance
-// name, creating it on first use. All spec lines that say "@name"
-// share one boundary, so its counters see every message entering the
-// instance from any layer above.
-func (k *Kernel) wrapFor(name string, p Protocol) *obs.W {
+// Lower returns what a spec line naming ref as a lower protocol binds
+// to: the instance, or for "@name" the instrumentation boundary above
+// it. All references to "@name" share one boundary, created on first
+// use, so its counters see every message entering the instance from any
+// layer above. Callers that open sessions through the uniform interface
+// use it to bind above a composed graph by the rule Compose follows.
+func (k *Kernel) Lower(ref string) (xk.Protocol, error) {
+	name := strings.TrimPrefix(ref, "@")
+	p, ok := k.protl[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown lower protocol %q", name)
+	}
+	if name == ref {
+		return p, nil
+	}
 	w, ok := k.wraps[name]
 	if !ok {
 		w = obs.Wrap(k.host.Name+"/"+name, p, k.Meter())
 		k.wraps[name] = w
 	}
-	return w
+	return w, nil
 }
 
 // Compose extends the kernel's protocol graph from a spec: one line per
@@ -178,16 +190,11 @@ func (k *Kernel) Compose(spec string) error {
 		if _, dup := k.protl[name]; dup {
 			return fmt.Errorf("xkernel: line %d: instance %q already exists", lineno+1, name)
 		}
-		var lower []Protocol
+		var lower []xk.Protocol
 		for _, dep := range fields[1:] {
-			instrument := strings.HasPrefix(dep, "@")
-			base := strings.TrimPrefix(dep, "@")
-			p, ok := k.protl[base]
-			if !ok {
-				return fmt.Errorf("xkernel: line %d: unknown lower protocol %q", lineno+1, base)
-			}
-			if instrument {
-				p = k.wrapFor(base, p)
+			p, err := k.Lower(dep)
+			if err != nil {
+				return fmt.Errorf("xkernel: line %d: %w", lineno+1, err)
 			}
 			lower = append(lower, p)
 		}
@@ -202,93 +209,88 @@ func (k *Kernel) Compose(spec string) error {
 	return nil
 }
 
+// arity is how many lower protocols each composable kind takes.
+var arity = map[string]int{
+	"vip": 2, "vipaddr": 2, "vipsize": 2, "ethmap": 1, "fragment": 1,
+	"channel": 1, "select": 1, "mrpc": 1, "nrpc": 1, "reqrep": 1,
+	"sunselect": 1, "auth": 1, "tcp": 1, "psync": 1,
+}
+
 // build instantiates one protocol of the given kind.
-func (k *Kernel) build(name, kind string, lower []Protocol) (Protocol, error) {
-	full := k.host.Name + "/" + name
-	need := func(n int) error {
-		if len(lower) != n {
-			return fmt.Errorf("%s needs %d lower protocol(s), got %d", kind, n, len(lower))
-		}
-		return nil
+func (k *Kernel) build(name, kind string, lower []xk.Protocol) (xk.Protocol, error) {
+	if n, ok := arity[kind]; ok && len(lower) != n {
+		return nil, fmt.Errorf("%s needs %d lower protocol(s), got %d", kind, n, len(lower))
 	}
+	full, clock := k.host.Name+"/"+name, k.host.Clock
 	switch kind {
 	case "vip":
-		if err := need(2); err != nil {
-			return nil, err
-		}
 		return vip.New(full, lower[0], lower[1], k.host.ARP)
 	case "vipaddr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
 		return vip.NewAddr(full, lower[0], lower[1], k.host.ARP)
 	case "vipsize":
-		if err := need(2); err != nil {
-			return nil, err
-		}
 		return vip.NewSize(full, lower[0], lower[1], k.host.ARP)
 	case "ethmap":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return vip.NewEthMap(full, lower[0], k.host.ARP), nil
 	case "fragment":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return fragment.New(full, lower[0], k.Addr(), fragment.Config{Clock: k.host.Clock})
+		return fragment.New(full, lower[0], k.Addr(), fragment.Config{Clock: clock, SendHold: k.fragHold})
 	case "channel":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return channel.New(full, lower[0], channel.Config{Clock: k.host.Clock})
+		return channel.New(full, lower[0], channel.Config{Clock: clock, Ledger: k.ledger})
 	case "select":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return selectp.New(full, lower[0], selectp.Config{})
 	case "mrpc":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return mrpc.New(full, lower[0], k.Addr(), mrpc.Config{Clock: k.host.Clock})
+		return mrpc.New(full, lower[0], k.Addr(), mrpc.Config{Clock: clock, Ledger: k.ledger})
 	case "nrpc":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return nrpc.New(full, lower[0], k.Addr(), nrpc.Config{Clock: k.host.Clock})
+		return nrpc.New(full, lower[0], k.Addr(), nrpc.Config{Clock: clock, RPC: mrpc.Config{Ledger: k.ledger}})
 	case "reqrep":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return sunrpc.NewReqRep(full, lower[0], sunrpc.ReqRepConfig{Clock: k.host.Clock})
+		return sunrpc.NewReqRep(full, lower[0], sunrpc.ReqRepConfig{Clock: clock})
 	case "sunselect":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return sunrpc.NewSelect(full, lower[0], sunrpc.SelectConfig{})
 	case "auth":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		mech, ok := k.mechs[name]
 		if !ok {
 			return nil, fmt.Errorf("no mechanism registered under %q (use AddMechanism)", name)
 		}
 		return auth.NewLayer(full, lower[0], mech), nil
 	case "tcp":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return tcp.New(full, lower[0], tcp.Config{Clock: k.host.Clock})
+		return tcp.New(full, lower[0], tcp.Config{Clock: clock})
 	case "psync":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return psync.New(full, lower[0], k.Addr(), psync.Config{Clock: k.host.Clock})
+		return psync.New(full, lower[0], k.Addr(), psync.Config{Clock: clock})
 	default:
 		return nil, fmt.Errorf("unknown protocol kind %q", kind)
 	}
+}
+
+// Metered rewrites a composition spec so every boundary is
+// instrumented: each lower-protocol reference gains an "@" prefix
+// (idempotent; comments and instance names untouched). Composing the
+// result measures the graph layer-by-layer into the kernel's Meter:
+//
+//	m := xkernel.NewMeter()
+//	k.SetMeter(m)
+//	err := k.Compose(xkernel.Metered(spec))
+func Metered(spec string) string {
+	lines := strings.Split(spec, "\n")
+	for i, raw := range lines {
+		line, comment := raw, ""
+		if j := strings.IndexByte(line, '#'); j >= 0 {
+			line, comment = line[:j], line[j:]
+		}
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		for j, dep := range fields[1:] {
+			if !strings.HasPrefix(dep, "@") {
+				fields[1+j] = "@" + dep
+			}
+		}
+		rewritten := strings.Join(fields, " ")
+		if comment != "" {
+			rewritten += " " + comment
+		}
+		lines[i] = rewritten
+	}
+	return strings.Join(lines, "\n")
 }
 
 // Graph renders the kernel's protocol graph, one "name kind-below..."
@@ -319,14 +321,10 @@ func (k *Kernel) Instances() []string {
 // only when Announce is called on the returned Announcer), collect
 // peers' announcements into a directory, and switch the named VIP
 // instance's open-time locality test from ARP probing to the table.
-func (k *Kernel) EnableVIPDiscovery(vipName string, protos []ProtoNum, interval time.Duration) (*VIPDirectory, *VIPAnnouncer, error) {
-	p, ok := k.protl[vipName]
-	if !ok {
-		return nil, nil, fmt.Errorf("xkernel: no instance %q", vipName)
-	}
-	v, ok := p.(*vip.Protocol)
-	if !ok {
-		return nil, nil, fmt.Errorf("xkernel: %q is %T, not VIP", vipName, p)
+func (k *Kernel) EnableVIPDiscovery(vipName string, protos []ip.ProtoNum, interval time.Duration) (*vip.Directory, *vip.Announcer, error) {
+	v, err := Instance[*vip.Protocol](k, vipName)
+	if err != nil {
+		return nil, nil, err
 	}
 	dir := vip.NewDirectory(k.host.Clock, 0)
 	ann, err := vip.NewAnnouncer(k.host.Name+"/vipd", k.host.Eth, k.Addr(), protos, dir, interval, k.host.Clock)
@@ -337,82 +335,48 @@ func (k *Kernel) EnableVIPDiscovery(vipName string, protos []ProtoNum, interval 
 	return dir, ann, nil
 }
 
+// Instance returns the named instance as the concrete protocol type T.
+func Instance[T xk.Protocol](k *Kernel, name string) (T, error) {
+	var zero T
+	p, ok := k.protl[name]
+	if !ok {
+		return zero, fmt.Errorf("xkernel: no instance %q", name)
+	}
+	s, ok := p.(T)
+	if !ok {
+		return zero, fmt.Errorf("xkernel: %q is %T, not %T", name, p, zero)
+	}
+	return s, nil
+}
+
 // Typed accessors for the protocol kinds callers drive directly.
 
 // Select returns a SELECT instance by name.
 func (k *Kernel) Select(name string) (*selectp.Protocol, error) {
-	p, ok := k.protl[name]
-	if !ok {
-		return nil, fmt.Errorf("xkernel: no instance %q", name)
-	}
-	s, ok := p.(*selectp.Protocol)
-	if !ok {
-		return nil, fmt.Errorf("xkernel: %q is %T, not SELECT", name, p)
-	}
-	return s, nil
+	return Instance[*selectp.Protocol](k, name)
 }
 
 // MRPC returns a monolithic Sprite RPC instance by name.
 func (k *Kernel) MRPC(name string) (*mrpc.Protocol, error) {
-	p, ok := k.protl[name]
-	if !ok {
-		return nil, fmt.Errorf("xkernel: no instance %q", name)
-	}
-	s, ok := p.(*mrpc.Protocol)
-	if !ok {
-		return nil, fmt.Errorf("xkernel: %q is %T, not M.RPC", name, p)
-	}
-	return s, nil
+	return Instance[*mrpc.Protocol](k, name)
 }
 
 // TCP returns a TCP instance by name.
-func (k *Kernel) TCP(name string) (*TCPProtocol, error) {
-	p, ok := k.protl[name]
-	if !ok {
-		return nil, fmt.Errorf("xkernel: no instance %q", name)
-	}
-	s, ok := p.(*TCPProtocol)
-	if !ok {
-		return nil, fmt.Errorf("xkernel: %q is %T, not TCP", name, p)
-	}
-	return s, nil
+func (k *Kernel) TCP(name string) (*tcp.Protocol, error) {
+	return Instance[*tcp.Protocol](k, name)
 }
 
 // NRPC returns a native-style RPC analogue instance by name.
-func (k *Kernel) NRPC(name string) (*NRPCProtocol, error) {
-	p, ok := k.protl[name]
-	if !ok {
-		return nil, fmt.Errorf("xkernel: no instance %q", name)
-	}
-	s, ok := p.(*NRPCProtocol)
-	if !ok {
-		return nil, fmt.Errorf("xkernel: %q is %T, not N.RPC", name, p)
-	}
-	return s, nil
+func (k *Kernel) NRPC(name string) (*nrpc.Protocol, error) {
+	return Instance[*nrpc.Protocol](k, name)
 }
 
 // SunSelect returns a SUN_SELECT instance by name.
 func (k *Kernel) SunSelect(name string) (*sunrpc.Select, error) {
-	p, ok := k.protl[name]
-	if !ok {
-		return nil, fmt.Errorf("xkernel: no instance %q", name)
-	}
-	s, ok := p.(*sunrpc.Select)
-	if !ok {
-		return nil, fmt.Errorf("xkernel: %q is %T, not SUN_SELECT", name, p)
-	}
-	return s, nil
+	return Instance[*sunrpc.Select](k, name)
 }
 
 // Psync returns a Psync instance by name.
 func (k *Kernel) Psync(name string) (*psync.Protocol, error) {
-	p, ok := k.protl[name]
-	if !ok {
-		return nil, fmt.Errorf("xkernel: no instance %q", name)
-	}
-	s, ok := p.(*psync.Protocol)
-	if !ok {
-		return nil, fmt.Errorf("xkernel: %q is %T, not Psync", name, p)
-	}
-	return s, nil
+	return Instance[*psync.Protocol](k, name)
 }

@@ -2,7 +2,12 @@
 // of the x-kernel's configuration step, where "the relationships between
 // protocols are defined at the time a kernel is configured" (§2). Tests,
 // the benchmark harness, the examples and the public facade all build
-// their hosts here so every experiment runs the same wiring.
+// their hosts here so every experiment runs the same wiring: NewHost
+// makes the base graph (this file), and Kernel.Compose extends it from a
+// spec in the graph.comp-like grammar (compose.go) — the only place a
+// composable protocol is instantiated. The facade's Kernel is this
+// package's, and internal/bench's measured stacks are a table of specs
+// composed here.
 package stacks
 
 import (

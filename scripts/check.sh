@@ -58,8 +58,17 @@ echo "== chaos + load together under the race detector (quiescence, -count=3) ==
 # the chaos worker and let the driver advance the virtual clock past work
 # not yet done. The driver now reads the worker's state from the runtime
 # (settle.Watch); byte-identical wire logs and exact replay counts must
-# hold however little processor the worker gets.
-go test -race -count=3 ./internal/chaos ./internal/load
+# hold however little processor the worker gets. The wire-equivalence
+# tests run beside them (a second go test, since -run is per invocation):
+# they compare two runs frame by frame, and under exactly this contention
+# N.RPC's wall-clock crash probe used to put two frames more on the slower
+# run's wire until the workloads moved to a fake clock.
+go test -race -count=3 ./internal/chaos ./internal/load &
+loaded=$!
+equiv=0
+go test -race -count=3 ./internal/bench -run 'TestInterpositionTransparency|TestAllTelemetryWireEquivalence' || equiv=$?
+wait "$loaded"
+[ "$equiv" -eq 0 ]
 
 echo "== message handoff under the race detector (one wire, two paths) =="
 # The suite above already ran these; naming them makes a break in the
@@ -132,6 +141,9 @@ echo "== anatomy smoke (causal spans + compositional invariant) =="
 # Drives the Table I configurations with span capture on and fails if
 # any RPC's cause tree breaks the Σ-layer-costs = end-to-end invariant.
 go run ./cmd/xkanatomy -quick > /dev/null
+
+echo "== xkgraph smoke (every figure composes, Figure 3 from the stack table's specs) =="
+go run ./cmd/xkgraph > /dev/null
 
 echo "== xkmon smoke (gauge sweep + saturation-knee render) =="
 # A minimal live sweep must render the knee summary and the per-level

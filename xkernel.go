@@ -9,10 +9,10 @@
 // simplified Psync, all running over an in-memory simulated ethernet.
 //
 // This package is the public face: it re-exports the core vocabulary
-// types and provides Kernel, a per-host container that plays the role
-// of x-kernel configuration — protocols are instantiated and wired into
-// a graph when a kernel is built, while sessions (the actual bindings)
-// are created later at run time by opens.
+// types and Kernel (internal/stacks' composer), a per-host container
+// that plays the role of x-kernel configuration — protocols are
+// instantiated and wired into a graph when a kernel is built, while
+// sessions (the actual bindings) are created later at run time by opens.
 //
 // A protocol graph is described by a small spec language modeled on the
 // x-kernel's graph.comp file: one line per protocol instance, naming
@@ -39,13 +39,15 @@
 //	    select   channel
 //	`)
 //
+// Every stack the evaluation measures is built the same way, from a spec
+// in internal/bench's table (StackSpec returns it), so the graph an
+// example composes and the graph a table row times are one mechanism.
+//
 // See the examples directory for complete programs and cmd/xkbench for
 // the harness that regenerates the paper's evaluation tables.
 package xkernel
 
 import (
-	"strings"
-
 	"xkernel/internal/bench"
 	"xkernel/internal/chaos"
 	"xkernel/internal/event"
@@ -72,6 +74,11 @@ import (
 // the paper) and the addressing and message tools every protocol
 // shares.
 type (
+	// Kernel is one configured host: the base protocol graph plus
+	// whatever Compose adds on top — the unit the paper calls "a given
+	// instance of the x-kernel" (Figure 1). It is internal/stacks'
+	// composer, the one every measured stack is built by too.
+	Kernel = stacks.Kernel
 	// Protocol is the uniform protocol object interface.
 	Protocol = xk.Protocol
 	// Session is the uniform session object interface.
@@ -282,6 +289,10 @@ var (
 	// WriteChromeTrace renders spans as Chrome trace-event JSON that
 	// Perfetto and chrome://tracing load directly.
 	WriteChromeTrace = anatomy.WriteChromeTrace
+	// Metered rewrites a composition spec so every boundary is
+	// instrumented ("@" before each lower-protocol reference); compose
+	// the result after SetMeter to measure the graph layer by layer.
+	Metered = stacks.Metered
 	// WrapProtocol interposes an instrumentation boundary above a
 	// protocol (the programmatic form of "@name" in a spec).
 	WrapProtocol = obs.Wrap
@@ -293,6 +304,9 @@ var (
 	// FlushTrace drains buffered trace output; call it before
 	// interleaving other writes to the trace destination.
 	FlushTrace = trace.Flush
+	// StackSpec returns a measured configuration's composition spec,
+	// the graph bench composes on both hosts.
+	StackSpec = bench.Spec
 	// ChaosExecute runs a fault scenario against a stack and checks
 	// the robustness invariants (at-most-once, convergence, bounded
 	// retransmission, clean shutdown).
@@ -421,39 +435,6 @@ var (
 	SetTraceOutput = trace.SetOutput
 )
 
-// Metered rewrites a composition spec so every boundary is
-// instrumented: each lower-protocol reference gains an "@" prefix
-// (idempotent; comments and instance names untouched). Composing the
-// result measures the graph layer-by-layer into the kernel's Meter:
-//
-//	m := xkernel.NewMeter()
-//	k.SetMeter(m)
-//	err := k.Compose(xkernel.Metered(spec))
-func Metered(spec string) string {
-	lines := strings.Split(spec, "\n")
-	for i, raw := range lines {
-		line, comment := raw, ""
-		if j := strings.IndexByte(line, '#'); j >= 0 {
-			line, comment = line[:j], line[j:]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		for j, dep := range fields[1:] {
-			if !strings.HasPrefix(dep, "@") {
-				fields[1+j] = "@" + dep
-			}
-		}
-		rewritten := strings.Join(fields, " ")
-		if comment != "" {
-			rewritten += " " + comment
-		}
-		lines[i] = rewritten
-	}
-	return strings.Join(lines, "\n")
-}
-
 // Config describes one host: its link-layer and internet addresses and
 // the segment it attaches to.
 type Config struct {
@@ -472,6 +453,23 @@ type Config struct {
 	Forward bool
 }
 
+// NewKernel attaches a host to its network and builds the base graph.
+func NewKernel(cfg Config) (*Kernel, error) {
+	h, err := stacks.NewHost(stacks.HostConfig{
+		Name:    cfg.Name,
+		Eth:     cfg.Eth,
+		IP:      cfg.Addr,
+		Mask:    cfg.Mask,
+		Network: cfg.Network,
+		Clock:   cfg.Clock,
+		Forward: cfg.Forward,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return stacks.NewKernel(h), nil
+}
+
 // TwoHosts builds the paper's standard testbed: a fresh 10 Mbps segment
 // with a client kernel at 10.0.0.1 and a server kernel at 10.0.0.2.
 func TwoHosts(netCfg NetConfig, clock Clock) (client, server *Kernel, network *Network, err error) {
@@ -479,7 +477,7 @@ func TwoHosts(netCfg NetConfig, clock Clock) (client, server *Kernel, network *N
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return wrap(c), wrap(s), n, nil
+	return stacks.NewKernel(c), stacks.NewKernel(s), n, nil
 }
 
 // TwoHostsOn builds the standard testbed over an arbitrary transport
@@ -491,7 +489,7 @@ func TwoHostsOn(f WireFactory, clock Clock) (client, server *Kernel, w Wire, err
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return wrap(c), wrap(s), w, nil
+	return stacks.NewKernel(c), stacks.NewKernel(s), w, nil
 }
 
 // Internet builds the multi-segment topology with a router between the
@@ -501,5 +499,5 @@ func Internet(netCfg NetConfig, clock Clock) (client, server, router *Kernel, er
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return wrap(c), wrap(s), wrap(r), nil
+	return stacks.NewKernel(c), stacks.NewKernel(s), stacks.NewKernel(r), nil
 }
