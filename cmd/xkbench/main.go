@@ -15,22 +15,7 @@
 //	xkbench -table 1                # just Table I
 //	xkbench -extra udp              # just the UDP/IP round trip
 //	xkbench -quick                  # fewer iterations
-//	xkbench -table 1 -json          # write BENCH_table1.json instead
-//	xkbench -compare BENCH_table1.json   # regression gate vs a baseline
-//	xkbench -cpuprofile cpu.out     # profile the run (add -labels for
-//	                                # per-layer attribution in -json runs)
-//
-// With -json each selected table is written to BENCH_table<N>.json:
-// the timing numbers from the usual uninstrumented run plus per-layer
-// counter and latency breakdowns from a separate run of the same stack
-// with an observability wrap at every protocol boundary.
-//
-// With -compare the named baseline report is re-measured (same table,
-// quick-sized by default) and diffed; the exit status is nonzero when
-// any configuration's latency regresses beyond -threshold percent. The
-// default -compare-mode rel normalizes latencies by the table mean
-// first, so a baseline committed from another machine stays
-// comparable; use -compare-mode abs for same-machine diffs.
+//	xkbench -cpuprofile cpu.out     # profile the run (stack= labels on)
 package main
 
 import (
@@ -53,15 +38,10 @@ func realMain() int {
 	tableFlag := flag.Int("table", 0, "regenerate only this table (1-4); 0 means all")
 	extraFlag := flag.String("extra", "", "run one supplementary measurement: udp, fragment, vip")
 	quick := flag.Bool("quick", false, "fewer iterations for a fast pass")
-	jsonOut := flag.Bool("json", false, "write each table as BENCH_table<N>.json with per-layer breakdowns")
-	compare := flag.String("compare", "", "diff a fresh measurement against this baseline BENCH_table JSON; exit nonzero on regression")
-	threshold := flag.Float64("threshold", 25, "with -compare, the regression threshold in percent")
-	compareMode := flag.String("compare-mode", bench.CompareRelative, "with -compare: rel (normalize by table mean, machine-independent) or abs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file at exit")
 	blockprofile := flag.String("blockprofile", "", "write a blocking profile to this file at exit")
-	labels := flag.Bool("labels", false, "attach per-layer pprof labels during instrumented runs (with -json)")
 	wireFlag := flag.String("wire", "", "transport backend: sim (default) or udp (real loopback sockets)")
 	flag.Parse()
 
@@ -70,13 +50,12 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "xkbench: %v\n", err)
 		return 2
 	}
-	opt := bench.Options{ProfileLabels: *labels}
+	var opt Options
 	if *wireFlag != "" && *wireFlag != load.WireSim {
 		opt.WireFactory = wf
 	}
-	if *quick || *compare != "" {
+	if *quick {
 		opt.LatencyIters, opt.SweepIters, opt.Warmup = 1000, 50, 50
-		opt.ProfileLabels = *labels
 	}
 
 	pcap := prof.Capture{
@@ -95,35 +74,10 @@ func realMain() int {
 		}
 	}()
 
-	if *compare != "" {
-		code, err := runCompare(*compare, *compareMode, *threshold, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xkbench: %v\n", err)
-			return 1
-		}
-		return code
-	}
-
 	if *extraFlag != "" {
 		if err := runExtra(*extraFlag, opt); err != nil {
 			fmt.Fprintf(os.Stderr, "xkbench: %v\n", err)
 			return 1
-		}
-		return 0
-	}
-
-	if *jsonOut {
-		tables := []int{1, 2, 3, 4}
-		if *tableFlag != 0 {
-			tables = []int{*tableFlag}
-		}
-		for _, n := range tables {
-			name := fmt.Sprintf("BENCH_table%d.json", n)
-			if err := writeTableJSON(name, n, opt); err != nil {
-				fmt.Fprintf(os.Stderr, "xkbench: table %d: %v\n", n, err)
-				return 1
-			}
-			fmt.Printf("wrote %s\n", name)
 		}
 		return 0
 	}
@@ -156,94 +110,6 @@ func realMain() int {
 	return 0
 }
 
-// runCompare re-measures the baseline's table and diffs the two
-// reports; the returned code is nonzero when a regression crosses the
-// threshold. Load-engine reports (xkload's BENCH_load*.json, marked
-// "kind": "load") and profile reports (xkprof's, marked "kind":
-// "prof") are routed to their own comparators so one -compare flag
-// gates all three report families.
-func runCompare(path, mode string, thresholdPct float64, opt Options) (int, error) {
-	switch kind, err := load.SniffKind(path); {
-	case err == nil && kind == load.ReportKind:
-		return runLoadCompare(path, mode, thresholdPct)
-	case err == nil && kind == prof.ReportKind:
-		return runProfCompare(path, mode, thresholdPct)
-	}
-	base, err := bench.ReadTableReport(path)
-	if err != nil {
-		return 1, err
-	}
-	cur, err := bench.TableJSON(base.Table, opt)
-	if err != nil {
-		return 1, err
-	}
-	res, err := bench.CompareReports(base, cur, mode, thresholdPct)
-	if err != nil {
-		return 1, err
-	}
-	res.Print(os.Stdout)
-	if res.Regressions > 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// runProfCompare re-captures profiles over the baseline's stacks and
-// diffs the per-layer resource shares.
-func runProfCompare(path, mode string, thresholdPct float64) (int, error) {
-	base, err := prof.ReadReport(path)
-	if err != nil {
-		return 1, err
-	}
-	dir, err := os.MkdirTemp("", "xkprof-compare-")
-	if err != nil {
-		return 1, err
-	}
-	defer os.RemoveAll(dir)
-	copt := bench.CaptureOptions{Dir: dir}
-	for _, s := range base.Options.Stacks {
-		copt.Stacks = append(copt.Stacks, bench.Stack(s))
-	}
-	capRes, err := bench.CaptureProfiles(copt)
-	if err != nil {
-		return 1, err
-	}
-	cur, err := bench.ReportFromCapture(capRes)
-	if err != nil {
-		return 1, err
-	}
-	res, err := bench.CompareProfReports(base, cur, mode, thresholdPct)
-	if err != nil {
-		return 1, err
-	}
-	res.Print(os.Stdout)
-	if res.Regressions > 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// runLoadCompare re-runs a load baseline's cells and diffs them.
-func runLoadCompare(path, mode string, thresholdPct float64) (int, error) {
-	base, err := load.ReadReport(path)
-	if err != nil {
-		return 1, err
-	}
-	cur, err := load.Run(load.OptionsFrom(base))
-	if err != nil {
-		return 1, err
-	}
-	res, err := load.CompareReports(base, cur, mode, thresholdPct)
-	if err != nil {
-		return 1, err
-	}
-	res.Print(os.Stdout)
-	if res.Regressions > 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
 func runExtra(name string, opt Options) error {
 	switch name {
 	case "udp":
@@ -259,19 +125,6 @@ func runExtra(name string, opt Options) error {
 
 // Options aliases bench.Options for the helpers below.
 type Options = bench.Options
-
-// writeTableJSON measures table n and writes the JSON report to name.
-func writeTableJSON(name string, n int, opt Options) error {
-	f, err := os.Create(name)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteTableJSON(f, n, opt); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 // extraUDP measures the §1 claim: the UDP/IP user-to-user round trip
 // (2.00 msec in the x-kernel vs 5.36 msec in SunOS on Sun 3/75s).

@@ -12,17 +12,9 @@
 //	xkload -payload 2048 -echo           # verified echo workload
 //	xkload -wire udp                     # real UDP loopback sockets as the wire
 //	xkload -durability                   # durability-tax sweep (ledger × engine)
-//	xkload -json BENCH_load1.json        # write the JSON report
-//	xkload -compare BENCH_load1.json     # regression gate vs a baseline
+//	xkload -json rep.json                # write the JSON report (xkmon -load renders it)
 //	xkload -cpuprofile cpu.pb.gz -labels # profile the run, stack= labels on
 //	xkload -profile-dir profs/           # one profile set per (stack, N) cell
-//
-// With -compare the baseline's cells are re-measured (same stacks,
-// clients, payload, wire latency) and diffed; the exit status is
-// nonzero when any cell's calls/sec falls, or p99 rises, beyond
-// -threshold percent. The default -compare-mode rel normalizes
-// calls/sec by the mean over shared cells, so a baseline committed
-// from another machine still catches scaling-shape regressions.
 package main
 
 import (
@@ -52,9 +44,6 @@ func realMain() int {
 	wireFlag := flag.String("wire", "", "transport backend: sim (default) or udp (real loopback sockets)")
 	gaugePeriod := flag.Duration("gauge-period", 0, "XKMON gauge sampling period (default the monitor's; negative disables)")
 	jsonOut := flag.String("json", "", "write the JSON report to this file (\"-\" for stdout) instead of the text table")
-	compare := flag.String("compare", "", "diff a fresh measurement against this baseline BENCH_load JSON; exit nonzero on regression")
-	threshold := flag.Float64("threshold", 25, "with -compare, the regression threshold in percent")
-	compareMode := flag.String("compare-mode", bench.CompareRelative, "with -compare: rel (normalize by shared-cell mean) or abs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file at exit")
@@ -119,15 +108,6 @@ func realMain() int {
 		}
 	}()
 
-	if *compare != "" {
-		code, err := runCompare(*compare, *compareMode, *threshold, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xkload: %v\n", err)
-			return 1
-		}
-		return code
-	}
-
 	rep, err := load.Run(opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xkload: %v\n", err)
@@ -160,29 +140,6 @@ func realMain() int {
 		fmt.Printf("wrote %s\n", out)
 	}
 	return 0
-}
-
-// runCompare re-measures the baseline's cells and diffs the reports;
-// nonzero when a regression crosses the threshold. The caller's sweep
-// flags are ignored — the baseline defines the cells.
-func runCompare(path, mode string, thresholdPct float64, _ load.Options) (int, error) {
-	base, err := load.ReadReport(path)
-	if err != nil {
-		return 1, err
-	}
-	cur, err := load.Run(load.OptionsFrom(base))
-	if err != nil {
-		return 1, err
-	}
-	res, err := load.CompareReports(base, cur, mode, thresholdPct)
-	if err != nil {
-		return 1, err
-	}
-	res.Print(os.Stdout)
-	if res.Regressions > 0 {
-		return 1, nil
-	}
-	return 0, nil
 }
 
 func printReport(rep *load.Report) {

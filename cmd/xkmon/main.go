@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	xkmon -load BENCH_load1.json        # replay a sweep: knees + gauges
+//	xkmon -load rep.json                # replay a sweep: knees + gauges
 //	xkmon -load rep.json -series net.deliveries_inflight
 //	xkmon -flight crash.flight.json     # render a black-box dump
 //	xkmon -live                         # run a small sweep and render it
@@ -36,7 +36,7 @@ func main() {
 }
 
 func realMain() int {
-	loadPath := flag.String("load", "", "render a BENCH_load JSON report (sweep replay)")
+	loadPath := flag.String("load", "", "render a load report written by xkload -json (sweep replay)")
 	flightPath := flag.String("flight", "", "render a flight-recorder JSON dump")
 	live := flag.Bool("live", false, "run a small gauge-enabled sweep and render it")
 	stacksFlag := flag.String("stacks", "", "with -live: comma-separated stack names (default L_RPC-VIP)")

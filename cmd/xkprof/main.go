@@ -13,8 +13,6 @@
 //	xkprof -capture profs/ -json xkprof.json    # drive the bench stacks,
 //	                                            # capture all four profiles,
 //	                                            # decode, report
-//	xkprof -diff BENCH_prof1.json xkprof.json   # diff two reports (rel mode:
-//	                                            # share-point deltas)
 //
 // Profile kinds are detected from sample types; mutex and block
 // profiles share a schema, so files whose name contains "block" are
@@ -47,19 +45,7 @@ func realMain() int {
 	stacksFlag := flag.String("stacks", "", "with -capture: comma-separated stack names (default CHANNEL-FRAGMENT-VIP)")
 	perStack := flag.Duration("per-stack", 0, "with -capture: labeled-loop duration per stack (default 400ms)")
 	clients := flag.Int("clients", 0, "with -capture: contention-phase concurrency (default 4; negative disables)")
-	diff := flag.Bool("diff", false, "diff two reports: xkprof -diff base.json current.json")
-	mode := flag.String("mode", bench.CompareRelative, "with -diff: rel (share-point deltas, machine-independent) or abs")
-	threshold := flag.Float64("threshold", 10, "with -diff: regression threshold (share points in rel mode, percent in abs)")
 	flag.Parse()
-
-	if *diff {
-		code, err := runDiff(flag.Args(), *mode, *threshold)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xkprof: %v\n", err)
-			return 1
-		}
-		return code
-	}
 
 	var rep *prof.Report
 	var err error
@@ -164,29 +150,4 @@ func classify(path string, p *prof.Profile) string {
 		return "mutex"
 	}
 	return ""
-}
-
-// runDiff compares two report files; nonzero when a share grew past
-// the threshold.
-func runDiff(args []string, mode string, threshold float64) (int, error) {
-	if len(args) != 2 {
-		return 2, fmt.Errorf("-diff wants exactly two report files, got %d", len(args))
-	}
-	base, err := prof.ReadReport(args[0])
-	if err != nil {
-		return 1, err
-	}
-	cur, err := prof.ReadReport(args[1])
-	if err != nil {
-		return 1, err
-	}
-	res, err := bench.CompareProfReports(base, cur, mode, threshold)
-	if err != nil {
-		return 1, err
-	}
-	res.Print(os.Stdout)
-	if res.Regressions > 0 {
-		return 1, nil
-	}
-	return 0, nil
 }

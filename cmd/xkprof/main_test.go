@@ -1,13 +1,11 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"xkernel/internal/bench"
 	"xkernel/internal/obs/prof"
 )
 
@@ -72,43 +70,5 @@ func TestClassify(t *testing.T) {
 		if got := classify(c.path, c.p); got != c.want {
 			t.Errorf("classify(%s) = %q, want %q", c.path, got, c.want)
 		}
-	}
-}
-
-// TestDiff exercises the -diff path: identical reports pass, a grown
-// share fails.
-func TestDiff(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, channelShare, wireShare float64) string {
-		rep := &prof.Report{
-			Kind: prof.ReportKind,
-			Layers: []prof.LayerRow{
-				{Layer: "channel", CPUSharePct: channelShare},
-				{Layer: "wire", CPUSharePct: wireShare},
-			},
-		}
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		return path
-	}
-	base := write("base.json", 40, 60)
-	same := write("same.json", 42, 58)
-	worse := write("worse.json", 70, 30)
-
-	if code, err := runDiff([]string{base, same}, bench.CompareRelative, 10); err != nil || code != 0 {
-		t.Fatalf("near-identical diff: code %d, err %v", code, err)
-	}
-	if code, err := runDiff([]string{base, worse}, bench.CompareRelative, 10); err != nil || code != 1 {
-		t.Fatalf("regressed diff: code %d, err %v (want 1, nil)", code, err)
-	}
-	if code, _ := runDiff([]string{base}, bench.CompareRelative, 10); code != 2 {
-		t.Fatalf("one-arg diff: code %d, want 2", code)
 	}
 }

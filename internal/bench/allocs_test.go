@@ -47,6 +47,18 @@ import (
 // 2, the caller's Bytes); M_RPC-VIP 14 is 6 out (no header copy) and 8
 // back (frameReply's Split: slice + 3 fragments, blob, chain 2, Bytes).
 //
+// The remaining null rows are the configurations of Table I, §4.3 and
+// the UDP round trip, so a whole layer's worth of cost grown into any of
+// them is an allocation count that moved, not a timing band. M_RPC-ETH,
+// M_RPC-IP and SELECT-CHANNEL-VIPsize are the same 3 as over VIP; UDP-IP-ETH
+// keeps no ledger, so 2. N_RPC 15 is M.RPC's 3 plus the Sprite shim's
+// emulated buffer mismanagement: each of the four shim crossings (request
+// and reply, down and up) flattens the message, copies it once and wraps
+// the copy — 3 apiece, 12 in all. N.RPC's 1 ms crash probe reads the
+// wall clock, so a pre-empted call can earn one inside the measured loop,
+// but a probe is one more call's worth of allocations in a 200-call
+// average that AllocsPerRun truncates to an integer, so the row is exact.
+//
 // The race detector instruments allocation, so the file is built
 // without it; scripts/check.sh runs it as its own no-race stage.
 var allocBudgets = []struct {
@@ -65,6 +77,11 @@ var allocBudgets = []struct {
 	{MRPCVIP, 16 * 1024, false, 17},
 	{LRPCVIP, 4 * 1024, true, 15},
 	{MRPCVIP, 4 * 1024, true, 14},
+	{NRPC, 0, false, 15},
+	{MRPCEth, 0, false, 3},
+	{MRPCIP, 0, false, 3},
+	{SelChanVIPsize, 0, false, 3},
+	{UDPIP, 0, false, 2},
 }
 
 func TestAllocBudgets(t *testing.T) {

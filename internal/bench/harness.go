@@ -33,11 +33,6 @@ type Options struct {
 	// damping GC and scheduler noise at microsecond scale; zero means
 	// 3.
 	Repeats int
-	// ProfileLabels turns on per-layer pprof goroutine labels during
-	// instrumented runs, so a CPU profile attributes samples to
-	// protocol layers. Costs time per boundary crossing — only set it
-	// when collecting a profile.
-	ProfileLabels bool
 	// WireFactory selects the transport the testbeds are built over;
 	// nil means a fresh simulated segment per stack. Measuring over
 	// the UDP backend prices the seam against real sockets.
@@ -94,8 +89,7 @@ type Result struct {
 // MeasureLatency runs the null-call latency test on a fresh testbed.
 // The timed loop runs under a {stack=<name>} pprof label set, so a CPU
 // profile collected across a whole table attributes samples per
-// configuration (and, on instrumented graphs with profile labels on,
-// per layer).
+// configuration.
 func MeasureLatency(tb *Testbed, opt Options) (best time.Duration, frames float64, err error) {
 	opt.fill()
 	pprof.Do(context.Background(), pprof.Labels("stack", string(tb.Stack)), func(context.Context) {

@@ -52,6 +52,12 @@ func TestTablesRender(t *testing.T) {
 	}
 }
 
+// TestMeasureProducesSaneNumbers checks Measure's bookkeeping on a
+// five-iteration run, where one pre-empted loop outweighs any real
+// difference between two timings: so nothing here orders two timings or
+// bands one. That a 16 KB call costs more than a 1 KB call is asserted on
+// what it puts on the wire — twelve fragments and a reply against one
+// frame and a reply — which is the same on every run.
 func TestMeasureProducesSaneNumbers(t *testing.T) {
 	r, err := Measure(MRPCVIP, tiny)
 	if err != nil {
@@ -63,14 +69,37 @@ func TestMeasureProducesSaneNumbers(t *testing.T) {
 	if r.FramesPerNullRPC != 2 {
 		t.Fatalf("frames per null RPC = %f, want 2", r.FramesPerNullRPC)
 	}
-	if r.ThroughputWire < 500 || r.ThroughputWire > 1300 {
-		t.Fatalf("wire throughput = %f", r.ThroughputWire)
+	if len(r.SweepLatency) != len(tiny.SweepSizes) {
+		t.Fatalf("sweep measured %d sizes, want %d", len(r.SweepLatency), len(tiny.SweepSizes))
 	}
-	if r.SweepLatency[16*1024] <= r.SweepLatency[1024] {
-		t.Fatal("16k not slower than 1k")
+	for _, size := range tiny.SweepSizes {
+		if r.SweepLatency[size] <= 0 {
+			t.Fatalf("%d-byte latency = %v", size, r.SweepLatency[size])
+		}
 	}
-	if r.IncrementalPerKB <= 0 {
-		t.Fatalf("incremental = %v", r.IncrementalPerKB)
+	if r.IncrementalPerKB != slopePerKB(r.SweepLatency) {
+		t.Fatalf("incremental = %v, not the fit of %v", r.IncrementalPerKB, r.SweepLatency)
+	}
+	if r.ThroughputCPU <= 0 || r.ThroughputWire <= 0 || r.ThroughputWire > r.ThroughputCPU {
+		t.Fatalf("throughput: cpu %f, wire-bounded %f", r.ThroughputCPU, r.ThroughputWire)
+	}
+
+	tb, err := Build(MRPCVIP, sim.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	for _, c := range []struct {
+		size   int
+		frames int64
+	}{{1024, 1 + 1}, {16 * 1024, 12 + 1}} {
+		before := tb.Wire.Stats().FramesSent
+		if err := tb.End.RoundTrip(msg.MakeData(c.size)); err != nil {
+			t.Fatal(err)
+		}
+		if got := tb.Wire.Stats().FramesSent - before; got != c.frames {
+			t.Errorf("%d-byte call: %d frames, want %d", c.size, got, c.frames)
+		}
 	}
 }
 

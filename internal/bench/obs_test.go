@@ -183,82 +183,56 @@ func TestWireGolden(t *testing.T) {
 }
 
 // TestInstrumentedLayerCounts is the consistency acceptance check at
-// bench level: N null RPCs through the instrumented Figure 3(a) stack
-// count exactly N pushes and N pops at every boundary on both hosts.
+// bench level, over every stack in the table: N null RPCs through the
+// instrumented graph drop nothing at any boundary, and a boundary the
+// calls cross counts exactly N pushes and N pops (request one way,
+// reply the other) while one they bypass — IP under a VIP that picked
+// ETH, the RPC protocol's own top, entered by Call — counts neither.
+// For the Figure 3(a) stack the eight boundaries on the path are named.
+// The clock is fake so N.RPC's 1 ms crash probe adds no frame of its own.
 func TestInstrumentedLayerCounts(t *testing.T) {
-	tb, m, err := BuildInstrumented(SelChanFragVIP, sim.Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Setup traffic (opens, ARP) settles before counting.
-	if err := tb.End.RoundTrip(nil); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset()
-
 	const N = 25
-	for i := 0; i < N; i++ {
-		if err := tb.End.RoundTrip(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	layers := []string{
+	onPath := map[Stack][]string{SelChanFragVIP: {
 		"client/channel", "client/fragment", "client/vip", "client/eth",
 		"server/eth", "server/vip", "server/fragment", "server/channel",
-	}
-	for _, name := range layers {
-		ls := m.Layer(name)
-		if got := ls.Pushes.Load(); got != N {
-			t.Errorf("%s: pushes = %d, want %d", name, got, N)
-		}
-		if got := ls.Pops.Load(); got != N {
-			t.Errorf("%s: pops = %d, want %d", name, got, N)
-		}
-		if got := ls.Drops.Load(); got != 0 {
-			t.Errorf("%s: drops = %d, want 0", name, got)
-		}
-	}
-}
-
-// TestTableJSONSmoke produces a tiny Table I report and sanity-checks
-// its shape: every configuration carries latency and non-empty
-// per-layer breakdowns with balanced counters.
-func TestTableJSONSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measures latency; skipped in -short")
-	}
-	opt := Options{LatencyIters: 50, SweepIters: 2, Warmup: 10, Repeats: 1,
-		SweepSizes: []int{1024, 16 * 1024}}
-	rep, err := TableJSON(1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Table != 1 || len(rep.Configs) != 4 {
-		t.Fatalf("report shape: table %d, %d configs", rep.Table, len(rep.Configs))
-	}
-	for _, c := range rep.Configs {
-		if c.LatencyUs <= 0 {
-			t.Errorf("%s: latency %v", c.Stack, c.LatencyUs)
-		}
-		if len(c.Layers) == 0 {
-			t.Errorf("%s: no layer breakdown", c.Stack)
-		}
-		var pushes int64
-		for _, ls := range c.Layers {
-			pushes += ls.Pushes
-			if ls.Drops != 0 {
-				t.Errorf("%s/%s: %d drops", c.Stack, ls.Layer, ls.Drops)
+	}}
+	for _, stack := range Stacks() {
+		t.Run(string(stack), func(t *testing.T) {
+			tb, m, err := BuildInstrumented(stack, sim.Config{}, event.NewFake())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if pushes == 0 {
-			t.Errorf("%s: instrumented run counted no pushes", c.Stack)
-		}
-	}
-	if err := WriteTableJSON(discard{}, 3, Options{LatencyIters: 30, SweepIters: 1, Warmup: 5, Repeats: 1, SweepSizes: []int{1024}}); err != nil {
-		t.Fatalf("table 3 json: %v", err)
+			defer tb.Close()
+			// Setup traffic (opens, ARP) settles before counting.
+			if err := tb.End.RoundTrip(nil); err != nil {
+				t.Fatal(err)
+			}
+			m.Reset()
+			for i := 0; i < N; i++ {
+				if err := tb.End.RoundTrip(nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var crossed int
+			for _, ls := range m.Snapshot() {
+				if ls.Drops != 0 {
+					t.Errorf("%s: drops = %d, want 0", ls.Layer, ls.Drops)
+				}
+				if ls.Pushes != ls.Pops || (ls.Pushes != 0 && ls.Pushes != N) {
+					t.Errorf("%s: pushes = %d, pops = %d, want both %d or both 0", ls.Layer, ls.Pushes, ls.Pops, N)
+				}
+				if ls.Pushes == N {
+					crossed++
+				}
+			}
+			if crossed < 2 {
+				t.Errorf("%d boundaries counted the calls, want at least one per host", crossed)
+			}
+			for _, name := range onPath[stack] {
+				if got := m.Layer(name).Pushes.Load(); got != N {
+					t.Errorf("%s: pushes = %d, want %d", name, got, N)
+				}
+			}
+		})
 	}
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

@@ -86,83 +86,3 @@ func TestCaptureProfilesLabelsAndReport(t *testing.T) {
 	}
 	t.Skipf("after 3 capture windows: %s (starved CI machine)", lastErr)
 }
-
-func profReport(layers ...prof.LayerRow) *prof.Report {
-	rep := &prof.Report{Kind: prof.ReportKind, Layers: layers}
-	for _, l := range layers {
-		rep.CPUTotalNs += l.CPUSelfNs
-		rep.AllocBytes += l.AllocBytes
-		rep.MutexNs += l.MutexNs
-	}
-	return rep
-}
-
-func TestCompareProfReportsRelative(t *testing.T) {
-	base := profReport(
-		prof.LayerRow{Layer: "client/channel", CPUSharePct: 40, AllocSharePct: 30},
-		prof.LayerRow{Layer: "client/vip", CPUSharePct: 20, AllocSharePct: 10},
-		prof.LayerRow{Layer: "wire", CPUSharePct: 40, AllocSharePct: 60},
-	)
-	cur := profReport(
-		prof.LayerRow{Layer: "client/channel", CPUSharePct: 55, AllocSharePct: 30},
-		prof.LayerRow{Layer: "client/vip", CPUSharePct: 15, AllocSharePct: 10},
-		prof.LayerRow{Layer: "wire", CPUSharePct: 30, AllocSharePct: 60},
-	)
-	res, err := CompareProfReports(base, cur, CompareRelative, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Regressions != 1 {
-		t.Fatalf("regressions = %d, want 1 (channel cpu share +15pts): %+v", res.Regressions, res.Rows)
-	}
-	for _, row := range res.Rows {
-		if row.Regressed && (row.Stack != "client/channel" || row.Metric != "cpu_share_pct") {
-			t.Errorf("unexpected regression: %+v", row)
-		}
-	}
-	// Shrinking share never regresses.
-	res, err = CompareProfReports(cur, base, CompareRelative, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		if row.Regressed && row.Stack == "client/vip" {
-			t.Errorf("share shrink flagged as regression: %+v", row)
-		}
-	}
-}
-
-func TestCompareProfReportsAbsolute(t *testing.T) {
-	base := profReport(prof.LayerRow{Layer: "channel", CPUSelfNs: 1000, AllocBytes: 100, MutexNs: 10})
-	cur := profReport(prof.LayerRow{Layer: "channel", CPUSelfNs: 2000, AllocBytes: 100, MutexNs: 10})
-	res, err := CompareProfReports(base, cur, CompareAbsolute, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Regressions != 1 {
-		t.Fatalf("regressions = %d, want 1: %+v", res.Regressions, res.Rows)
-	}
-}
-
-func TestCompareProfReportsMissingAndModes(t *testing.T) {
-	base := profReport(
-		prof.LayerRow{Layer: "channel", CPUSharePct: 50},
-		prof.LayerRow{Layer: "gone", CPUSharePct: 50},
-		prof.LayerRow{Layer: "dust", CPUSharePct: 0.5},
-	)
-	cur := profReport(prof.LayerRow{Layer: "channel", CPUSharePct: 50})
-	res, err := CompareProfReports(base, cur, CompareRelative, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Missing) != 1 || !strings.Contains(res.Missing[0], "gone") {
-		t.Fatalf("missing = %v, want the big layer only (dust is below the floor)", res.Missing)
-	}
-	if _, err := CompareProfReports(base, cur, "bogus", 10); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-	empty := &prof.Report{Kind: prof.ReportKind}
-	if _, err := CompareProfReports(empty, cur, CompareRelative, 10); err == nil {
-		t.Fatal("disjoint reports accepted")
-	}
-}

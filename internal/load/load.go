@@ -16,7 +16,10 @@ package load
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"runtime/pprof"
 	"sync"
@@ -179,7 +182,7 @@ type StackReport struct {
 }
 
 // Report is a full sweep in exportable form. Kind distinguishes it
-// from the table reports sharing the BENCH_*.json namespace.
+// from xkprof's report.
 type Report struct {
 	Kind    string `json:"kind"` // always "load"
 	Options struct {
@@ -234,6 +237,33 @@ func ComputeKnees(rep *Report) []KneeSummary {
 
 // ReportKind is the Kind value marking a load report.
 const ReportKind = "load"
+
+// WriteJSON renders the report as indented JSON.
+func (r *Report) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
+}
+
+// ReadReport loads a load report written by WriteJSON and refuses JSON
+// of any other kind.
+func ReadReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if rep.Kind != ReportKind {
+		return nil, fmt.Errorf("%s: kind %q is not a load report", path, rep.Kind)
+	}
+	if len(rep.Stacks) == 0 {
+		return nil, fmt.Errorf("%s: no stacks in report", path)
+	}
+	return &rep, nil
+}
 
 // Run sweeps every stack through every concurrency level.
 func Run(opt Options) (*Report, error) {

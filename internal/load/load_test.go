@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -16,30 +17,46 @@ func quickOpt() Options {
 	return Options{Duration: 150 * time.Millisecond, WarmupCalls: 2}
 }
 
+// TestLevelScalesWithClients holds each stack's scaling shape as a ratio
+// of two cells of one run, so machine speed divides out. On a
+// latency-bound wire N clients overlap their waits and throughput grows
+// with N as far as the stack's own locking lets it: L_RPC-VIP's
+// 8-channel pool approaches 8x at N=8, and CHANNEL-FRAGMENT-VIP, which
+// opens a channel per client, was recorded at 126x from N=1 to N=64
+// (EXPERIMENTS.md). The floors sit far below both — a lock widened
+// across a call serializes the stack and turns the N-client cell back
+// into the N=1 cell, which reaches neither.
 func TestLevelScalesWithClients(t *testing.T) {
-	opt := quickOpt()
-	l1, err := RunLevel(bench.LRPCVIP, 1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l8, err := RunLevel(bench.LRPCVIP, 8, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1.Errors != 0 || l8.Errors != 0 {
-		t.Fatalf("errors during load: N=1 %d, N=8 %d", l1.Errors, l8.Errors)
-	}
-	// On a latency-bound wire, 8 clients over an 8-channel pool should
-	// approach 8x; 2x is far below anything but a serialized stack, so
-	// the assertion is robust to scheduler noise.
-	if l8.CallsPerSec < 2*l1.CallsPerSec {
-		t.Errorf("no concurrency: N=8 %.0f calls/sec vs N=1 %.0f", l8.CallsPerSec, l1.CallsPerSec)
-	}
-	if l8.Fairness < 0.5 {
-		t.Errorf("fairness %.3f: some client starved", l8.Fairness)
-	}
-	if l1.P50Us <= 0 || l1.P99Us < l1.P50Us {
-		t.Errorf("bad quantiles: p50=%.0fus p99=%.0fus", l1.P50Us, l1.P99Us)
+	for _, c := range []struct {
+		stack   bench.Stack
+		clients int
+		floor   float64
+	}{
+		{bench.LRPCVIP, 8, 2},
+		{bench.ChanFragVIP, 64, 8},
+	} {
+		opt := quickOpt()
+		l1, err := RunLevel(c.stack, 1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := RunLevel(c.stack, c.clients, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l1.Errors != 0 || ln.Errors != 0 {
+			t.Fatalf("%s: errors during load: N=1 %d, N=%d %d", c.stack, l1.Errors, c.clients, ln.Errors)
+		}
+		if ln.CallsPerSec < c.floor*l1.CallsPerSec {
+			t.Errorf("%s: no concurrency: N=%d %.0f calls/sec vs N=1 %.0f, want at least %.0fx",
+				c.stack, c.clients, ln.CallsPerSec, l1.CallsPerSec, c.floor)
+		}
+		if ln.Fairness < 0.5 {
+			t.Errorf("%s: fairness %.3f: some client starved", c.stack, ln.Fairness)
+		}
+		if l1.P50Us <= 0 || l1.P99Us < l1.P50Us {
+			t.Errorf("%s: bad quantiles: p50=%.0fus p99=%.0fus", c.stack, l1.P50Us, l1.P99Us)
+		}
 	}
 }
 
@@ -59,7 +76,9 @@ func TestEchoWorkloadVerifies(t *testing.T) {
 	}
 }
 
-func TestReportRoundTripAndCompare(t *testing.T) {
+// TestReportRoundTrip: a sweep written with WriteJSON reads back cell
+// for cell — what xkmon -load renders from.
+func TestReportRoundTrip(t *testing.T) {
 	opt := quickOpt()
 	opt.Stacks = []bench.Stack{bench.MRPCVIP}
 	opt.Clients = []int{1, 4}
@@ -71,57 +90,16 @@ func TestReportRoundTripAndCompare(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_load_test.json")
+	path := filepath.Join(t.TempDir(), "rep.json")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if kind, err := SniffKind(path); err != nil || kind != ReportKind {
-		t.Fatalf("SniffKind = %q, %v; want %q", kind, err, ReportKind)
 	}
 	back, err := ReadReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Stacks) != 1 || len(back.Stacks[0].Levels) != 2 {
-		t.Fatalf("report round trip lost cells: %+v", back)
-	}
-
-	ropt := OptionsFrom(back)
-	if len(ropt.Stacks) != 1 || ropt.Stacks[0] != bench.MRPCVIP {
-		t.Fatalf("OptionsFrom stacks = %v", ropt.Stacks)
-	}
-	if ropt.Duration != opt.Duration || len(ropt.Clients) != 2 {
-		t.Fatalf("OptionsFrom lost options: %+v", ropt)
-	}
-
-	// Self-comparison: identical reports must never regress, in either
-	// mode.
-	for _, mode := range []string{bench.CompareAbsolute, bench.CompareRelative} {
-		res, err := CompareReports(back, back, mode, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Regressions != 0 {
-			t.Fatalf("self-compare (%s) found %d regressions", mode, res.Regressions)
-		}
-		if len(res.Rows) == 0 {
-			t.Fatalf("self-compare (%s) compared nothing", mode)
-		}
-	}
-
-	// A halved throughput at one cell must regress in both modes.
-	worse := *back
-	worse.Stacks = append([]StackReport(nil), back.Stacks...)
-	worse.Stacks[0].Levels = append([]Level(nil), back.Stacks[0].Levels...)
-	worse.Stacks[0].Levels[1].CallsPerSec /= 2
-	for _, mode := range []string{bench.CompareAbsolute, bench.CompareRelative} {
-		res, err := CompareReports(back, &worse, mode, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Regressions == 0 {
-			t.Fatalf("halved calls/sec not flagged in %s mode", mode)
-		}
+	if !reflect.DeepEqual(back, rep) {
+		t.Fatalf("report round trip changed the report:\n wrote %+v\n read  %+v", rep, back)
 	}
 }
 
@@ -201,15 +179,19 @@ func TestComputeKnees(t *testing.T) {
 	}
 }
 
+// TestTableReportRejected: ReadReport refuses JSON of another kind — the
+// kindless table report older xkbench builds wrote, and xkprof's.
 func TestTableReportRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_table.json")
-	if err := os.WriteFile(path, []byte(`{"table":1,"configs":[{"stack":"X"}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReport(path); err == nil {
-		t.Fatal("ReadReport accepted a table report")
-	}
-	if kind, err := SniffKind(path); err != nil || kind != "" {
-		t.Fatalf("SniffKind = %q, %v; want empty", kind, err)
+	for _, doc := range []string{
+		`{"table":1,"configs":[{"stack":"X"}]}`,
+		`{"kind":"prof","stacks":[{"stack":"X"}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "other.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadReport(path); err == nil {
+			t.Errorf("ReadReport accepted %s", doc)
+		}
 	}
 }

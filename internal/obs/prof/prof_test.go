@@ -3,7 +3,6 @@ package prof
 import (
 	"bytes"
 	"context"
-	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -304,44 +303,14 @@ func TestBuildReport(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, tbl.String())
 		}
 	}
-}
-
-func TestReportJSONRoundTrip(t *testing.T) {
-	rep := BuildReport(&Profile{
-		SampleTypes: []ValueType{{"cpu", "nanoseconds"}},
-		Samples: []Sample{
-			{Values: []int64{5e6}, Stack: []Frame{{Function: "xkernel/internal/rpc/vip.(*Protocol).Demux"}}},
-		},
-	}, nil, nil, nil)
-	rep.Options = ReportOptions{Stacks: []string{"paper"}, RPCs: 100, Source: "test"}
-	path := filepath.Join(t.TempDir(), "prof.json")
-	f, err := os.Create(path)
-	if err != nil {
+	var doc strings.Builder
+	if err := rep.WriteJSON(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	back, err := ReadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.CPUTotalNs != rep.CPUTotalNs || len(back.Layers) != 1 || back.Layers[0].Layer != "vip" {
-		t.Fatalf("round trip: %+v", back)
-	}
-	if back.Options.RPCs != 100 || back.Options.Source != "test" {
-		t.Fatalf("options lost: %+v", back.Options)
-	}
-}
-
-func TestReadReportRejectsWrongKind(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "load.json")
-	if err := os.WriteFile(path, []byte(`{"kind":"load","layers":[{"layer":"x"}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReport(path); err == nil {
-		t.Fatal("ReadReport accepted a load report")
+	for _, want := range []string{`"kind": "prof"`, `"layer": "client/channel"`} {
+		if !strings.Contains(doc.String(), want) {
+			t.Errorf("JSON report missing %s:\n%s", want, doc.String())
+		}
 	}
 }
 

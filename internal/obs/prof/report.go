@@ -4,13 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 )
 
-// ReportKind is the "kind" field value that routes a profile report
-// through xkbench -compare (table reports have no kind, load reports
-// say "load").
+// ReportKind is the "kind" field value marking a profile report (load
+// reports say "load").
 const ReportKind = "prof"
 
 // LayerRow is one layer's resource anatomy: CPU self/total
@@ -187,25 +185,6 @@ func BuildReport(cpu, heap, mutex, block *Profile) *Report {
 		return rep.Locks[i].Class < rep.Locks[j].Class
 	})
 	return rep
-}
-
-// ReadReport loads a kind:"prof" JSON report written by WriteJSON.
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Kind != ReportKind {
-		return nil, fmt.Errorf("%s: kind %q is not a prof report", path, rep.Kind)
-	}
-	if len(rep.Layers) == 0 {
-		return nil, fmt.Errorf("%s: no layers in report", path)
-	}
-	return &rep, nil
 }
 
 // WriteJSON renders the report as indented JSON.

@@ -3,7 +3,7 @@
 // frames. The paper measures layered RPC against a real 10 Mbps
 // ethernet; this suite has historically measured it against
 // internal/sim's in-memory segment. The seam makes the substrate
-// pluggable — the same stacks, chaos scenarios, and baselines drive
+// pluggable — the same stacks, chaos scenarios, and load sweeps drive
 // either the simulator or real UDP sockets (wire/udp) without the
 // protocol code knowing which.
 //

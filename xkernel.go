@@ -169,7 +169,7 @@ type (
 	// LoadStackReport is one stack's full concurrency sweep.
 	LoadStackReport = load.StackReport
 	// LoadReport is the JSON-ready result of a whole load run
-	// (xkload's BENCH_load*.json).
+	// (what xkload -json writes).
 	LoadReport = load.Report
 	// LoadKneeSummary locates a stack's saturation knee in a sweep.
 	LoadKneeSummary = load.KneeSummary
@@ -322,12 +322,8 @@ var (
 	LoadRun = load.Run
 	// LoadRunLevel measures a single (stack, client-count) cell.
 	LoadRunLevel = load.RunLevel
-	// LoadReadReport loads a BENCH_load JSON report from disk.
+	// LoadReadReport loads a load-sweep JSON report from disk.
 	LoadReadReport = load.ReadReport
-	// LoadCompareReports diffs two load reports cell-by-cell; relative
-	// mode normalizes calls/sec by the shared-cell mean so committed
-	// baselines stay comparable across machines.
-	LoadCompareReports = load.CompareReports
 	// LoadComputeKnees locates each stack's saturation knee in a sweep.
 	LoadComputeKnees = load.ComputeKnees
 	// NewGaugeSet creates a gauge registry whose series each keep the
@@ -363,8 +359,6 @@ var (
 	// BuildProfReport attributes decoded cpu/heap/mutex/block profiles
 	// to protocol layers (any of the four may be nil).
 	BuildProfReport = prof.BuildReport
-	// ReadProfReport loads a kind:"prof" JSON report from disk.
-	ReadProfReport = prof.ReadReport
 )
 
 // Ledger fsync policies, re-exported.
