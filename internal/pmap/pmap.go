@@ -18,12 +18,26 @@
 // paths — many shepherd goroutines resolving different sessions at once —
 // do not serialize on a single lock. Every operation touches exactly one
 // shard except Len and Range, which visit all of them.
+//
+// Each shard also keeps the x-kernel map tool's one-entry cache of the
+// last key resolved: consecutive messages of one conversation carry the
+// same key, so Resolve compares it against the cached binding and, on a
+// hit, returns without taking the lock or writing anything shared. A miss
+// looks the key up under the read lock and caches what it found before
+// releasing it; Bind, BindIfAbsent and Unbind clear the cache under the
+// write lock, so a Resolve that starts after one of them returned cannot
+// be answered with the binding it replaced. Bindings are immutable
+// records, which is what lets a hit read one with no lock. The cache's
+// worst case is keys of one shard alternating — every Resolve then misses
+// and stores; the benchmark's pmap.resolve_ns row rotates 64 keys and is
+// that case (reported, not gated), while a stack's demux is the hit.
 package pmap
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"xkernel/internal/obs/gauge"
 )
@@ -41,7 +55,23 @@ type Map struct {
 
 type shard struct {
 	mu sync.RWMutex
-	m  map[string]any
+	m  map[string]*binding
+	// last is the binding the latest Resolve to take the lock found, or
+	// nil: stored under mu (read side), cleared under mu (write side).
+	last atomic.Pointer[binding]
+}
+
+// binding is one key → value record, immutable once in a shard.
+type binding struct {
+	key string
+	v   any
+}
+
+func (b *binding) value() (any, bool) {
+	if b == nil {
+		return nil, false
+	}
+	return b.v, true
 }
 
 // New returns an empty map sized for hint entries.
@@ -49,7 +79,7 @@ func New(hint int) *Map {
 	m := &Map{}
 	per := (hint + shardCount - 1) / shardCount
 	for i := range m.shards {
-		m.shards[i].m = make(map[string]any, per)
+		m.shards[i].m = make(map[string]*binding, per)
 	}
 	return m
 }
@@ -71,9 +101,17 @@ func (m *Map) Bind(key []byte, v any) (prev any, existed bool) {
 	s := m.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prev, existed = s.m[string(key)]
-	s.m[string(key)] = v
-	return prev, existed
+	old := s.m[string(key)]
+	s.put(key, v)
+	return old.value()
+}
+
+// put binds key to a fresh record and clears the last-key cache. Caller
+// holds s.mu.
+func (s *shard) put(key []byte, v any) {
+	k := string(key)
+	s.m[k] = &binding{k, v}
+	s.last.Store(nil)
 }
 
 // BindIfAbsent associates key with v only if no binding exists; it returns
@@ -82,20 +120,26 @@ func (m *Map) BindIfAbsent(key []byte, v any) (cur any, inserted bool) {
 	s := m.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.m[string(key)]; ok {
-		return prev, false
+	if prev := s.m[string(key)]; prev != nil {
+		return prev.v, false
 	}
-	s.m[string(key)] = v
+	s.put(key, v)
 	return v, true
 }
 
 // Resolve looks up key.
 func (m *Map) Resolve(key []byte) (v any, ok bool) {
 	s := m.shardFor(key)
+	if b := s.last.Load(); b != nil && b.key == string(key) {
+		return b.v, true
+	}
 	s.mu.RLock()
-	v, ok = s.m[string(key)]
+	b := s.m[string(key)]
+	if b != nil {
+		s.last.Store(b)
+	}
 	s.mu.RUnlock()
-	return v, ok
+	return b.value()
 }
 
 // Unbind removes the binding for key, reporting whether one existed.
@@ -103,10 +147,11 @@ func (m *Map) Unbind(key []byte) bool {
 	s := m.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[string(key)]; !ok {
+	if s.m[string(key)] == nil {
 		return false
 	}
 	delete(s.m, string(key))
+	s.last.Store(nil)
 	return true
 }
 
@@ -165,16 +210,16 @@ func (m *Map) RegisterGauges(set *gauge.Set, prefix string) {
 // the binding it was handed; the iteration observes the bindings as of
 // its visit to each shard and no lock is held while f runs.
 func (m *Map) Range(f func(key string, v any) bool) {
-	var snap []binding
+	var snap []*binding
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
 		snap = snap[:0]
 		if cap(snap) < len(s.m) {
-			snap = make([]binding, 0, len(s.m))
+			snap = make([]*binding, 0, len(s.m))
 		}
-		for k, v := range s.m {
-			snap = append(snap, binding{k, v})
+		for _, b := range s.m {
+			snap = append(snap, b)
 		}
 		s.mu.RUnlock()
 		for _, b := range snap {
@@ -183,11 +228,6 @@ func (m *Map) Range(f func(key string, v any) bool) {
 			}
 		}
 	}
-}
-
-type binding struct {
-	key string
-	v   any
 }
 
 // keyInline is the size of a Key's own backing array; every demux key in

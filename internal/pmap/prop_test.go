@@ -3,7 +3,9 @@ package pmap
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -16,7 +18,13 @@ func TestMapVsModel(t *testing.T) {
 	ref := map[string]int{}
 	var kb Key
 	for i := 0; i < 20000; i++ {
-		key := kb.Reset().U8(uint8(rng.Intn(4))).U16(uint16(rng.Intn(64))).Built()
+		// Half the ops reuse the previous key, so the sequences the last-key
+		// cache must survive (Resolve, rebind or unbind, Resolve again) occur
+		// all the time instead of once in 256.
+		if i == 0 || rng.Intn(2) == 0 {
+			kb.Reset().U8(uint8(rng.Intn(4))).U16(uint16(rng.Intn(64)))
+		}
+		key := kb.Built()
 		switch rng.Intn(6) {
 		case 0:
 			v := rng.Int()
@@ -159,6 +167,107 @@ func TestConcurrentMapVsModel(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// sameShardKeys returns two distinct keys that m hashes to one shard.
+func sameShardKeys(m *Map) (k1, k2 []byte) {
+	k1 = new(Key).U8(1).Built()
+	for i := 0; ; i++ {
+		if k2 = new(Key).U8(2).U16(uint16(i)).Built(); m.shardFor(k2) == m.shardFor(k1) {
+			return k1, k2
+		}
+	}
+}
+
+// TestLastKeyCacheSequences scripts the orders in which a stale cached
+// binding would show: every write to a key whose binding a Resolve has
+// just cached, and two keys of one shard evicting each other.
+func TestLastKeyCacheSequences(t *testing.T) {
+	m := New(4)
+	k, k2 := sameShardKeys(m)
+	want := func(step string, key []byte, wantV any, wantOK bool) {
+		t.Helper()
+		for i := 0; i < 2; i++ { // the first may miss and fill; the second hits
+			if v, ok := m.Resolve(key); v != wantV || ok != wantOK {
+				t.Fatalf("%s: Resolve(%x) #%d = %v,%v; want %v,%v", step, key, i, v, ok, wantV, wantOK)
+			}
+		}
+	}
+	m.Bind(k, "a")
+	want("bind", k, "a", true)
+	if prev, existed := m.Bind(k, "b"); prev != "a" || !existed {
+		t.Fatalf("rebind returned %v,%v", prev, existed)
+	}
+	want("rebind after a cached hit", k, "b", true)
+	m.Unbind(k)
+	want("unbind after a cached hit", k, nil, false)
+	if cur, inserted := m.BindIfAbsent(k, "c"); cur != "c" || !inserted {
+		t.Fatalf("BindIfAbsent into the emptied slot = %v,%v", cur, inserted)
+	}
+	want("bind-if-absent", k, "c", true)
+	if cur, inserted := m.BindIfAbsent(k, "d"); cur != "c" || inserted {
+		t.Fatalf("BindIfAbsent after a cached hit = %v,%v", cur, inserted)
+	}
+	want("refused bind-if-absent", k, "c", true)
+	m.Bind(k2, "z")
+	for i := 0; i < 4; i++ {
+		want("alternating", k, "c", true)
+		want("alternating", k2, "z", true)
+	}
+	m.Unbind(k2) // k2 is the cached key; k's binding must survive the clear
+	want("neighbour unbound", k2, nil, false)
+	want("neighbour unbound", k, "c", true)
+}
+
+// TestResolveAfterUnbindNeverStale: a Resolve that starts after Unbind
+// returned must not be answered from the cache with the binding Unbind
+// removed. The writer binds generation g, lets the readers cache it,
+// unbinds it and only then announces g as gone; a reader that loads the
+// announcement before it resolves must see a later generation or nothing.
+func TestResolveAfterUnbindNeverStale(t *testing.T) {
+	m := New(4)
+	key := new(Key).U8(7).Built()
+	var gone atomic.Int64 // every generation ≤ gone has been unbound
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				g := gone.Load()
+				if v, ok := m.Resolve(key); ok && int64(v.(int)) <= g {
+					t.Errorf("Resolve returned generation %d after its Unbind returned (gone=%d)", v, g)
+					return
+				}
+				runtime.Gosched() // spinning readers on every processor would starve the writer
+			}
+		}()
+	}
+	for g := 1; g <= 5000; g++ {
+		m.Bind(key, g)
+		m.Resolve(key) // make sure the binding about to go is the cached one
+		m.Unbind(key)
+		gone.Store(int64(g))
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+// TestResolveAllocatesNothing: neither the cache hit nor its worst case —
+// two keys of one shard alternating, every Resolve a miss that refills the
+// cache — allocates.
+func TestResolveAllocatesNothing(t *testing.T) {
+	m := New(4)
+	k, k2 := sameShardKeys(m)
+	m.Bind(k, 1)
+	m.Bind(k2, 2)
+	if n := testing.AllocsPerRun(200, func() { m.Resolve(k) }); n != 0 {
+		t.Errorf("cache hit allocates %v per Resolve", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { m.Resolve(k); m.Resolve(k2) }); n != 0 {
+		t.Errorf("thrashing miss allocates %v per pair of Resolves", n)
+	}
 }
 
 // TestRangeMutateWithin is the regression test for the old

@@ -25,7 +25,9 @@ package vip
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/eth"
@@ -55,10 +57,32 @@ type Protocol struct {
 
 	ethMTU int
 
-	mu       sync.Mutex
-	enables  map[ip.ProtoNum]xk.Protocol
-	sessions map[xk.Session]*session // lower session → VIP session
-	dir      *Directory              // optional advertisement table (§3.1's generalization)
+	mu      sync.Mutex
+	enables map[ip.ProtoNum]xk.Protocol
+	dir     *Directory // optional advertisement table (§3.1's generalization)
+
+	// sessions maps a lower session to the VIP session wrapping it. Every
+	// message coming up is looked up here, so it is an immutable snapshot:
+	// Demux loads it, open and close copy it under mu (see rebind).
+	sessions atomic.Pointer[map[xk.Session]*session]
+}
+
+// rebind publishes a copy of tab in which each non-nil lower session is
+// bound to s, or unbound when s is nil. The caller holds the lock that
+// serialises tab's writers.
+func rebind[S any](tab *atomic.Pointer[map[xk.Session]*S], s *S, lower ...xk.Session) {
+	next := maps.Clone(*tab.Load())
+	for _, lls := range lower {
+		if lls == nil {
+			continue
+		}
+		if s != nil {
+			next[lls] = s
+		} else {
+			delete(next, lls)
+		}
+	}
+	tab.Store(&next)
 }
 
 // New creates VIP above ethp and ipp, using res for the locality test.
@@ -67,15 +91,16 @@ func New(name string, ethp, ipp xk.Protocol, res Resolver) (*Protocol, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: eth MTU: %w", name, err)
 	}
-	return &Protocol{
+	p := &Protocol{
 		BaseProtocol: xk.BaseProtocol{ProtoName: name},
 		ethp:         ethp,
 		ipp:          ipp,
 		arp:          res,
 		ethMTU:       v.(int),
 		enables:      make(map[ip.ProtoNum]xk.Protocol),
-		sessions:     make(map[xk.Session]*session),
-	}, nil
+	}
+	p.sessions.Store(&map[xk.Session]*session{})
+	return p, nil
 }
 
 func popVIPAddrs(ps *xk.Participants) (proto ip.ProtoNum, remote xk.IPAddr, err error) {
@@ -160,15 +185,10 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 }
 
 func (p *Protocol) newSession(hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, ethSess, ipSess xk.Session) *session {
-	s := &session{p: p, proto: proto, remote: remote, peerHost: remote, ethSess: ethSess, ipSess: ipSess}
-	s.InitSession(p, hlp)
+	s := &session{p: p, proto: proto, remote: remote, peerHost: remote}
+	s.InitSession(p, hlp, ethSess, ipSess)
 	p.mu.Lock()
-	if ethSess != nil {
-		p.sessions[ethSess] = s
-	}
-	if ipSess != nil {
-		p.sessions[ipSess] = s
-	}
+	rebind(&p.sessions, s, ethSess, ipSess)
 	p.mu.Unlock()
 	return s
 }
@@ -218,10 +238,8 @@ func (p *Protocol) OpenDone(llp xk.Protocol, lls xk.Session, ps *xk.Participants
 // passive open) on first contact. VIP popped no header because it pushed
 // none.
 func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
-	p.mu.Lock()
-	s, ok := p.sessions[lls]
-	p.mu.Unlock()
-	if ok {
+	s := (*p.sessions.Load())[lls]
+	if s != nil {
 		return s.Pop(lls, m)
 	}
 	proto, remote, err := p.identify(lls)
@@ -315,8 +333,9 @@ func (p *Protocol) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// session is a VIP session. It holds up to two lower sessions and picks
-// one per push with a single length test.
+// session is a VIP session. It holds up to two lower sessions — Down(ethPath)
+// and Down(ipPath), either of which may be nil — and picks one per push
+// with a single length test.
 type session struct {
 	xk.BaseSession
 	p      *Protocol
@@ -326,17 +345,17 @@ type session struct {
 	// through Control on every message, and boxing per answer would
 	// allocate per message.
 	peerHost any
-
-	smu     sync.Mutex
-	ethSess xk.Session
-	ipSess  xk.Session
 }
+
+// The slots of a VIP session's lower sessions.
+const (
+	ethPath = iota
+	ipPath
+)
 
 // Push is the entire data-path cost of VIP: one length comparison.
 func (s *session) Push(m *msg.Msg) error {
-	s.smu.Lock()
-	ethSess, ipSess := s.ethSess, s.ipSess
-	s.smu.Unlock()
+	ethSess, ipSess := s.Down(ethPath), s.Down(ipPath)
 	if ethSess != nil && m.Len() <= s.p.ethMTU {
 		return ethSess.Push(m)
 	}
@@ -364,17 +383,17 @@ func (s *session) openIP() (xk.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.smu.Lock()
-	if s.ipSess == nil {
-		s.ipSess = ipSess
-		s.p.mu.Lock()
-		s.p.sessions[ipSess] = s
-		s.p.mu.Unlock()
-	} else {
-		_ = ipSess.Close()
-		ipSess = s.ipSess
+	s.p.mu.Lock()
+	cur := s.Down(ipPath)
+	if cur == nil {
+		s.SetDown(ipPath, ipSess)
+		rebind(&s.p.sessions, s, ipSess)
 	}
-	s.smu.Unlock()
+	s.p.mu.Unlock()
+	if cur != nil { // a concurrent push opened it first
+		_ = ipSess.Close()
+		return cur, nil
+	}
 	return ipSess, nil
 }
 
@@ -395,27 +414,21 @@ func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	case xk.CtlGetMyProto, xk.CtlGetPeerProto:
 		return uint32(s.proto), nil
 	case xk.CtlGetMTU:
-		s.smu.Lock()
-		ipSess := s.ipSess
-		ethSess := s.ethSess
-		s.smu.Unlock()
-		if ipSess != nil {
+		if ipSess := s.Down(ipPath); ipSess != nil {
 			return ipSess.Control(xk.CtlGetMTU, nil)
 		}
 		if s.remote != (xk.IPAddr{}) {
 			// The IP path can be opened on demand.
 			return s.p.ipp.Control(xk.CtlGetMTU, nil)
 		}
-		return ethSess.Control(xk.CtlGetMTU, nil)
+		return s.Down(ethPath).Control(xk.CtlGetMTU, nil)
 	case xk.CtlGetOptPacket:
 		return s.p.ethMTU, nil
 	default:
-		s.smu.Lock()
-		d := s.ethSess
+		d := s.Down(ethPath)
 		if d == nil {
-			d = s.ipSess
+			d = s.Down(ipPath)
 		}
-		s.smu.Unlock()
 		if d != nil {
 			return d.Control(op, arg)
 		}
@@ -423,30 +436,14 @@ func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close releases both lower sessions and the demux bindings.
+// Close releases the demux bindings, then (BaseSession.Close: once) both
+// lower sessions.
 func (s *session) Close() error {
-	if !s.MarkClosed() {
+	if s.Closed() {
 		return nil
 	}
-	s.smu.Lock()
-	ethSess, ipSess := s.ethSess, s.ipSess
-	s.smu.Unlock()
 	s.p.mu.Lock()
-	if ethSess != nil {
-		delete(s.p.sessions, ethSess)
-	}
-	if ipSess != nil {
-		delete(s.p.sessions, ipSess)
-	}
+	rebind(&s.p.sessions, nil, s.Down(ethPath), s.Down(ipPath))
 	s.p.mu.Unlock()
-	var first error
-	if ethSess != nil {
-		first = ethSess.Close()
-	}
-	if ipSess != nil {
-		if err := ipSess.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return s.BaseSession.Close()
 }

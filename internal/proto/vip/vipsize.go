@@ -3,6 +3,7 @@ package vip
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/eth"
@@ -26,9 +27,10 @@ type Size struct {
 
 	threshold int // messages at most this long take the direct path
 
-	mu       sync.Mutex
-	enables  map[ip.ProtoNum]xk.Protocol
-	sessions map[xk.Session]*sizeSession
+	mu      sync.Mutex
+	enables map[ip.ProtoNum]xk.Protocol
+	// sessions is VIP's lower session → wrapping session snapshot.
+	sessions atomic.Pointer[map[xk.Session]*sizeSession]
 }
 
 // NewSize creates VIPsize above bulk (a FRAGMENT-style protocol) and
@@ -39,15 +41,16 @@ func NewSize(name string, bulk, direct xk.Protocol, res Resolver) (*Size, error)
 	if err != nil {
 		return nil, fmt.Errorf("%s: direct path packet size: %w", name, err)
 	}
-	return &Size{
+	p := &Size{
 		BaseProtocol: xk.BaseProtocol{ProtoName: name},
 		bulk:         bulk,
 		direct:       direct,
 		arp:          res,
 		threshold:    v.(int),
 		enables:      make(map[ip.ProtoNum]xk.Protocol),
-		sessions:     make(map[xk.Session]*sizeSession),
-	}, nil
+	}
+	p.sessions.Store(&map[xk.Session]*sizeSession{})
+	return p, nil
 }
 
 // Open creates a VIPsize session with both paths open. Participants are
@@ -72,15 +75,10 @@ func (p *Size) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) {
 }
 
 func (p *Size) newSession(hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, directSess, bulkSess xk.Session) *sizeSession {
-	s := &sizeSession{p: p, proto: proto, remote: remote, peerHost: remote, directSess: directSess, bulkSess: bulkSess}
-	s.InitSession(p, hlp)
+	s := &sizeSession{p: p, proto: proto, remote: remote, peerHost: remote}
+	s.InitSession(p, hlp, directSess, bulkSess)
 	p.mu.Lock()
-	if directSess != nil {
-		p.sessions[directSess] = s
-	}
-	if bulkSess != nil {
-		p.sessions[bulkSess] = s
-	}
+	rebind(&p.sessions, s, directSess, bulkSess)
 	p.mu.Unlock()
 	return s
 }
@@ -143,10 +141,8 @@ func (p *Size) OpenDone(llp xk.Protocol, lls xk.Session, ps *xk.Participants) er
 // Demux routes an incoming message (from either path) to the wrapping
 // session, creating it on first contact.
 func (p *Size) Demux(lls xk.Session, m *msg.Msg) error {
-	p.mu.Lock()
-	s, ok := p.sessions[lls]
-	p.mu.Unlock()
-	if ok {
+	s := (*p.sessions.Load())[lls]
+	if s != nil {
 		return s.Pop(lls, m)
 	}
 	proto, remote, err := p.identify(lls)
@@ -220,7 +216,8 @@ func (p *Size) identify(lls xk.Session) (ip.ProtoNum, xk.IPAddr, error) {
 	return ip.ProtoNum(n), remote, nil
 }
 
-// sizeSession picks a path per push with one length test.
+// sizeSession picks a path — Down(directPath) or Down(bulkPath) — per push
+// with one length test.
 type sizeSession struct {
 	xk.BaseSession
 	p      *Size
@@ -230,39 +227,37 @@ type sizeSession struct {
 	// through Control on every message, and boxing per answer would
 	// allocate per message.
 	peerHost any
-
-	smu        sync.Mutex
-	directSess xk.Session
-	bulkSess   xk.Session
 }
+
+// The slots of a VIPsize session's lower sessions.
+const (
+	directPath = iota
+	bulkPath
+)
 
 // Push routes by size: at most the threshold goes direct, larger goes
 // through the bulk-transfer protocol.
 func (s *sizeSession) Push(m *msg.Msg) error {
 	if m.Len() <= s.p.threshold {
-		d, err := s.path(&s.directSess, s.p.direct)
+		d, err := s.path(directPath, s.p.direct)
 		if err != nil {
 			return err
 		}
 		return d.Push(m)
 	}
-	b, err := s.path(&s.bulkSess, s.p.bulk)
+	b, err := s.path(bulkPath, s.p.bulk)
 	if err != nil {
 		return err
 	}
 	return b.Push(m)
 }
 
-// path returns *slot, lazily opening it through proto for passively
+// path returns Down(slot), lazily opening it through proto for passively
 // created sessions that have only seen the other path.
-func (s *sizeSession) path(slot *xk.Session, proto xk.Protocol) (xk.Session, error) {
-	s.smu.Lock()
-	if *slot != nil {
-		d := *slot
-		s.smu.Unlock()
+func (s *sizeSession) path(slot int, proto xk.Protocol) (xk.Session, error) {
+	if d := s.Down(slot); d != nil {
 		return d, nil
 	}
-	s.smu.Unlock()
 	if s.remote == (xk.IPAddr{}) {
 		return nil, fmt.Errorf("%s: peer unknown: %w", s.p.Name(), xk.ErrNoRoute)
 	}
@@ -273,17 +268,18 @@ func (s *sizeSession) path(slot *xk.Session, proto xk.Protocol) (xk.Session, err
 	if err != nil {
 		return nil, err
 	}
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	if *slot == nil {
-		*slot = opened
-		s.p.mu.Lock()
-		s.p.sessions[opened] = s
-		s.p.mu.Unlock()
-	} else {
-		_ = opened.Close()
+	s.p.mu.Lock()
+	cur := s.Down(slot)
+	if cur == nil {
+		s.SetDown(slot, opened)
+		rebind(&s.p.sessions, s, opened)
 	}
-	return *slot, nil
+	s.p.mu.Unlock()
+	if cur != nil { // a concurrent push opened it first
+		_ = opened.Close()
+		return cur, nil
+	}
+	return opened, nil
 }
 
 // Pop passes straight up; VIPsize has no header.
@@ -303,22 +299,17 @@ func (s *sizeSession) Control(op xk.ControlOp, arg any) (any, error) {
 	case xk.CtlGetMyProto, xk.CtlGetPeerProto:
 		return uint32(s.proto), nil
 	case xk.CtlGetMTU:
-		s.smu.Lock()
-		b := s.bulkSess
-		s.smu.Unlock()
-		if b != nil {
+		if b := s.Down(bulkPath); b != nil {
 			return b.Control(xk.CtlGetMTU, nil)
 		}
 		return s.p.bulk.Control(xk.CtlGetMTU, nil)
 	case xk.CtlGetOptPacket:
 		return s.p.threshold, nil
 	default:
-		s.smu.Lock()
-		d := s.directSess
+		d := s.Down(directPath)
 		if d == nil {
-			d = s.bulkSess
+			d = s.Down(bulkPath)
 		}
-		s.smu.Unlock()
 		if d != nil {
 			return d.Control(op, arg)
 		}
@@ -326,30 +317,14 @@ func (s *sizeSession) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close releases both paths.
+// Close releases the demux bindings, then (BaseSession.Close: once) both
+// paths.
 func (s *sizeSession) Close() error {
-	if !s.MarkClosed() {
+	if s.Closed() {
 		return nil
 	}
-	s.smu.Lock()
-	d, b := s.directSess, s.bulkSess
-	s.smu.Unlock()
 	s.p.mu.Lock()
-	if d != nil {
-		delete(s.p.sessions, d)
-	}
-	if b != nil {
-		delete(s.p.sessions, b)
-	}
+	rebind(&s.p.sessions, nil, s.Down(directPath), s.Down(bulkPath))
 	s.p.mu.Unlock()
-	var first error
-	if d != nil {
-		first = d.Close()
-	}
-	if b != nil {
-		if err := b.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return s.BaseSession.Close()
 }

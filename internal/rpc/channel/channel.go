@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -216,14 +217,21 @@ func decodeHeader(b []byte) header {
 
 // Protocol is the CHANNEL protocol object.
 //
-// Locking discipline (narrow on purpose — every lock below sits on the
-// demux or Push hot path under concurrent clients): counters are
-// atomics; bootID is an atomic word; enables is read-mostly under an
-// RWMutex; peerBoots is read-mostly with a write only when a peer's
-// boot id actually changes; srvMu guards only the servers map itself,
-// while each srvChan carries its own mutex for the per-channel
-// at-most-once state machine, so requests on different channels never
-// serialize on one protocol lock.
+// Locking discipline (DESIGN.md §4): state written at bind time (open,
+// enable, close, reboot) and read per message is published with an atomic
+// store and read with an atomic load; a mutex on the fault-free call path
+// needs a reason. Counters and bootID are atomic words; enables and
+// peerBoots are immutable snapshots a writer (an enable; a peer's boot id
+// actually changing) copies under bindMu; clients is a pmap, whose
+// last-key cache answers a channel's replies without a lock. What a
+// fault-free call still locks is what makes at-most-once atomic, per
+// conversation: the client Session's mu (claim the channel and its seq,
+// accept only that seq's reply, release); srvMu for the one lookup in
+// servers, a map that grows on first contact and Reboot drops whole; the
+// srvChan's mutex (the duplicate filter's decision, then the write-ahead
+// Record before the reply leaves), so requests on different channels
+// never serialize on one protocol lock; the ServerSession's mu (demux
+// sets the pending request, the handler's Push consumes it); the ledger's.
 type Protocol struct {
 	xk.BaseProtocol
 	cfg Config
@@ -232,8 +240,8 @@ type Protocol struct {
 	ctr    statCounters
 	bootID atomic.Uint32
 
-	enMu    sync.RWMutex
-	enables map[ip.ProtoNum]xk.Protocol
+	bindMu  sync.Mutex // serialises the writers of enables and peerBoots
+	enables atomic.Pointer[map[ip.ProtoNum]xk.Protocol]
 
 	srvMu   sync.Mutex
 	servers map[srvKey]*srvChan
@@ -241,8 +249,7 @@ type Protocol struct {
 	// peerBoots is the client-side record of each server's last
 	// observed boot id, learned from reply and ack headers and sent
 	// back (truncated) as the epoch hint in requests.
-	peerMu    sync.RWMutex
-	peerBoots map[xk.IPAddr]uint32
+	peerBoots atomic.Pointer[map[xk.IPAddr]uint32]
 
 	clients *pmap.Map // proto(1) ++ chan(2) ++ remote(4) → *Session
 }
@@ -274,11 +281,11 @@ func New(name string, llp xk.Protocol, cfg Config) (*Protocol, error) {
 		BaseProtocol: xk.BaseProtocol{ProtoName: name},
 		cfg:          cfg,
 		llp:          llp,
-		enables:      make(map[ip.ProtoNum]xk.Protocol),
 		servers:      make(map[srvKey]*srvChan),
-		peerBoots:    make(map[xk.IPAddr]uint32),
 		clients:      pmap.New(16),
 	}
+	p.enables.Store(&map[ip.ProtoNum]xk.Protocol{})
+	p.peerBoots.Store(&map[xk.IPAddr]uint32{})
 	p.bootID.Store(cfg.BootID)
 	if err := llp.OpenEnable(p, xk.LocalOnly(xk.NewParticipant(cfg.Proto))); err != nil {
 		return nil, fmt.Errorf("%s: enable: %w", name, err)
@@ -359,24 +366,34 @@ func (p *Protocol) Reboot() {
 // PeerBootID reports the last boot incarnation observed from host in a
 // reply or ack header, or 0 if the host has never answered.
 func (p *Protocol) PeerBootID(host xk.IPAddr) uint32 {
-	p.peerMu.RLock()
-	defer p.peerMu.RUnlock()
-	return p.peerBoots[host]
+	return (*p.peerBoots.Load())[host]
 }
 
 // notePeerBoot records host's boot id as carried in a reply or ack.
-// Runs on every reply, so the common no-change case stays on the read
-// lock.
+// Runs on every reply, so the common no-change case is one load.
 func (p *Protocol) notePeerBoot(host xk.IPAddr, boot uint32) {
-	p.peerMu.RLock()
-	known := p.peerBoots[host]
-	p.peerMu.RUnlock()
-	if known == boot {
+	if p.PeerBootID(host) == boot {
 		return
 	}
-	p.peerMu.Lock()
-	p.peerBoots[host] = boot
-	p.peerMu.Unlock()
+	p.bindMu.Lock()
+	defer p.bindMu.Unlock()
+	next := maps.Clone(*p.peerBoots.Load())
+	next[host] = boot
+	p.peerBoots.Store(&next)
+}
+
+// setEnable publishes enables with proto bound to hlp, or unbound when
+// hlp is nil.
+func (p *Protocol) setEnable(proto ip.ProtoNum, hlp xk.Protocol) {
+	p.bindMu.Lock()
+	defer p.bindMu.Unlock()
+	next := maps.Clone(*p.enables.Load())
+	if hlp != nil {
+		next[proto] = hlp
+	} else {
+		delete(next, proto)
+	}
+	p.enables.Store(&next)
 }
 
 // Control: CHANNEL never pushes more than its client's message plus one
@@ -454,9 +471,7 @@ func (p *Protocol) OpenEnable(hlp xk.Protocol, ps *xk.Participants) error {
 	if err != nil {
 		return fmt.Errorf("%s: open_enable: %w", p.Name(), err)
 	}
-	p.enMu.Lock()
-	p.enables[proto] = hlp
-	p.enMu.Unlock()
+	p.setEnable(proto, hlp)
 	return nil
 }
 
@@ -467,9 +482,7 @@ func (p *Protocol) OpenDisable(hlp xk.Protocol, ps *xk.Participants) error {
 	if err != nil {
 		return fmt.Errorf("%s: open_disable: %w", p.Name(), err)
 	}
-	p.enMu.Lock()
-	delete(p.enables, proto)
-	p.enMu.Unlock()
+	p.setEnable(proto, nil)
 	return nil
 }
 

@@ -18,6 +18,83 @@ import (
 	"xkernel/internal/xk"
 )
 
+// expectLedger fails unless led served exactly lookups Lookups and records
+// Records since *since was taken (the ledger's own counters, which a
+// Reboot keeps), then advances *since.
+func expectLedger(t *testing.T, led ledger.ExecLedger, since *ledger.Stats, step string, lookups, records int64) {
+	t.Helper()
+	now := led.Stats()
+	if l, r := now.Lookups-since.Lookups, now.Appends-since.Appends; l != lookups || r != records {
+		t.Fatalf("%s: %d ledger lookups and %d records, want %d and %d", step, l, r, lookups, records)
+	}
+	*since = now
+}
+
+// TestLedgerLookupOnlyWhenConsulted: the serve path asks the ledger
+// only when the answer is used. A fault-free request on a known channel
+// costs no Lookup and one Record, however many fragments carried it; the
+// request that creates the channel state looks its recovery seed up once;
+// a duplicate, and a request naming a dead incarnation, make the one
+// lookup that decides between replay and drop or reject.
+func TestLedgerLookupOnlyWhenConsulted(t *testing.T) {
+	led := ledger.NewMem(ledger.MemOptions{})
+	var seen ledger.Stats
+	b := build(t, sim.Config{}, channel.Config{Ledger: led})
+	served := echoServer(t, b.sc)
+	s := open(t, b.cc, 0)
+	call := func(payload []byte) error {
+		_, err := s.Call(msg.New(payload))
+		return err
+	}
+
+	if err := call([]byte("first contact")); err != nil {
+		t.Fatal(err)
+	}
+	expectLedger(t, led, &seen, "the request that creates the channel state", 1, 1)
+
+	// Lose one reply. The clock moves exactly once, when the call is parked
+	// on its retransmission timeout, so there is exactly one duplicate.
+	serverMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 2}
+	clientMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 1}
+	b.inj.DropWhere(func(src, dst xk.EthAddr) bool { return src == serverMAC && dst == clientMAC }, 1)
+	done := make(chan error, 1)
+	go func() { done <- call([]byte("reply lost once")) }()
+	for i := 0; b.clock.PendingCount() == 0; i++ {
+		if i == 5000 {
+			t.Fatal("call never armed its retransmission timeout")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b.clock.AdvanceToNext()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := b.sc.Stats().ReplayedReplies; got != 1 {
+		t.Fatalf("ReplayedReplies = %d, want 1", got)
+	}
+	expectLedger(t, led, &seen, "a call whose retransmission is a duplicate", 1, 1)
+
+	for _, size := range []int{0, 64, 16 * 1024, 1, 4096} { // 16 KB: twelve fragments
+		if err := call(msg.MakeData(size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expectLedger(t, led, &seen, "five fault-free calls", 0, 5)
+
+	b.sc.Reboot()
+	if err := call([]byte("stale")); !errors.Is(err, xk.ErrPeerRebooted) {
+		t.Fatalf("call into the new incarnation: %v, want ErrPeerRebooted", err)
+	}
+	expectLedger(t, led, &seen, "a stale-epoch request", 1, 0)
+	if err := call([]byte("converged")); err != nil {
+		t.Fatal(err)
+	}
+	expectLedger(t, led, &seen, "first contact with the new incarnation", 1, 1)
+	if *served != 8 {
+		t.Fatalf("handler ran %d times for 8 executed calls", *served)
+	}
+}
+
 func TestLedgerReplayAcrossCrash(t *testing.T) {
 	led, err := ledger.NewFile(t.TempDir(), ledger.FileOptions{Fsync: ledger.FsyncAlways})
 	if err != nil {
@@ -104,6 +181,9 @@ func TestLedgerReplayAcrossCrash(t *testing.T) {
 	if got := b.sc.Stats().RequestsServed; got != 3 {
 		t.Fatalf("RequestsServed = %d, want 3", got)
 	}
+	// Two recovery seeds (warm; converged, whose channel state died with
+	// the crash), the replay's lookup and the reject's; three executions.
+	expectLedger(t, led, new(ledger.Stats), "the whole crash and recovery", 4, 3)
 }
 
 // TestLedgerVolatileMatchesPaperSemantics pins the contrast: the same

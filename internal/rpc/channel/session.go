@@ -137,6 +137,7 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 			errCode:  hint,
 			bootID:   boot,
 		}
+		skip := false // only a retransmission can have been acked
 		if attempt > 0 {
 			h.flags |= flagPleaseAck
 			p.ctr.retransmits.Add(1)
@@ -145,11 +146,11 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 				p.ctr.retransInFlight.Add(1)
 			}
 			trace.Printf(trace.Events, p.Name(), "retransmit chan=%d seq=%d attempt=%d", s.id, seq, attempt)
+			s.mu.Lock()
+			skip = s.acked // the server said it is working; don't resend
+			s.mu.Unlock()
 		}
-		s.mu.Lock()
-		skip := s.acked // the server said it is working; don't resend
-		s.mu.Unlock()
-		if !skip || attempt == 0 {
+		if !skip {
 			var hb [HeaderLen]byte
 			h.encode(hb[:])
 			// Each (re)transmission is an independent message to
@@ -400,9 +401,7 @@ func (p *Protocol) serveRequest(h header, peer xk.IPAddr, m *msg.Msg, lls xk.Ses
 	proto := ip.ProtoNum(h.protoNum)
 	k := srvKey{peer: peer, proto: proto, channel: h.channel}
 
-	p.enMu.RLock()
-	hlp := p.enables[proto]
-	p.enMu.RUnlock()
+	hlp := (*p.enables.Load())[proto]
 	if hlp == nil {
 		return fmt.Errorf("%s: proto %d: %w", p.Name(), proto, xk.ErrNoSession)
 	}
@@ -430,27 +429,32 @@ func (p *Protocol) serveRequest(h header, peer xk.IPAddr, m *msg.Msg, lls xk.Ses
 			h.channel, h.seq, peer, h.errCode, boot)
 		return p.sendReject(h, boot, lls)
 	}
-	// Seed looked up outside srvMu to keep that lock narrow; it is
-	// only consulted when this request creates the channel state.
-	seed, haveSeed := p.cfg.Ledger.Lookup(lk)
 	p.srvMu.Lock()
 	sc := p.servers[k]
+	p.srvMu.Unlock()
 	newSession := false
 	if sc == nil {
-		sc = &srvChan{bootID: h.bootID}
-		// A recovered incarnation resumes the duplicate filter where
-		// the old one left off: without this, a replayed ledger entry
-		// would look like a "new" request and execute again.
-		if haveSeed && seed.ClientBoot == h.bootID {
-			sc.lastSeq = seed.Seq
+		// The recovery seed is consulted only by a request that creates
+		// the channel state, so only such a request looks it up — outside
+		// srvMu, to keep that lock narrow, then the miss is re-checked.
+		seed, haveSeed := p.cfg.Ledger.Lookup(lk)
+		p.srvMu.Lock()
+		if sc = p.servers[k]; sc == nil {
+			sc = &srvChan{bootID: h.bootID}
+			// A recovered incarnation resumes the duplicate filter where
+			// the old one left off: without this, a replayed ledger entry
+			// would look like a "new" request and execute again.
+			if haveSeed && seed.ClientBoot == h.bootID {
+				sc.lastSeq = seed.Seq
+			}
+			ss := &ServerSession{p: p, key: k, proto: proto, sc: sc}
+			ss.InitSession(p, hlp, lls)
+			sc.session = ss
+			p.servers[k] = sc
+			newSession = true
 		}
-		ss := &ServerSession{p: p, key: k, proto: proto, sc: sc}
-		ss.InitSession(p, hlp, lls)
-		sc.session = ss
-		p.servers[k] = sc
-		newSession = true
+		p.srvMu.Unlock()
 	}
-	p.srvMu.Unlock()
 
 	sc.mu.Lock()
 	if sc.bootID != h.bootID {

@@ -58,8 +58,8 @@ func TestPushCountsBeforeBuilding(t *testing.T) {
 	if err := s.Push(msg.New(payload)); !errors.Is(err, xk.ErrMsgTooBig) {
 		t.Fatalf("17-fragment message: err = %v, want ErrMsgTooBig", err)
 	}
-	if sent, _, sweeping := held(s); sent != 0 || sweeping || len(tap.frames) != 0 || s.nextSeq != 0 {
-		t.Fatalf("refused message left held=%d sweeping=%v frames=%d nextSeq=%d", sent, sweeping, len(tap.frames), s.nextSeq)
+	if sent, _, sweeping := held(s); sent != 0 || sweeping || len(tap.frames) != 0 || s.nextSeq.Load() != 0 {
+		t.Fatalf("refused message left held=%d sweeping=%v frames=%d nextSeq=%d", sent, sweeping, len(tap.frames), s.nextSeq.Load())
 	}
 	// The refusal builds its error and nothing per fragment.
 	if got := testing.AllocsPerRun(20, func() { _ = s.Push(msg.New(payload)) }); got >= fragmask.Max {

@@ -34,10 +34,13 @@ type session struct {
 	// every insert into and delete from rcv.
 	collecting atomic.Int32
 
-	mu      sync.Mutex
-	nextSeq uint32
-	sent    map[uint32]sentMsg
-	rcv     map[uint32]*rcvMsg
+	// nextSeq numbers the messages this session sends; an atomic add, so
+	// a send that holds nothing (one fragment) takes no lock.
+	nextSeq atomic.Uint32
+
+	mu   sync.Mutex
+	sent map[uint32]sentMsg
+	rcv  map[uint32]*rcvMsg
 	// free keeps up to maxFreeRecords collection records between messages,
 	// gap event and all: a collection in a steady stream allocates nothing.
 	free []*rcvMsg
@@ -116,7 +119,7 @@ func (s *session) Push(m *msg.Msg) error {
 		return fmt.Errorf("%s: %d fragments (max %d): %w", p.Name(), numFrags, fragmask.Max, xk.ErrMsgTooBig)
 	}
 
-	seq := s.allocSeq()
+	seq := s.nextSeq.Add(1)
 	s.mu.Lock()
 	s.sent[seq] = sentMsg{m: m, numFrags: numFrags, expires: p.cfg.Clock.Now().Add(p.cfg.SendHold)}
 	s.armSweepLocked()
@@ -152,7 +155,7 @@ func (s *session) pushFragment(m *msg.Msg, seq uint32, numFrags, i int) error {
 // pushOne is the one-fragment path of Push.
 func (s *session) pushOne(m *msg.Msg) error {
 	p := s.p
-	seq := s.allocSeq()
+	seq := s.nextSeq.Add(1)
 	n := m.Len()
 	s.pushHeader(m, seq, 1, 1)
 	p.ctr.messagesSent.Add(1)
@@ -161,13 +164,6 @@ func (s *session) pushOne(m *msg.Msg) error {
 		trace.Printf(trace.Packets, p.Name(), "push seq=%d frags=1 len=%d to %s", seq, n, s.remote)
 	}
 	return s.Down(0).Push(m)
-}
-
-func (s *session) allocSeq() uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextSeq++
-	return s.nextSeq
 }
 
 // pushHeader frames f as fragment fragMask of numFrags of message seq.

@@ -17,6 +17,7 @@ package mrpc
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,11 +168,13 @@ type Protocol struct {
 	ctr    statCounters
 	bootID atomic.Uint32
 
-	// handlers is read on every served request, written only at
-	// registration.
-	hMu      sync.RWMutex
-	handlers map[uint16]Handler
-	fallback Handler
+	// handlers is read on every served request and written only at
+	// registration; peerBoots (below) is read on every call and reply and
+	// written only when a server's boot id changes. Both are immutable
+	// snapshots: readers load, writers copy under bindMu and publish.
+	bindMu   sync.Mutex
+	handlers atomic.Pointer[map[uint16]Handler]
+	fallback atomic.Pointer[Handler]
 
 	// srvMu guards only the servers map; each srvChan has its own lock
 	// for the per-channel at-most-once machinery, so concurrent clients
@@ -181,10 +184,8 @@ type Protocol struct {
 
 	// peerBoots is the client-side record of each server's last
 	// observed boot id, learned from reply and ack headers and sent
-	// back (truncated) as the epoch hint in requests. Read-mostly: a
-	// write happens only when a server's boot id actually changes.
-	peerMu    sync.RWMutex
-	peerBoots map[xk.IPAddr]uint32
+	// back (truncated) as the epoch hint in requests.
+	peerBoots atomic.Pointer[map[xk.IPAddr]uint32]
 }
 
 // statCounters mirrors Stats with atomic cells so counting stays off
@@ -207,11 +208,11 @@ func New(name string, llp xk.Protocol, local xk.IPAddr, cfg Config) (*Protocol, 
 		cfg:          cfg,
 		llp:          llp,
 		local:        local,
-		handlers:     make(map[uint16]Handler),
 		servers:      make(map[srvKey]*srvChan),
-		peerBoots:    make(map[xk.IPAddr]uint32),
 		free:         make(chan *chanState, cfg.NumChannels),
 	}
+	p.handlers.Store(&map[uint16]Handler{})
+	p.peerBoots.Store(&map[xk.IPAddr]uint32{})
 	p.bootID.Store(cfg.BootID)
 	for i := 0; i < cfg.NumChannels; i++ {
 		cs := &chanState{
@@ -230,17 +231,15 @@ func New(name string, llp xk.Protocol, local xk.IPAddr, cfg Config) (*Protocol, 
 
 // Register installs the handler for one command.
 func (p *Protocol) Register(command uint16, h Handler) {
-	p.hMu.Lock()
-	p.handlers[command] = h
-	p.hMu.Unlock()
+	p.bindMu.Lock()
+	defer p.bindMu.Unlock()
+	next := maps.Clone(*p.handlers.Load())
+	next[command] = h
+	p.handlers.Store(&next)
 }
 
 // RegisterDefault installs a catch-all handler for unregistered commands.
-func (p *Protocol) RegisterDefault(h Handler) {
-	p.hMu.Lock()
-	p.fallback = h
-	p.hMu.Unlock()
-}
+func (p *Protocol) RegisterDefault(h Handler) { p.fallback.Store(&h) }
 
 // Stats snapshots the counters.
 func (p *Protocol) Stats() Stats {
@@ -292,23 +291,20 @@ func (p *Protocol) Reboot() {
 // PeerBootID reports the last boot incarnation observed from host in a
 // reply or ack header, or 0 if the host has never answered.
 func (p *Protocol) PeerBootID(host xk.IPAddr) uint32 {
-	p.peerMu.RLock()
-	defer p.peerMu.RUnlock()
-	return p.peerBoots[host]
+	return (*p.peerBoots.Load())[host]
 }
 
 // notePeerBoot records host's boot id as carried in a reply or ack; the
-// common no-change case stays on the read lock.
+// common no-change case is one load.
 func (p *Protocol) notePeerBoot(host xk.IPAddr, boot uint32) {
-	p.peerMu.RLock()
-	known := p.peerBoots[host]
-	p.peerMu.RUnlock()
-	if known == boot {
+	if p.PeerBootID(host) == boot {
 		return
 	}
-	p.peerMu.Lock()
-	p.peerBoots[host] = boot
-	p.peerMu.Unlock()
+	p.bindMu.Lock()
+	defer p.bindMu.Unlock()
+	next := maps.Clone(*p.peerBoots.Load())
+	next[host] = boot
+	p.peerBoots.Store(&next)
 }
 
 // Control answers CtlHLPMaxMsg — the question VIP asks at open time.
@@ -476,19 +472,20 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	lls := s.Down(0)
 	full := fragmask.Full(numFrags)
 	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
-		cs.mu.Lock()
-		if attempt > 0 && cs.acked == full {
-			// The server acknowledged every fragment but the reply is
-			// overdue: it may have crashed and lost the request. Clear
-			// the mask and re-probe with a full resend — if the server
-			// did reboot, the stale epoch hint gets the call rejected
-			// (typed) instead of silently timing out.
-			cs.acked = 0
-		}
-		acked := cs.acked
-		cs.mu.Unlock()
+		acked := uint16(0) // only a retransmission can have been acked
 		if attempt > 0 {
 			h.flags |= flagPleaseAck
+			cs.mu.Lock()
+			if cs.acked == full {
+				// The server acknowledged every fragment but the reply is
+				// overdue: it may have crashed and lost the request. Clear
+				// the mask and re-probe with a full resend — if the server
+				// did reboot, the stale epoch hint gets the call rejected
+				// (typed) instead of silently timing out.
+				cs.acked = 0
+			}
+			acked = cs.acked
+			cs.mu.Unlock()
 		}
 		for i := 0; i < int(numFrags); i++ {
 			if acked&(1<<i) != 0 {

@@ -81,22 +81,27 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 			h.srvrProc, boot, h.clntHost, h.seq)
 		return p.sendReject(h, boot, lls)
 	}
-	// Seed looked up outside srvMu to keep that lock narrow; it is
-	// only consulted when this request creates the channel state.
-	seed, haveSeed := p.cfg.Ledger.Lookup(lk)
 	p.srvMu.Lock()
 	sc := p.servers[key]
-	if sc == nil {
-		sc = &srvChan{bootID: h.bootID}
-		// A recovered incarnation resumes the duplicate filter where
-		// the old one left off, so a request the ledger already holds
-		// is treated as the duplicate it is, not as new work.
-		if haveSeed && seed.ClientBoot == h.bootID {
-			sc.lastSeq = seed.Seq
-		}
-		p.servers[key] = sc
-	}
 	p.srvMu.Unlock()
+	if sc == nil {
+		// The recovery seed is consulted only by a request that creates
+		// the channel state, so only such a request looks it up — outside
+		// srvMu, to keep that lock narrow, then the miss is re-checked.
+		seed, haveSeed := p.cfg.Ledger.Lookup(lk)
+		p.srvMu.Lock()
+		if sc = p.servers[key]; sc == nil {
+			sc = &srvChan{bootID: h.bootID}
+			// A recovered incarnation resumes the duplicate filter where
+			// the old one left off, so a request the ledger already holds
+			// is treated as the duplicate it is, not as new work.
+			if haveSeed && seed.ClientBoot == h.bootID {
+				sc.lastSeq = seed.Seq
+			}
+			p.servers[key] = sc
+		}
+		p.srvMu.Unlock()
+	}
 
 	sc.mu.Lock()
 	if sc.bootID != h.bootID {
@@ -177,12 +182,10 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 		sc.lastSeq = h.seq
 		sc.executing = true
 		sc.mu.Unlock()
-		p.hMu.RLock()
-		handler := p.handlers[h.command]
-		if handler == nil {
-			handler = p.fallback
+		handler := (*p.handlers.Load())[h.command]
+		if f := p.fallback.Load(); handler == nil && f != nil {
+			handler = *f
 		}
-		p.hMu.RUnlock()
 		p.ctr.requestsServed.Add(1)
 
 		return p.execute(h, sc, key, handler, args, lls)

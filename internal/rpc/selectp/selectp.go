@@ -19,7 +19,9 @@ package selectp
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"xkernel/internal/msg"
 	"xkernel/internal/obs/gauge"
@@ -84,12 +86,13 @@ type Protocol struct {
 	cfg Config
 	llp xk.Protocol // CHANNEL (or anything channel-shaped)
 
-	// mu is an RWMutex because the procedure map is read on every
-	// request demux but written only at registration time; concurrent
-	// requests must not serialize on the lookup.
+	// The procedure map is read on every request demux and written only
+	// at registration, so it is an immutable snapshot: demux loads it,
+	// Register copies it under mu and publishes the copy.
+	handlers atomic.Pointer[map[uint16]Handler]
+	fallback atomic.Pointer[Handler]
+
 	mu       sync.RWMutex
-	handlers map[uint16]Handler
-	fallback Handler
 	sessions map[xk.IPAddr]*Session
 }
 
@@ -100,9 +103,9 @@ func New(name string, llp xk.Protocol, cfg Config) (*Protocol, error) {
 		BaseProtocol: xk.BaseProtocol{ProtoName: name},
 		cfg:          cfg,
 		llp:          llp,
-		handlers:     make(map[uint16]Handler),
 		sessions:     make(map[xk.IPAddr]*Session),
 	}
+	p.handlers.Store(&map[uint16]Handler{})
 	if err := llp.OpenEnable(p, xk.LocalOnly(xk.NewParticipant(cfg.Proto))); err != nil {
 		return nil, fmt.Errorf("%s: enable: %w", name, err)
 	}
@@ -112,16 +115,14 @@ func New(name string, llp xk.Protocol, cfg Config) (*Protocol, error) {
 // Register installs the handler for one command (the procedure map).
 func (p *Protocol) Register(command uint16, h Handler) {
 	p.mu.Lock()
-	p.handlers[command] = h
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	next := maps.Clone(*p.handlers.Load())
+	next[command] = h
+	p.handlers.Store(&next)
 }
 
 // RegisterDefault installs a catch-all handler.
-func (p *Protocol) RegisterDefault(h Handler) {
-	p.mu.Lock()
-	p.fallback = h
-	p.mu.Unlock()
-}
+func (p *Protocol) RegisterDefault(h Handler) { p.fallback.Store(&h) }
 
 // PoolFree reports the total number of idle channels across every
 // server session's fixed pool.
@@ -236,12 +237,10 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	if typ != typeRequest {
 		return fmt.Errorf("%s: unexpected type %d: %w", p.Name(), typ, xk.ErrBadHeader)
 	}
-	p.mu.RLock()
-	h := p.handlers[command]
-	if h == nil {
-		h = p.fallback
+	h := (*p.handlers.Load())[command]
+	if f := p.fallback.Load(); h == nil && f != nil {
+		h = *f
 	}
-	p.mu.RUnlock()
 
 	status := StatusOK
 	var reply *msg.Msg

@@ -3,6 +3,7 @@ package xk
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"xkernel/internal/msg"
 )
@@ -54,21 +55,27 @@ func (b *BaseProtocol) Control(ControlOp, any) (any, error) {
 // protocol, the high-level protocol messages are demultiplexed to, the
 // lower sessions this session pushes through, and a closed flag.
 // Embed it by value and call InitSession from the constructor.
+//
+// up, lower and closed are written at bind time (open, passive re-open,
+// close) and read on every Push and Pop, so they are published with atomic
+// stores and read with atomic loads: no accessor takes a lock. A published
+// lower slice is never modified: SetDown copies it, and mu serialises
+// only those copies.
 type BaseSession struct {
 	proto Protocol
 
 	mu     sync.Mutex
-	up     Protocol
-	lower  []Session
-	closed bool
+	up     atomic.Pointer[Protocol]
+	lower  atomic.Pointer[[]Session]
+	closed atomic.Bool
 }
 
 // InitSession wires the embedded base. up may be nil for sessions whose
 // traffic never flows upward (pure senders).
 func (b *BaseSession) InitSession(proto, up Protocol, lower ...Session) {
 	b.proto = proto
-	b.up = up
-	b.lower = lower
+	b.up.Store(&up)
+	b.lower.Store(&lower)
 }
 
 // Protocol returns the owning protocol object.
@@ -76,57 +83,60 @@ func (b *BaseSession) Protocol() Protocol { return b.proto }
 
 // Up returns the bound high-level protocol.
 func (b *BaseSession) Up() Protocol {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.up
+	if up := b.up.Load(); up != nil {
+		return *up
+	}
+	return nil
 }
 
-// SetUp rebinds the high-level protocol.
+// SetUp rebinds the high-level protocol. Rebinding to the protocol
+// already bound publishes nothing.
 func (b *BaseSession) SetUp(hlp Protocol) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.up = hlp
+	if b.Up() != hlp {
+		up := hlp // the copy escapes, not the parameter: no allocation when unchanged
+		b.up.Store(&up)
+	}
 }
 
 // Down returns the i'th lower session, or nil when absent.
 func (b *BaseSession) Down(i int) Session {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if i < 0 || i >= len(b.lower) {
-		return nil
+	if l := b.lowers(); i >= 0 && i < len(l) {
+		return l[i]
 	}
-	return b.lower[i]
+	return nil
+}
+
+// lowers returns the published lower sessions; read it, never write it.
+func (b *BaseSession) lowers() []Session {
+	if l := b.lower.Load(); l != nil {
+		return *l
+	}
+	return nil
 }
 
 // SetDown replaces the i'th lower session, growing the slice as needed;
 // VIP sessions use it to install the ETH and/or IP sessions they open.
+// Installing the session already there publishes nothing (and allocates
+// nothing: CHANNEL's server re-installs its reply path on every request).
 func (b *BaseSession) SetDown(i int, s Session) {
+	if b.Down(i) == s {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for len(b.lower) <= i {
-		b.lower = append(b.lower, nil)
-	}
-	b.lower[i] = s
+	cur := b.lowers()
+	next := make([]Session, max(len(cur), i+1))
+	copy(next, cur)
+	next[i] = s
+	b.lower.Store(&next)
 }
 
 // Closed reports whether Close has been called.
-func (b *BaseSession) Closed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.closed
-}
+func (b *BaseSession) Closed() bool { return b.closed.Load() }
 
 // MarkClosed sets the closed flag, reporting whether this call did the
 // closing (false if already closed).
-func (b *BaseSession) MarkClosed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return false
-	}
-	b.closed = true
-	return true
-}
+func (b *BaseSession) MarkClosed() bool { return b.closed.CompareAndSwap(false, true) }
 
 // Push fails by default; receive-only sessions keep this.
 func (b *BaseSession) Push(*msg.Msg) error {
@@ -154,11 +164,8 @@ func (b *BaseSession) Close() error {
 	if !b.MarkClosed() {
 		return nil
 	}
-	b.mu.Lock()
-	lower := append([]Session(nil), b.lower...)
-	b.mu.Unlock()
 	var first error
-	for _, s := range lower {
+	for _, s := range b.lowers() {
 		if s == nil {
 			continue
 		}

@@ -2,6 +2,8 @@ package xk
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +215,136 @@ func TestBaseSessionClose(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal("double close should be a no-op")
+	}
+}
+
+// TestBaseSessionZeroAndRange: a session never initialised, and any index
+// outside what was installed, answer nil — through the atomically
+// published slice as through the locked one before it.
+func TestBaseSessionZeroAndRange(t *testing.T) {
+	var z fakeSession
+	if z.Up() != nil || z.Down(0) != nil || z.Closed() {
+		t.Fatal("zero BaseSession should have no up, no lower, not closed")
+	}
+	if err := z.Close(); err != nil || !z.Closed() {
+		t.Fatalf("closing a zero BaseSession: %v, closed=%v", err, z.Closed())
+	}
+	s, lower := &fakeSession{}, &fakeSession{}
+	s.InitSession(nil, nil)
+	s.SetDown(1, lower)
+	for i, want := range map[int]Session{-1: nil, 0: nil, 1: lower, 2: nil} {
+		if got := s.Down(i); got != want {
+			t.Fatalf("Down(%d) = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestSetUnchangedPublishesNothing: CHANNEL's server re-installs its reply
+// path on every request, so installing what is already there must cost no
+// allocation (and no lock) — while a real change still takes effect.
+func TestSetUnchangedPublishesNothing(t *testing.T) {
+	up := &fakeProto{BaseProtocol{ProtoName: "up"}}
+	a, b := &fakeSession{}, &fakeSession{}
+	s := &fakeSession{}
+	s.InitSession(nil, up, a)
+	if n := testing.AllocsPerRun(100, func() { s.SetDown(0, a); s.SetUp(up) }); n != 0 {
+		t.Fatalf("re-installing the same up/lower allocates %v per call", n)
+	}
+	before := s.lower.Load()
+	s.SetDown(0, a)
+	if s.lower.Load() != before {
+		t.Fatal("SetDown of the installed session published a new slice")
+	}
+	s.SetDown(0, b)
+	if s.Down(0) != b || (*before)[0] != a {
+		t.Fatal("SetDown must publish a copy and leave the published slice alone")
+	}
+}
+
+// TestBaseSessionPublicationRace: the per-message accessors race the
+// bind-time writers (run under -race). A reader sees some value that was
+// installed, never a torn one, and Closed never goes back to false.
+func TestBaseSessionPublicationRace(t *testing.T) {
+	ups := []Protocol{&fakeProto{BaseProtocol{ProtoName: "a"}}, &fakeProto{BaseProtocol{ProtoName: "b"}}}
+	lowers := []Session{&fakeSession{}, &fakeSession{}}
+	for _, l := range lowers {
+		l.(*fakeSession).InitSession(nil, nil)
+	}
+	s := &fakeSession{}
+	s.InitSession(nil, ups[0], lowers[0])
+
+	var stop atomic.Bool
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			closed := false
+			for !stop.Load() {
+				if up := s.Up(); up != ups[0] && up != ups[1] {
+					t.Errorf("Up = %v, never installed", up)
+					return
+				}
+				for i := 0; i < 3; i++ {
+					if d := s.Down(i); d != nil && d != lowers[0] && d != lowers[1] {
+						t.Errorf("Down(%d) = %v, never installed", i, d)
+						return
+					}
+				}
+				c := s.Closed()
+				if closed && !c {
+					t.Error("Closed went back to false")
+					return
+				}
+				closed = c
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 2000; i++ {
+				s.SetUp(ups[(i+w)%2])
+				s.SetDown((i+w)%3, lowers[i%2])
+			}
+		}(w)
+	}
+	writers.Wait()
+	if err := s.Close(); err != nil {
+		t.Error(err)
+	}
+	stop.Store(true)
+	readers.Wait()
+	// Concurrent grows lost no slot: both writers covered every index.
+	for i := 0; i < 3; i++ {
+		if s.Down(i) == nil {
+			t.Errorf("Down(%d) = nil after both writers installed it", i)
+		}
+	}
+}
+
+// TestMarkClosedExactlyOnce: of N racing closers exactly one does the
+// closing, so a lower session is closed once.
+func TestMarkClosedExactlyOnce(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		s := &fakeSession{}
+		s.InitSession(nil, nil)
+		var won atomic.Int32
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if s.MarkClosed() {
+					won.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if won.Load() != 1 || !s.Closed() {
+			t.Fatalf("round %d: MarkClosed reported true %d times, closed=%v", round, won.Load(), s.Closed())
+		}
 	}
 }
 

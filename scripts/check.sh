@@ -82,6 +82,13 @@ go test -race -count=1 ./internal/sim/ -run 'TestFastPathAndCapturedPathAreOneWi
 go test -race -count=1 ./internal/bench/ -run 'TestHandoffUnderLossAndDup'
 go test -race -count=1 ./internal/load/ -run 'TestConformanceCaptureOnOff'
 go test -race -count=1 ./internal/rpc/fragment/ -run 'TestAsyncOneAndMultiFragmentInterleaved|TestOneFragmentFrameContradictingCollection'
+# The publication points of the lock-free per-message path (DESIGN.md §4
+# "Locking discipline"): a session's up/lower/closed read with atomic
+# loads while open, re-open and close write them, and the map tool's
+# last-key cache, which must never answer with a binding that Unbind or a
+# rebind has already replaced.
+go test -race -count=3 ./internal/xk/ -run 'TestBaseSessionPublicationRace|TestMarkClosedExactlyOnce|TestSetUnchangedPublishesNothing'
+go test -race -count=3 ./internal/pmap/ -run 'TestResolveAfterUnbindNeverStale|TestLastKeyCacheSequences|TestConcurrentMapVsModel|TestResolveAllocatesNothing'
 
 echo "== allocation budgets (exact allocs per round trip, no race detector) =="
 # internal/bench/allocs_test.go and internal/wire/udp/allocs_test.go are
