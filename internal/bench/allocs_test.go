@@ -30,22 +30,24 @@ import (
 //
 // What the 16 KB budgets buy (twelve fragments):
 //
-//	L_RPC-VIP 18: the request 1, the fragments cut from the held
-//	  request 12, SELECT's and CHANNEL's headers copied into fragment 0
-//	  1, the reassembled chain moved out of line 2 (spill record +
-//	  exact-size slice), the reply 1 and its ledger blob 1.
-//	M_RPC-VIP 17: the same without the header copy (nothing is pushed
-//	  above it).
+//	L_RPC-VIP 17: the request 1, the fragments cut from the held
+//	  request 12, the reassembled chain moved out of line 2 (spill
+//	  record + exact-size slice), the reply 1 and its ledger blob 1.
+//	  SELECT's and CHANNEL's headers ride in fragment 0's own leader
+//	  (msg.Fragment pushes them there), not in a block copied for them.
+//	M_RPC-VIP 17: the same; nothing is pushed above it, so it never had
+//	  a header copy to lose.
 //	FRAGMENT-VIP 16: request 1, fragments 12, chain 2, reply 1.
 //
 // No Split slice, no Clone per frame, no hold record, no collection
 // record and no gap timer: those belong to the session, not the message.
 //
 // The 4 KB echoes (three fragments each way) hold the reply direction to
-// the same rule. L_RPC-VIP 15 is 7 out (request, 3 fragments, header
-// copy, chain 2) and 8 back (ledger blob, 3 fragments, header copy, chain
-// 2, the caller's Bytes); M_RPC-VIP 14 is 6 out (no header copy) and 8
-// back (frameReply's Split: slice + 3 fragments, blob, chain 2, Bytes).
+// the same rule. L_RPC-VIP 13 is 6 out (request, 3 fragments, chain 2)
+// and 7 back (ledger blob, 3 fragments, chain 2, the caller's Bytes) —
+// the upper headers in fragment 0's leader both ways; M_RPC-VIP 14 is 6
+// out and 8 back (frameReply's Split: slice + 3 fragments, blob, chain 2,
+// Bytes).
 //
 // The remaining null rows are the configurations of Table I, §4.3 and
 // the UDP round trip, so a whole layer's worth of cost grown into any of
@@ -73,9 +75,9 @@ var allocBudgets = []struct {
 	{LRPCVIP, 0, false, 3},
 	{MRPCVIP, 0, false, 3},
 	{FragVIP, 16 * 1024, false, 16},
-	{LRPCVIP, 16 * 1024, false, 18},
+	{LRPCVIP, 16 * 1024, false, 17},
 	{MRPCVIP, 16 * 1024, false, 17},
-	{LRPCVIP, 4 * 1024, true, 15},
+	{LRPCVIP, 4 * 1024, true, 13},
 	{MRPCVIP, 4 * 1024, true, 14},
 	{NRPC, 0, false, 15},
 	{MRPCEth, 0, false, 3},

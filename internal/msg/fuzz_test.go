@@ -22,6 +22,11 @@ func FuzzPushPopFragmentJoin(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0, 8, 1, 1, 2, 4, 5, 7}, 16))
 	// Clone, then alternate Push/Pop/Append/Truncate between the two.
 	f.Add([]byte{3, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 4, 1, 2, 3, 4, 7, 5, 8, 3, 9, 9, 9, 1, 6, 11, 4, 10, 2, 8 | 1, 3, 4, 5, 12, 2, 7, 6})
+	// A default-leader cut over header bytes: 10 of 18 go into the
+	// fragment's leader; 130 of 138 do not fit beside lowerHeadroom and
+	// are copied into a block.
+	f.Add(append(append([]byte{0, 18}, bytes.Repeat([]byte{7}, 18)...), 5|16, 2, 10))
+	f.Add(append(bytes.Repeat(append([]byte{0, 23}, bytes.Repeat([]byte{9}, 23)...), 6), 5|16, 0, 130))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cursor := 0
@@ -142,14 +147,27 @@ func FuzzPushPopFragmentJoin(f *testing.F) {
 				if len(model) == 0 {
 					break
 				}
+				// Bit 4 picks a leader the header bytes in range can go
+				// into; with 16 they never fit beside lowerHeadroom.
+				leader := 16
+				if op&16 != 0 {
+					leader = DefaultLeader
+				}
 				off := int(next()) % len(model)
 				n := int(next()) % (len(model) - off + 1)
-				frag, err := m.Fragment(off, n, 16)
+				frag, err := m.Fragment(off, n, leader)
 				if err != nil {
 					t.Fatalf("Fragment(%d,%d) of %d bytes: %v", off, n, len(model), err)
 				}
 				if got := frag.Bytes(); !bytes.Equal(got, model[off:off+n]) {
 					t.Fatalf("Fragment(%d,%d)=%x, want %x", off, n, got, model[off:off+n])
+				}
+				wantRoom := leader
+				if take := min(m.headerLen()-off, n); take > 0 && take+lowerHeadroom <= leader {
+					wantRoom -= take
+				}
+				if frag.Headroom() != wantRoom {
+					t.Fatalf("Fragment(%d,%d, leader %d) of %d header bytes: headroom %d, want %d", off, n, leader, m.headerLen(), frag.Headroom(), wantRoom)
 				}
 			case 6: // Split + Join (and JoinAll onto the first fragment) rebuilds the message
 				size := 1 + int(next())%64

@@ -350,11 +350,18 @@ func (m *Msg) spillChain(n int) {
 	m.nblocks = 0
 }
 
+// lowerHeadroom is the leader a fragment keeps free for the headers
+// pushed onto it after the cut: xk.LowerHeadroom, which this package sits
+// beneath and cannot import (xk's tests hold the two equal).
+const lowerHeadroom = 64
+
 // Fragment returns a new message containing bytes [off, off+n) of m,
-// sharing payload storage with m (payload bytes are never copied; any
-// header bytes in the range are copied into the fragment's payload, since
-// the originals live in m's mutable leader). The fragment gets leader
-// bytes of fresh header space. m is unchanged.
+// sharing payload storage with m. Payload bytes are never copied. Header
+// bytes in the range live in m's mutable leader, so they are copied: into
+// the fragment's own leader, as if pushed there, when they fit in it and
+// leave lowerHeadroom free; otherwise into a fresh payload block, which
+// costs an allocation. The fragment gets leader bytes of header space,
+// less whatever those header bytes took. m is unchanged.
 func (m *Msg) Fragment(off, n, leader int) (*Msg, error) {
 	if off < 0 || n < 0 || off+n > m.length {
 		return nil, ErrBadRange
@@ -365,13 +372,13 @@ func (m *Msg) Fragment(off, n, leader int) (*Msg, error) {
 	// Header region first.
 	hl := m.headerLen()
 	if skip < hl {
-		take := hl - skip
-		if take > remain {
-			take = remain
+		take := min(hl-skip, remain)
+		hdr := m.leader()[int(m.headStart)+skip:][:take]
+		if take+lowerHeadroom <= leader {
+			f.MustPush(hdr)
+		} else {
+			f.Append(append([]byte(nil), hdr...))
 		}
-		cp := make([]byte, take)
-		copy(cp, m.leader()[int(m.headStart)+skip:])
-		f.Append(cp)
 		remain -= take
 		skip = hl
 	}

@@ -192,6 +192,48 @@ func TestFragmentIncludesHeaderBytes(t *testing.T) {
 	}
 }
 
+// Header bytes a cut covers go into the fragment's own leader when they
+// fit there with lowerHeadroom to spare — one allocation, the fragment —
+// and into a copied block otherwise; either way the fragment's bytes are
+// the same.
+func TestFragmentPutsHeaderBytesInItsLeader(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		hdrLen, leader int
+		off, n         int
+		inLeader       bool
+	}{
+		{"upper headers, default leader", 30, DefaultLeader, 0, 500, true},
+		{"the cut starts inside them", 30, DefaultLeader, 7, 500, true},
+		{"the cut ends inside them", 30, DefaultLeader, 3, 20, true},
+		{"exactly lowerHeadroom left", DefaultLeader - lowerHeadroom, DefaultLeader, 0, 500, true},
+		{"one byte too many", DefaultLeader - lowerHeadroom + 1, DefaultLeader, 0, 500, false},
+		{"a small leader", 4, 16, 0, 100, false},
+		{"no leader", 4, 0, 0, 100, false},
+	} {
+		m := NewWithLeader(MakeData(1000), DefaultLeader)
+		m.MustPush(bytes.Repeat([]byte{0xA5}, c.hdrLen))
+		var f *Msg
+		allocs := testing.AllocsPerRun(50, func() {
+			var err error
+			if f, err = m.Fragment(c.off, c.n, c.leader); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := m.Bytes()[c.off : c.off+c.n]; !bytes.Equal(f.Bytes(), want) {
+			t.Fatalf("%s: fragment bytes differ from the message's", c.name)
+		}
+		take := min(c.hdrLen-c.off, c.n)
+		wantAllocs, wantRoom := 2.0, c.leader
+		if c.inLeader {
+			wantAllocs, wantRoom = 1, c.leader-take
+		}
+		if allocs != wantAllocs || f.Headroom() != wantRoom {
+			t.Errorf("%s: %.0f allocations, headroom %d; want %.0f and %d", c.name, allocs, f.Headroom(), wantAllocs, wantRoom)
+		}
+	}
+}
+
 func TestFragmentBadRange(t *testing.T) {
 	m := New([]byte("abc"))
 	if _, err := m.Fragment(2, 5, 0); err != ErrBadRange {

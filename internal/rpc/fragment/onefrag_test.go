@@ -122,7 +122,7 @@ func (bed *oneFragBed) recvSession(t *testing.T) *session {
 func held(s *session) (sent, rcv int, sweeping bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sent), len(s.rcv), s.sweeping
+	return len(s.sent) - s.head, len(s.rcv), s.sweeping
 }
 
 func TestOneFragmentMessageIsHeldByNobody(t *testing.T) {
@@ -212,8 +212,9 @@ func TestOneFragmentBoundary(t *testing.T) {
 }
 
 // A message whose leader has no room for FRAGMENT's header (and the
-// lower layers') cannot be framed in place; it is fragmented into fresh
-// messages like any other, not pushed until something panics.
+// lower layers') cannot be framed in place; it is cut once into a fresh
+// message that has the room, not pushed until something panics. It is
+// still one fragment, so it is held by nobody, like one framed in place.
 func TestOneFragmentNeedsHeadroom(t *testing.T) {
 	bed := newOneFragBed(t)
 	payload := msg.MakeData(300)
@@ -227,15 +228,21 @@ func TestOneFragmentNeedsHeadroom(t *testing.T) {
 			t.Fatalf("leader %d: delivered %d messages", leader, len(bed.got))
 		}
 	}
-	if sent, _, _ := held(bed.send); sent != 4 {
-		t.Fatalf("general path holds %d messages, want all 4", sent)
+	if sent, _, sweeping := held(bed.send); sent != 0 || sweeping {
+		t.Fatalf("cut one-fragment messages: held=%d sweep armed=%v, want 0/false", sent, sweeping)
 	}
+	if n := bed.clock.PendingCount(); n != 0 {
+		t.Fatalf("%d timers pending, want 0", n)
+	}
+	// A resend request for one of them finds nothing, as for an expired
+	// message.
+	bed.resendAndCheck(t, 2, nil)
 	// With room for both, the same message goes in place.
 	if err := bed.send.Push(msg.NewWithLeader(payload, HeaderLen+xk.LowerHeadroom)); err != nil {
 		t.Fatal(err)
 	}
-	if sent, _, _ := held(bed.send); sent != 4 {
-		t.Fatalf("in-place push was held: %d", sent)
+	if sent, _, sweeping := held(bed.send); sent != 0 || sweeping {
+		t.Fatalf("in-place push was held: %d, sweep armed=%v", sent, sweeping)
 	}
 }
 

@@ -2,6 +2,7 @@ package fragment
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +18,9 @@ import (
 
 // session carries FRAGMENT messages between this host and one peer on
 // behalf of one high-level protocol. It is symmetric: the same session
-// sends, receives, honours resend requests, and issues them.
+// sends, receives, honours resend requests, and issues them. Its two
+// timers are its own, not its messages': one sweep expires the send hold
+// and one gap event chases every incomplete collection.
 type session struct {
 	xk.BaseSession
 	p      *Protocol
@@ -28,6 +31,9 @@ type session struct {
 	// allocate per message.
 	peerHost any
 
+	// Every client's messages write nextSeq or read collecting: padded off
+	// the lines of fields a message only reads (up, lower, p, peerHost).
+	_ [64]byte
 	// collecting is len(rcv), readable without mu: while it is zero no
 	// collection exists for a whole-message frame to contradict, so the
 	// one-fragment receive path takes no lock. Written under mu, beside
@@ -35,20 +41,30 @@ type session struct {
 	collecting atomic.Int32
 
 	// nextSeq numbers the messages this session sends; an atomic add, so
-	// a send that holds nothing (one fragment) takes no lock.
+	// a send that holds nothing (one fragment) takes no lock. A held
+	// message takes its number under mu (see sent).
 	nextSeq atomic.Uint32
+	_       [56]byte
 
-	mu   sync.Mutex
-	sent map[uint32]sentMsg
+	mu sync.Mutex
+	// sent[head:] is the send hold, in send order: numbered and held under
+	// mu, its seqs and expiries both increase, so the sweep pops off the
+	// head and a resend request binary-searches.
+	sent []sentMsg
+	head int
 	rcv  map[uint32]*rcvMsg
-	// free keeps up to maxFreeRecords collection records between messages,
-	// gap event and all: a collection in a steady stream allocates nothing.
+	// free keeps up to maxFreeRecords collection records between
+	// messages: a collection in a steady stream allocates nothing.
 	free []*rcvMsg
-	// sweep is the periodic discard of expired saved messages: one event
+	// sweep is the periodic discard of expired held messages: one event
 	// per session, created at the first hold and re-armed from then on,
 	// so a sweep costs no allocation. sweeping says an arm is pending.
 	sweep    *event.Event
 	sweeping bool
+	// gap is the one gap event, armed for gapAt (zero while idle) and
+	// moved only for an earlier due: no later than any collection's.
+	gap   *event.Event
+	gapAt time.Time
 }
 
 const maxFreeRecords = 8
@@ -58,25 +74,26 @@ const maxFreeRecords = 8
 // transmission of a fragment, first or resent, is cut as it is sent. A
 // held message is immutable, so the send loop and any number of resends
 // read it concurrently. Expiry is one periodic sweep per session, not one
-// timer per message, so a saved message lives between SendHold and about
+// timer per message, so a held message lives between SendHold and about
 // 1.5×SendHold — the paper requires only that the sender eventually
 // "discards the message when the timer expires".
 type sentMsg struct {
-	m        *msg.Msg
+	seq      uint32
 	numFrags int
+	m        *msg.Msg
 	expires  time.Time
 }
 
-// rcvMsg collects an incoming message. The record owns its gap event,
-// created once and re-armed for every chase and every message the record
-// serves; the handler reads seq from the record (see recycleLocked).
+// rcvMsg collects an incoming message. due is when the session's gap
+// event next chases it; the record holds no timer of its own, so a
+// completed or abandoned message's record is always free to reuse.
 type rcvMsg struct {
 	seq      uint32
 	numFrags uint16
 	mask     uint16
 	retries  int
+	due      time.Time
 	frags    [fragmask.Max]*msg.Msg
-	gap      *event.Event
 }
 
 func newSession(p *Protocol, hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, lls xk.Session) *session {
@@ -85,7 +102,6 @@ func newSession(p *Protocol, hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAdd
 		proto:    proto,
 		remote:   remote,
 		peerHost: remote,
-		sent:     make(map[uint32]sentMsg),
 		rcv:      make(map[uint32]*rcvMsg),
 	}
 	s.InitSession(p, hlp, lls)
@@ -95,13 +111,11 @@ func newSession(p *Protocol, hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAdd
 // Push sends m as one FRAGMENT message. Push consumes m (the ownership
 // rule of DESIGN.md: a layer that must keep a message clones it).
 //
-// A message that fits one packet is sent as it is: the header goes onto
-// m in place and m itself goes down. It is not held for resend requests,
+// A message that fits one packet is not held for resend requests,
 // because none can arrive — a receiver chases missing fragments only of
-// a message that has more than one — so it costs no hold record and no
-// sweep timer. Anything longer (or a message without the header room) is
-// held as it is, under the send-hold window, and each fragment is cut
-// from it as it is sent.
+// a message that has more than one — so it costs no hold entry and no
+// sweep timer. Anything longer is held as it is, under the send-hold
+// window, and each fragment is cut from it as it is sent.
 func (s *session) Push(m *msg.Msg) error {
 	if s.Closed() {
 		return xk.ErrClosed
@@ -111,7 +125,7 @@ func (s *session) Push(m *msg.Msg) error {
 		return fmt.Errorf("%s: %d bytes: %w", p.Name(), m.Len(), xk.ErrMsgTooBig)
 	}
 	maxFrag := p.cfg.MaxPacket - HeaderLen
-	if m.Len() <= maxFrag && xk.RoomInPlace(m, HeaderLen) {
+	if m.Len() <= maxFrag {
 		return s.pushOne(m)
 	}
 	numFrags := fragmask.Count(m.Len(), maxFrag)
@@ -119,9 +133,9 @@ func (s *session) Push(m *msg.Msg) error {
 		return fmt.Errorf("%s: %d fragments (max %d): %w", p.Name(), numFrags, fragmask.Max, xk.ErrMsgTooBig)
 	}
 
-	seq := s.nextSeq.Add(1)
 	s.mu.Lock()
-	s.sent[seq] = sentMsg{m: m, numFrags: numFrags, expires: p.cfg.Clock.Now().Add(p.cfg.SendHold)}
+	seq := s.nextSeq.Add(1)
+	s.holdLocked(sentMsg{seq: seq, numFrags: numFrags, m: m, expires: p.cfg.Clock.Now().Add(p.cfg.SendHold)})
 	s.armSweepLocked()
 	s.mu.Unlock()
 
@@ -152,8 +166,16 @@ func (s *session) pushFragment(m *msg.Msg, seq uint32, numFrags, i int) error {
 	return s.Down(0).Push(f)
 }
 
-// pushOne is the one-fragment path of Push.
+// pushOne is the one-fragment path of Push: m, framed in place, goes down
+// itself, or a cut of it with a fresh leader if m lacks the header room.
 func (s *session) pushOne(m *msg.Msg) error {
+	if !xk.RoomInPlace(m, HeaderLen) {
+		f, err := m.Fragment(0, m.Len(), msg.DefaultLeader)
+		if err != nil {
+			return err
+		}
+		m = f
+	}
 	p := s.p
 	seq := s.nextSeq.Add(1)
 	n := m.Len()
@@ -183,6 +205,31 @@ func (s *session) pushHeader(f *msg.Msg, seq uint32, numFrags, fragMask uint16) 
 	f.MustPush(hb[:])
 }
 
+// holdLocked appends sm to the send hold. A full slice whose head has
+// passed half of it is compacted in place first, so the hold grows only
+// when at least half of it is live. Caller holds s.mu.
+func (s *session) holdLocked(sm sentMsg) {
+	if len(s.sent) == cap(s.sent) && s.head > 0 && s.head >= len(s.sent)/2 {
+		n := copy(s.sent, s.sent[s.head:])
+		clear(s.sent[n:])
+		s.sent, s.head = s.sent[:n], 0
+	}
+	s.sent = append(s.sent, sm)
+}
+
+// heldLocked finds the held message numbered seq, comparing serial
+// numbers so a wrap of the counter keeps the order. Caller holds s.mu.
+func (s *session) heldLocked(seq uint32) (sentMsg, bool) {
+	live := s.sent[s.head:]
+	i, ok := slices.BinarySearchFunc(live, seq, func(sm sentMsg, seq uint32) int {
+		return int(int32(sm.seq - seq))
+	})
+	if !ok {
+		return sentMsg{}, false
+	}
+	return live[i], true
+}
+
 // armSweepLocked schedules the expiry sweep if none is pending. Caller
 // holds s.mu.
 func (s *session) armSweepLocked() {
@@ -198,8 +245,9 @@ func (s *session) armSweepLocked() {
 	s.sweep.Reset(d)
 }
 
-// sweepExpired is the sweep event's handler: it discards the saved
-// messages whose hold has passed and re-arms while any remain.
+// sweepExpired is the sweep event's handler: it pops the held messages
+// whose hold has passed off the head of the hold, and re-arms while any
+// remain.
 func (s *session) sweepExpired() {
 	now := s.p.cfg.Clock.Now()
 	s.mu.Lock()
@@ -207,13 +255,12 @@ func (s *session) sweepExpired() {
 	if !s.sweeping {
 		return // Close got in between the firing and the lock
 	}
-	for seq, sm := range s.sent {
-		if !sm.expires.After(now) {
-			delete(s.sent, seq)
-		}
+	for s.head < len(s.sent) && !s.sent[s.head].expires.After(now) {
+		s.sent[s.head] = sentMsg{}
+		s.head++
 	}
 	s.sweeping = false
-	if len(s.sent) > 0 {
+	if s.head < len(s.sent) {
 		s.armSweepLocked()
 	}
 }
@@ -271,7 +318,9 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 		r = s.newRcvLocked(h.seq, numFrags)
 		s.rcv[h.seq] = r
 		s.collecting.Add(1)
-		s.armGapTimerLocked(r)
+		now := p.cfg.Clock.Now()
+		r.due = now.Add(p.cfg.Retry.Interval(0, p.cfg.GapTimeout))
+		s.armGapLocked(r.due, now)
 	} else if numFrags != r.numFrags {
 		// The collection was started by the first fragment's claim; a
 		// frame asserting a different count for the same sequence is
@@ -320,16 +369,15 @@ func (s *session) newRcvLocked(seq uint32, numFrags uint16) *rcvMsg {
 	return r
 }
 
-// recycleLocked retires the record of a completed message. It is reused
-// only if Cancel reports that it prevented the gap event's firing: a
-// handler already on its way must find the message it was armed for
-// gone, never the record's next one. Caller holds s.mu.
+// recycleLocked retires the record of a message that completed or was
+// abandoned. Nothing refers to a record once it is out of the collection
+// map — the gap event finds records by due in the map — so it goes
+// straight back to the free list. Caller holds s.mu.
 func (s *session) recycleLocked(r *rcvMsg) {
-	if !r.gap.Cancel() || len(s.free) == maxFreeRecords {
-		return
+	if len(s.free) < maxFreeRecords {
+		*r = rcvMsg{}
+		s.free = append(s.free, r)
 	}
-	*r = rcvMsg{gap: r.gap}
-	s.free = append(s.free, r)
 }
 
 // deliver hands a complete message to the protocol above.
@@ -346,43 +394,77 @@ func (s *session) deliver(seq uint32, full *msg.Msg) error {
 	return up.Demux(s, full)
 }
 
-// armGapTimerLocked schedules the missing-fragment chase for r's
-// message; the retry policy spaces successive chases. Caller holds s.mu.
-func (s *session) armGapTimerLocked(r *rcvMsg) {
-	d := s.p.cfg.Retry.Interval(r.retries, s.p.cfg.GapTimeout)
-	if r.gap == nil {
-		r.gap = s.p.cfg.Clock.Schedule(d, func() { s.chase(r) })
+// armGapLocked makes the gap event fire by at: it is re-armed only if it
+// is idle or armed for later. Caller holds s.mu.
+func (s *session) armGapLocked(at, now time.Time) {
+	if !s.gapAt.IsZero() && !s.gapAt.After(at) {
 		return
 	}
-	r.gap.Reset(d)
+	s.gapAt = at
+	if s.gap == nil {
+		s.gap = s.p.cfg.Clock.Schedule(at.Sub(now), s.chase)
+		return
+	}
+	s.gap.Reset(at.Sub(now))
 }
 
-// chase is the gap event's handler: it asks the peer for the fragments
-// still missing, or abandons the message after GapRetries requests.
-func (s *session) chase(r *rcvMsg) {
+// chaseReq is what the gap event's handler does for one collection whose
+// due has passed, decided under the lock and carried out after it.
+type chaseReq struct {
+	seq            uint32
+	mask, numFrags uint16
+	abandon        bool
+}
+
+// chase is the gap event's handler. Every collection whose due has
+// passed is asked for again — the peer is sent the mask it has — or,
+// after GapRetries requests, abandoned; the event is then re-armed for
+// the earliest due left, or goes idle when no collection is open. The
+// requests go out in sequence order, so a run on a fake clock puts the
+// same frames on the wire every time.
+func (s *session) chase() {
 	p := s.p
+	now := p.cfg.Clock.Now()
 	s.mu.Lock()
-	seq := r.seq
-	if s.rcv[seq] != r {
+	if s.gapAt.IsZero() {
 		s.mu.Unlock()
-		return
+		return // Close got in between the firing and the lock
 	}
-	r.retries++
-	if r.retries > p.cfg.GapRetries {
-		s.forgetLocked(seq)
-		s.mu.Unlock()
-		p.ctr.messagesAbandoned.Add(1)
-		trace.Printf(trace.Events, p.Name(), "abandon seq=%d from %s (mask %#04x of %d)", seq, s.remote, r.mask, r.numFrags)
-		return
+	s.gapAt = time.Time{}
+	var reqs []chaseReq
+	var next time.Time
+	for seq, r := range s.rcv {
+		if !r.due.After(now) {
+			r.retries++
+			reqs = append(reqs, chaseReq{seq, r.mask, r.numFrags, r.retries > p.cfg.GapRetries})
+			if r.retries > p.cfg.GapRetries {
+				s.forgetLocked(seq)
+				s.recycleLocked(r)
+				continue
+			}
+			r.due = now.Add(p.cfg.Retry.Interval(r.retries, p.cfg.GapTimeout))
+		}
+		if next.IsZero() || r.due.Before(next) {
+			next = r.due
+		}
 	}
-	mask, numFrags := r.mask, r.numFrags
-	s.armGapTimerLocked(r)
+	if !next.IsZero() {
+		s.armGapLocked(next, now)
+	}
 	s.mu.Unlock()
 
-	p.ctr.resendRequestsSent.Add(1)
-	trace.Printf(trace.Events, p.Name(), "request missing seq=%d have=%#04x of %d from %s", seq, mask, numFrags, s.remote)
-	if err := s.sendResendRequest(seq, mask, numFrags); err != nil {
-		trace.Printf(trace.Events, p.Name(), "resend request failed: %v", err)
+	slices.SortFunc(reqs, func(a, b chaseReq) int { return int(int32(a.seq - b.seq)) })
+	for _, c := range reqs {
+		if c.abandon {
+			p.ctr.messagesAbandoned.Add(1)
+			trace.Printf(trace.Events, p.Name(), "abandon seq=%d from %s (mask %#04x of %d)", c.seq, s.remote, c.mask, c.numFrags)
+			continue
+		}
+		p.ctr.resendRequestsSent.Add(1)
+		trace.Printf(trace.Events, p.Name(), "request missing seq=%d have=%#04x of %d from %s", c.seq, c.mask, c.numFrags, s.remote)
+		if err := s.sendResendRequest(c.seq, c.mask, c.numFrags); err != nil {
+			trace.Printf(trace.Events, p.Name(), "resend request failed: %v", err)
+		}
 	}
 }
 
@@ -411,7 +493,7 @@ func (s *session) sendResendRequest(seq uint32, have uint16, numFrags uint16) er
 func (s *session) receiveResendRequest(h header) error {
 	p := s.p
 	s.mu.Lock()
-	sm, held := s.sent[h.seq]
+	sm, held := s.heldLocked(h.seq)
 	s.mu.Unlock()
 	if !held {
 		p.ctr.resendsExpired.Add(1)
@@ -453,7 +535,9 @@ func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close unbinds the session.
+// Close unbinds the session. It drops the hold and the collections under
+// the lock and cancels the two events after it; a handler that fires in
+// between finds its event disowned and returns.
 func (s *session) Close() error {
 	if !s.MarkClosed() {
 		return nil
@@ -461,19 +545,16 @@ func (s *session) Close() error {
 	var kb pmap.Key
 	s.p.active.Unbind(key(&kb, s.proto, s.remote))
 	s.mu.Lock()
-	clear(s.sent)
-	if s.sweeping {
-		//xk:allow locksafety — Cancel is a non-blocking flag; it never waits for a running handler
-		s.sweep.Cancel()
-		s.sweeping = false
-	}
-	for seq, r := range s.rcv {
-		//xk:allow locksafety — Cancel is a non-blocking flag; it never waits for a running handler
-		r.gap.Cancel()
+	s.sent, s.head = nil, 0
+	s.sweeping, s.gapAt = false, time.Time{}
+	for seq := range s.rcv {
 		s.forgetLocked(seq)
 	}
 	s.free = nil
+	sweep, gap := s.sweep, s.gap
 	s.mu.Unlock()
+	sweep.Cancel()
+	gap.Cancel()
 	if d := s.Down(0); d != nil {
 		return d.Close()
 	}

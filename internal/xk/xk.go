@@ -150,9 +150,9 @@ type Protocol interface {
 // message in place (FRAGMENT's and M.RPC's one-fragment paths) leaves for
 // the layers below it: every header pushed beneath an RPC layer in this
 // suite (IP 20 + ETH 14 bytes; VIP adds none of its own), with slack. A
-// message with less room than that is split into fresh full-leader
-// messages instead. It is the one place the budget is written down: a
-// lower stack with more than this much header must raise it.
+// message with less room than that is cut into fresh full-leader
+// messages instead. It is the budget's one definition (msg.Fragment keeps
+// a copy, held equal by a test): more header below must raise it.
 const LowerHeadroom = 64
 
 // RoomInPlace reports whether m's leader can take a header of hdrLen

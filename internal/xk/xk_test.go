@@ -23,6 +23,29 @@ func TestEthAddrString(t *testing.T) {
 	}
 }
 
+// msg.Fragment moves the header bytes of a cut into the fragment's own
+// leader only while LowerHeadroom stays free there. The message tool sits
+// beneath this package and keeps its own copy of the figure; this holds
+// the two equal: exactly LowerHeadroom left goes into the leader, one
+// byte less is copied into a block instead.
+func TestFragmentKeepsLowerHeadroom(t *testing.T) {
+	for _, hl := range []int{msg.DefaultLeader - LowerHeadroom, msg.DefaultLeader - LowerHeadroom + 1} {
+		m := msg.New([]byte("payload"))
+		m.MustPush(make([]byte, hl))
+		f, err := m.Fragment(0, m.Len(), msg.DefaultLeader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := LowerHeadroom
+		if hl > msg.DefaultLeader-LowerHeadroom {
+			want = msg.DefaultLeader
+		}
+		if f.Headroom() != want {
+			t.Errorf("%d header bytes cut: fragment headroom %d, want %d", hl, f.Headroom(), want)
+		}
+	}
+}
+
 func TestIPAddrString(t *testing.T) {
 	if got := IP(10, 0, 0, 2).String(); got != "10.0.0.2" {
 		t.Fatalf("String = %q", got)

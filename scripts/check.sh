@@ -81,7 +81,10 @@ echo "== message handoff under the race detector (one wire, two paths) =="
 go test -race -count=1 ./internal/sim/ -run 'TestFastPathAndCapturedPathAreOneWire|TestReceiverFormsConvert|TestBroadcastMsg'
 go test -race -count=1 ./internal/bench/ -run 'TestHandoffUnderLossAndDup'
 go test -race -count=1 ./internal/load/ -run 'TestConformanceCaptureOnOff'
-go test -race -count=1 ./internal/rpc/fragment/ -run 'TestAsyncOneAndMultiFragmentInterleaved|TestOneFragmentFrameContradictingCollection'
+# FRAGMENT's per-session bookkeeping: the one gap event chasing every
+# collection at its own due, records reused while it is pending, Close
+# leaving no timer, and the send hold kept in send order.
+go test -race -count=3 ./internal/rpc/fragment/ -run 'TestAsyncOneAndMultiFragmentInterleaved|TestOneFragmentFrameContradictingCollection|TestOneGapEvent|TestRecordReusedWhileGapEventPending|TestCloseLeavesNoTimersPending|TestHold'
 # The publication points of the lock-free per-message path (DESIGN.md §4
 # "Locking discipline"): a session's up/lower/closed read with atomic
 # loads while open, re-open and close write them, and the map tool's
