@@ -2,7 +2,8 @@
 // paths the walorder pass governs: reply construction with and
 // without the write-ahead Record, the exempt control-frame and replay
 // origins, and handler dispatch with the dedup Lookup established
-// locally, by a caller, or not at all.
+// locally, by a caller, or not at all — against the ledger directly and
+// through the at-most-once core (amo) the engines share.
 //
 // Deleting the Record call from reply turns it into replyUnlogged —
 // the pass fires, which is the acceptance property the fixture pins.
@@ -11,6 +12,7 @@ package waltest
 import (
 	"xkernel/internal/ledger"
 	"xkernel/internal/msg"
+	"xkernel/internal/rpc/amo"
 )
 
 const (
@@ -127,4 +129,48 @@ func (s *server) serveViaDispatch(k ledger.Key, m *msg.Msg) error {
 		return nil
 	}
 	return s.dispatch(m)
+}
+
+// engine is a server over the at-most-once core: the core's admission
+// and its write-ahead Record stand for the ledger calls they make.
+type engine struct {
+	host *amo.Host
+	down session
+	h    Handler
+}
+
+// serve admits through the core before dispatching.
+func (e *engine) serve(r amo.Request, m *msg.Msg) error {
+	ch, v, _ := e.host.Admit(r)
+	if v != amo.New {
+		return nil
+	}
+	ch.Commit(r.Seq)
+	_, err := e.h(m)
+	return err
+}
+
+// reply records through the core before the reply leaves.
+func (e *engine) reply(ch *amo.Chan, seq uint32, m *msg.Msg) error {
+	hdr := header{flags: flagReply}
+	_ = hdr
+	if err := ch.Record(seq, nil); err != nil {
+		return err
+	}
+	return e.down.Push(m)
+}
+
+// replyUnrecorded is reply without the core's Record: it holds the
+// channel, but nothing reaches the ledger before the push.
+func (e *engine) replyUnrecorded(ch *amo.Chan, m *msg.Msg) error {
+	hdr := header{flags: flagReply}
+	_ = hdr
+	_ = ch.Key()
+	return e.down.Push(m) // want "reply pushed without a preceding ExecLedger.Record"
+}
+
+// serveUnadmitted dispatches with no admission anywhere.
+func (e *engine) serveUnadmitted(m *msg.Msg) error {
+	_, err := e.h(m) // want "handler dispatched without a preceding ExecLedger.Lookup"
+	return err
 }

@@ -4,7 +4,8 @@
 //  1. Record happens-before the reply push. A server-side function
 //     that constructs a reply header (writes the package's flagReply
 //     constant into a flags field or composite literal) and pushes a
-//     payload-carrying message must call ExecLedger.Record lexically
+//     payload-carrying message must call ExecLedger.Record — or the
+//     at-most-once core's write-ahead site, amo.Chan.Record — lexically
 //     before the push. Without the Record, a crash between send and
 //     log re-executes a non-idempotent handler on retransmit — the
 //     exact duplicate LEDGER exists to prevent. Messages derived from
@@ -15,15 +16,17 @@
 //  2. Lookup happens-before execute. A function in a ledger-aware rpc
 //     package that dispatches a request to user code — an interface
 //     Demux call or an invocation of a value of a named Handler func
-//     type — must be dominated by an ExecLedger.Lookup: lexically
-//     earlier in the same function, or established by every in-module
-//     caller (checked through the shared call graph, a few frames
-//     deep). Executing before the dedup lookup breaks at-most-once.
+//     type — must be dominated by an ExecLedger.Lookup or by the
+//     at-most-once core's admission, amo.Host.Admit, which owns the
+//     dedup lookups: lexically earlier in the same function, or
+//     established by every in-module caller (checked through the shared
+//     call graph, a few frames deep). Executing before the dedup lookup
+//     breaks at-most-once.
 //
 // The pass is scoped to packages under internal/rpc that import
-// internal/ledger — the two protocols that own the discipline — so the
-// many Demux calls in ledger-free protocols (fragment, selectp, ...)
-// are out of scope by construction.
+// internal/ledger — the two engines that own the discipline and the core
+// they share — so the many Demux calls in ledger-free protocols
+// (fragment, selectp, ...) are out of scope by construction.
 package walorder
 
 import (
@@ -39,6 +42,7 @@ import (
 const (
 	rpcPrefix  = "xkernel/internal/rpc"
 	ledgerPath = "xkernel/internal/ledger"
+	amoPath    = "xkernel/internal/rpc/amo"
 	msgPath    = "xkernel/internal/msg"
 )
 
@@ -120,7 +124,7 @@ func (c *checker) checkRecordBeforePush(fd *ast.FuncDecl) {
 		}
 		if !recorded {
 			c.pass.Reportf(push.Pos(),
-				"reply pushed without a preceding ExecLedger.Record in %s; a crash between send and log re-executes the handler on retransmit (write-ahead discipline)",
+				"reply pushed without a preceding ExecLedger.Record (or amo.Chan.Record) in %s; a crash between send and log re-executes the handler on retransmit (write-ahead discipline)",
 				fd.Name.Name)
 		}
 	}
@@ -185,19 +189,27 @@ func writesFlag(stack []ast.Node) bool {
 }
 
 // isLedgerCall matches method calls named name on an ExecLedger-ish
-// receiver: the interface itself, or any type declared in (or
-// implementing the interface from) internal/ledger.
+// receiver — the interface itself, or any type declared in (or
+// implementing the interface from) internal/ledger — and the
+// at-most-once core's method that stands for the same call.
 func (c *checker) isLedgerCall(call *ast.CallExpr, name string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
 	obj := xkanalysis.FuncObj(c.pass.TypesInfo, call)
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	return obj.Pkg().Path() == ledgerPath
+	switch obj.Pkg().Path() {
+	case ledgerPath:
+		return obj.Name() == name
+	case amoPath:
+		return obj.Name() == coreSite[name]
+	}
+	return false
 }
+
+// coreSite names the at-most-once core's sites for the ledger calls the
+// rules order: its write-ahead Chan.Record, and Host.Admit, which owns
+// the dedup lookups.
+var coreSite = map[string]string{"Record": "Record", "Lookup": "Admit"}
 
 // isSessionPush matches Push calls on anything except the msg package
 // (msg.Message has no Push; the exclusion mirrors locksafety's).
@@ -368,7 +380,7 @@ func (c *checker) checkLookupBeforeExecute(fd *ast.FuncDecl) {
 		}
 		if !covered {
 			c.pass.Reportf(d.Pos(),
-				"handler dispatched without a preceding ExecLedger.Lookup in %s or its callers; executing before the dedup lookup breaks at-most-once",
+				"handler dispatched without a preceding ExecLedger.Lookup (or amo.Host.Admit) in %s or its callers; executing before the dedup lookup breaks at-most-once",
 				fd.Name.Name)
 		}
 	}

@@ -149,34 +149,19 @@ func StackLayers(s *Sample) []string {
 	return out
 }
 
-// lockSiteClasses joins mutex-profile unlock sites with the lockorder
-// pass's lock-class vocabulary for the sites where the releasing
-// function is not a method of the lock's owner. A mutex profile
-// records the stack of the Unlock that released waiters; when that
-// function's receiver owns the mutex the class falls out of the frame
-// (see LockClass), but CHANNEL's write-ahead critical sections release
-// srvChan.mu from Protocol/ServerSession methods, so the join is
-// spelled here. lockorder remains the ground truth for class names;
-// this table only maps profile frames onto them.
-var lockSiteClasses = map[string]string{
-	"xkernel/internal/rpc/channel.(*Protocol).serveRequest": "(channel.srvChan).mu",
-	"xkernel/internal/rpc/channel.(*ServerSession).reply":   "(channel.srvChan).mu",
-}
-
 // LockClass names the lock a mutex/block sample waited on, in the
 // lockorder pass's "(pkg.Type).field" vocabulary. The profile records
 // the releasing call site, not the lock identity, so the name is a
-// join: a curated site table first, then the releasing method's
-// receiver with the repository's conventional field name "mu", then
-// the bare "pkg.func" site. "" when no frame is attributable.
+// join: the releasing method's receiver with the repository's
+// conventional field name "mu", else the bare "pkg.func" site. "" when
+// no frame is attributable. The join holds because a lock is released
+// by its owner's methods: the at-most-once core's channel lock, the one
+// the engines' servers contend on, is released only by amo.Chan's.
 func LockClass(s *Sample) string {
 	for _, fr := range s.Stack {
 		fn := fr.Function
 		if runtimeFrame(fn) {
 			continue
-		}
-		if class, ok := lockSiteClasses[fn]; ok {
-			return class
 		}
 		if !strings.HasPrefix(fn, modulePrefix) {
 			continue

@@ -205,14 +205,9 @@ func TestLockClass(t *testing.T) {
 		want string
 	}{
 		{
-			"curated srvChan site",
-			sample("sync.(*Mutex).Unlock", "xkernel/internal/rpc/channel.(*Protocol).serveRequest"),
-			"(channel.srvChan).mu",
-		},
-		{
-			"curated reply site",
-			sample("sync.(*Mutex).Unlock", "xkernel/internal/rpc/channel.(*ServerSession).reply"),
-			"(channel.srvChan).mu",
+			"the core's channel lock under an engine's frame",
+			sample("sync.(*Mutex).Unlock", "xkernel/internal/rpc/amo.(*Chan).Record", "xkernel/internal/rpc/channel.(*ServerSession).reply"),
+			"(amo.Chan).mu",
 		},
 		{
 			"receiver heuristic",
@@ -258,7 +253,7 @@ func TestBuildReport(t *testing.T) {
 		SampleTypes: []ValueType{{"contentions", "count"}, {"delay", "nanoseconds"}},
 		Samples: []Sample{
 			{Values: []int64{7, 5e5},
-				Stack: []Frame{{Function: "sync.(*Mutex).Unlock"}, {Function: "xkernel/internal/rpc/channel.(*Protocol).serveRequest"}}},
+				Stack: []Frame{{Function: "sync.(*Mutex).Unlock"}, {Function: "xkernel/internal/rpc/amo.(*Chan).Commit"}, {Function: "xkernel/internal/rpc/channel.(*Protocol).serveRequest"}}},
 		},
 	}
 	rep := BuildReport(cpu, heap, mutex, nil)
@@ -286,10 +281,11 @@ func TestBuildReport(t *testing.T) {
 	if byLayer["msg"].AllocBytes != 4096 || byLayer["msg"].AllocObjects != 10 {
 		t.Errorf("msg row: %+v", byLayer["msg"])
 	}
-	if byLayer["channel"].MutexNs != 5e5 || byLayer["channel"].MutexCount != 7 {
-		t.Errorf("channel mutex: %+v", byLayer["channel"])
+	// The wait is charged where the lock was released: the core's frame.
+	if byLayer["amo"].MutexNs != 5e5 || byLayer["amo"].MutexCount != 7 {
+		t.Errorf("amo mutex: %+v", byLayer["amo"])
 	}
-	if len(rep.Locks) != 1 || rep.Locks[0].Class != "(channel.srvChan).mu" || rep.Locks[0].WaitNs != 5e5 || rep.Locks[0].Count != 7 {
+	if len(rep.Locks) != 1 || rep.Locks[0].Class != "(amo.Chan).mu" || rep.Locks[0].WaitNs != 5e5 || rep.Locks[0].Count != 7 {
 		t.Errorf("locks: %+v", rep.Locks)
 	}
 	// Rows sort by CPU self descending.
@@ -298,7 +294,7 @@ func TestBuildReport(t *testing.T) {
 	}
 	var tbl strings.Builder
 	rep.WriteTable(&tbl, 0)
-	for _, want := range []string{"client/channel", "wire", "(channel.srvChan).mu"} {
+	for _, want := range []string{"client/channel", "wire", "(amo.Chan).mu"} {
 		if !strings.Contains(tbl.String(), want) {
 			t.Errorf("table missing %q:\n%s", want, tbl.String())
 		}

@@ -1,0 +1,282 @@
+package amo
+
+import (
+	"maps"
+	"sync"
+	"sync/atomic"
+
+	"xkernel/internal/ledger"
+	"xkernel/internal/msg"
+	"xkernel/internal/trace"
+	"xkernel/internal/xk"
+)
+
+// Verdict is admission's answer to one request.
+type Verdict uint8
+
+const (
+	// New: new work. Admit returns with the channel locked; the engine
+	// finishes admitting under that lock (M.RPC collects fragments there)
+	// and calls Commit, or Release while the request is incomplete.
+	New Verdict = iota
+	// Drop: an older request, or a duplicate of a finished one with no
+	// reply left to replay.
+	Drop
+	// Ack: a duplicate of the request still executing: send an explicit ack.
+	Ack
+	// Replay: push the recorded reply with ReplayBlob.
+	Replay
+	// Reject: the request names an earlier incarnation of this host, and
+	// the ledger cannot prove it executed there: refuse it, typed.
+	Reject
+)
+
+// Request is what admission reads from a request header: the client
+// channel, the epoch hint (the low 16 bits of the boot id the client last
+// saw from this host, 0 for none), the client's boot id and the sequence
+// number.
+type Request struct {
+	Key        ledger.Key
+	Hint       uint16
+	ClientBoot uint32
+	Seq        uint32
+}
+
+// Counts are the server half's counters; LedgerReplays is the subset of
+// ReplayedReplies answered across a reboot of this host.
+type Counts struct {
+	DuplicateRequests, ReplayedReplies, LedgerReplays int64
+	StaleEpochRejects, RequestsServed                 int64
+}
+
+// Host is one host's at-most-once state: its boot incarnation, the boot
+// ids its calls learned of their servers, and one Chan per client
+// channel it serves. The boot id and the peer table are atomic loads (a
+// writer copies the table under peerMu); mu guards membership of chans
+// only, and each Chan has its own lock, so requests on different
+// channels never serialize on a host-wide one.
+type Host struct {
+	name string
+	led  ledger.ExecLedger
+	boot atomic.Uint32
+
+	peerMu sync.Mutex
+	peers  atomic.Pointer[map[xk.IPAddr]uint32]
+
+	mu    sync.Mutex
+	chans map[ledger.Key]*Chan
+
+	duplicates, replays, ledgerReplays, rejects, served atomic.Int64
+}
+
+// Init readies h for the protocol named name, in incarnation boot.
+func (h *Host) Init(name string, boot uint32, led ledger.ExecLedger) {
+	h.name, h.led = name, led
+	h.boot.Store(boot)
+	h.peers.Store(&map[xk.IPAddr]uint32{})
+	h.chans = make(map[ledger.Key]*Chan)
+}
+
+// Boot reports the current boot incarnation.
+func (h *Host) Boot() uint32 { return h.boot.Load() }
+
+// Reboot simulates a crash: a new boot id, every server channel
+// forgotten, and the ledger crashed with the host (a durable one replays
+// its log into the new incarnation).
+func (h *Host) Reboot() {
+	boot := h.boot.Add(1)
+	h.mu.Lock()
+	h.chans = make(map[ledger.Key]*Chan)
+	h.mu.Unlock()
+	if err := h.led.Reboot(); err != nil {
+		trace.Printf(trace.Events, h.name, "ledger reboot failed: %v", err)
+	}
+	trace.Printf(trace.Events, h.name, "rebooted, boot_id now %d", boot)
+}
+
+// Chans reports the number of live server channels.
+func (h *Host) Chans() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.chans)
+}
+
+// Counts snapshots the counters.
+func (h *Host) Counts() Counts {
+	return Counts{
+		DuplicateRequests: h.duplicates.Load(),
+		ReplayedReplies:   h.replays.Load(),
+		LedgerReplays:     h.ledgerReplays.Load(),
+		StaleEpochRejects: h.rejects.Load(),
+		RequestsServed:    h.served.Load(),
+	}
+}
+
+// PeerBoot reports the last boot incarnation observed from peer in a
+// reply or ack header, or 0 if the peer has never answered.
+func (h *Host) PeerBoot(peer xk.IPAddr) uint32 { return (*h.peers.Load())[peer] }
+
+// NotePeerBoot records peer's boot id as carried in a reply or ack.
+// Runs on every reply, so the common no-change case is one load.
+func (h *Host) NotePeerBoot(peer xk.IPAddr, boot uint32) {
+	if h.PeerBoot(peer) == boot {
+		return
+	}
+	h.peerMu.Lock()
+	defer h.peerMu.Unlock()
+	next := maps.Clone(*h.peers.Load())
+	next[peer] = boot
+	h.peers.Store(&next)
+}
+
+// Admit runs a request through the duplicate filter; reply is the
+// recorded reply for Replay. A stale epoch hint is decided against the
+// ledger alone, with a nil Chan: Replay if the previous incarnation
+// recorded exactly this request, else Reject (it may have executed in
+// the ledger's unsynced window). Otherwise the request's Chan decides —
+// seeded from the ledger by the request that creates it, so a recovered
+// incarnation does not take a recorded request for new work.
+func (h *Host) Admit(r Request) (c *Chan, v Verdict, reply []byte) {
+	if r.Hint != 0 && r.Hint != uint16(h.boot.Load()) {
+		if e, ok := h.led.Lookup(r.Key); ok && e.ClientBoot == r.ClientBoot && e.Seq == r.Seq {
+			h.ledgerReplays.Add(1)
+			h.replays.Add(1)
+			trace.Printf(trace.Events, h.name, "ledger replay %v seq=%d (executed before crash)", r.Key, r.Seq)
+			return nil, Replay, e.Reply
+		}
+		h.rejects.Add(1)
+		trace.Printf(trace.Events, h.name, "reject stale epoch %v seq=%d (hint %d, boot %d)", r.Key, r.Seq, r.Hint, h.boot.Load())
+		return nil, Reject, nil
+	}
+	c = h.chanFor(r)
+	v, reply = c.admit(r)
+	return c, v, reply
+}
+
+// chanFor finds or creates r's channel; only the request that creates it
+// looks the seed up, outside mu, then re-checks the miss.
+func (h *Host) chanFor(r Request) *Chan {
+	h.mu.Lock()
+	c := h.chans[r.Key]
+	h.mu.Unlock()
+	if c != nil {
+		return c
+	}
+	seed, haveSeed := h.led.Lookup(r.Key)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if c = h.chans[r.Key]; c == nil {
+		c = &Chan{host: h, key: r.Key, clientBoot: r.ClientBoot}
+		if haveSeed && seed.ClientBoot == r.ClientBoot {
+			c.lastSeq = seed.Seq
+		}
+		h.chans[r.Key] = c
+	}
+	return c
+}
+
+// State is an engine's own per-channel server state, kept on the Chan
+// and touched only under its lock. ClientRebooted drops what it holds
+// for the client's previous incarnation.
+type State interface{ ClientRebooted() }
+
+// Chan is one client channel's duplicate filter at the server. Its
+// mutex makes the decision atomic per channel: admission takes it, the
+// write-ahead Record takes it again. The reply lives in the ledger.
+type Chan struct {
+	host *Host
+	key  ledger.Key
+
+	mu         sync.Mutex
+	clientBoot uint32
+	lastSeq    uint32
+	executing  bool
+	State      State // the engine's, set in the New path
+}
+
+// Key names the channel in the ledger.
+func (c *Chan) Key() ledger.Key { return c.key }
+
+// admit is Admit's per-channel half: it returns with c locked for New.
+func (c *Chan) admit(r Request) (Verdict, []byte) {
+	h := c.host
+	c.mu.Lock()
+	if c.clientBoot != r.ClientBoot {
+		// Everything the channel remembers belongs to a dead incarnation
+		// of the client, which can never legally ask for its reply again.
+		trace.Printf(trace.Events, h.name, "client rebooted (boot %d -> %d), resetting %v", c.clientBoot, r.ClientBoot, c.key)
+		c.clientBoot = r.ClientBoot
+		c.lastSeq = 0
+		c.executing = false
+		if c.State != nil {
+			c.State.ClientRebooted()
+		}
+		//xk:allow locksafety — retire must be ordered with the boot-epoch flip under c.mu; the fsync Schedule only enqueues
+		if err := h.led.Retire(c.key); err != nil {
+			trace.Printf(trace.Events, h.name, "ledger retire %v: %v", c.key, err)
+		}
+	}
+	switch {
+	case c.lastSeq != 0 && r.Seq < c.lastSeq:
+		h.duplicates.Add(1)
+		c.mu.Unlock()
+		return Drop, nil
+	case r.Seq == c.lastSeq:
+		h.duplicates.Add(1)
+		if c.executing {
+			c.mu.Unlock()
+			trace.Printf(trace.Events, h.name, "explicit ack %v seq=%d", c.key, r.Seq)
+			return Ack, nil
+		}
+		e, ok := h.led.Lookup(c.key)
+		c.mu.Unlock()
+		if ok && e.ClientBoot == r.ClientBoot && e.Seq == r.Seq {
+			h.replays.Add(1)
+			trace.Printf(trace.Events, h.name, "replay reply %v seq=%d", c.key, r.Seq)
+			return Replay, e.Reply
+		}
+		return Drop, nil
+	}
+	// A new request implicitly acknowledges the previous reply, whose
+	// ledger entry is overwritten when this one records its own.
+	return New, nil
+}
+
+// Commit admits new request seq, executing until its Record, and unlocks.
+func (c *Chan) Commit(seq uint32) {
+	c.lastSeq = seq
+	c.executing = true
+	c.mu.Unlock()
+	c.host.served.Add(1)
+}
+
+// Release unlocks without admitting: the request is not complete yet.
+func (c *Chan) Release() { c.mu.Unlock() }
+
+// Record is the one write-ahead site: request seq's reply, framed as it
+// will leave, is recorded before any frame of it is pushed, so no reply
+// is on the wire without a record a recovered incarnation can replay. On
+// an error the reply must not be sent (the client retransmits).
+func (c *Chan) Record(seq uint32, reply []byte) error {
+	c.mu.Lock()
+	c.executing = false
+	//xk:allow locksafety — write-ahead by design: Record must commit under c.mu before the reply leaves; its fsync Schedule only enqueues, the sync handler re-locks on a later dispatch
+	err := c.host.led.Record(c.key, ledger.Entry{ClientBoot: c.clientBoot, Seq: seq, Reply: reply})
+	c.mu.Unlock()
+	return err
+}
+
+// ReplayBlob pushes a recorded reply through lls byte for byte, old boot
+// id and all, one push per frame.
+func ReplayBlob(lls xk.Session, blob []byte) error {
+	frames, err := ledger.DecodeFrames(blob)
+	if err != nil {
+		return err
+	}
+	for _, fb := range frames {
+		if err := lls.Push(msg.New(fb)); err != nil {
+			return err
+		}
+	}
+	return nil
+}

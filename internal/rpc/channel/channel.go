@@ -41,6 +41,7 @@ import (
 	"xkernel/internal/obs/gauge"
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
+	"xkernel/internal/rpc/amo"
 	"xkernel/internal/rpc/retry"
 	"xkernel/internal/trace"
 	"xkernel/internal/xk"
@@ -220,36 +221,28 @@ func decodeHeader(b []byte) header {
 // Locking discipline (DESIGN.md §4): state written at bind time (open,
 // enable, close, reboot) and read per message is published with an atomic
 // store and read with an atomic load; a mutex on the fault-free call path
-// needs a reason. Counters and bootID are atomic words; enables and
-// peerBoots are immutable snapshots a writer (an enable; a peer's boot id
-// actually changing) copies under bindMu; clients is a pmap, whose
+// needs a reason. Counters are atomic words; enables is an immutable
+// snapshot an enable copies under bindMu; clients is a pmap, whose
 // last-key cache answers a channel's replies without a lock. What a
 // fault-free call still locks is what makes at-most-once atomic, per
-// conversation: the client Session's mu (claim the channel and its seq,
-// accept only that seq's reply, release); srvMu for the one lookup in
-// servers, a map that grows on first contact and Reboot drops whole; the
-// srvChan's mutex (the duplicate filter's decision, then the write-ahead
-// Record before the reply leaves), so requests on different channels
-// never serialize on one protocol lock; the ServerSession's mu (demux
-// sets the pending request, the handler's Push consumes it); the ledger's.
+// conversation. CHANNEL's own: the client Session's mu (claim the channel
+// and its seq, accept only that seq's reply, release) and the
+// ServerSession's mu (demux sets the pending request, the handler's Push
+// consumes it). The at-most-once core's (amo.Host): its table lock for
+// the one lookup of the request's channel, and that channel's mutex
+// (the duplicate filter's decision, then the write-ahead Record before
+// the reply leaves), so requests on different channels never serialize
+// on one protocol lock; and the ledger's.
 type Protocol struct {
 	xk.BaseProtocol
 	cfg Config
 	llp xk.Protocol
 
-	ctr    statCounters
-	bootID atomic.Uint32
+	ctr  statCounters
+	host amo.Host // boot id, peer boots, server channels: the at-most-once core
 
-	bindMu  sync.Mutex // serialises the writers of enables and peerBoots
+	bindMu  sync.Mutex // serialises the writers of enables
 	enables atomic.Pointer[map[ip.ProtoNum]xk.Protocol]
-
-	srvMu   sync.Mutex
-	servers map[srvKey]*srvChan
-
-	// peerBoots is the client-side record of each server's last
-	// observed boot id, learned from reply and ack headers and sent
-	// back (truncated) as the epoch hint in requests.
-	peerBoots atomic.Pointer[map[xk.IPAddr]uint32]
 
 	clients *pmap.Map // proto(1) ++ chan(2) ++ remote(4) → *Session
 }
@@ -258,10 +251,7 @@ type Protocol struct {
 // take a lock to count.
 type statCounters struct {
 	calls, retransmits, acksSent, acksReceived atomic.Int64
-	duplicateRequests, replayedReplies         atomic.Int64
-	requestsServed, remoteErrors               atomic.Int64
-	staleEpochRejects, peerReboots             atomic.Int64
-	ledgerReplays                              atomic.Int64
+	remoteErrors, peerReboots                  atomic.Int64
 
 	// Instantaneous gauges, distinct from the monotone counters above:
 	// callsInFlight is calls currently blocked in Call, and
@@ -281,12 +271,10 @@ func New(name string, llp xk.Protocol, cfg Config) (*Protocol, error) {
 		BaseProtocol: xk.BaseProtocol{ProtoName: name},
 		cfg:          cfg,
 		llp:          llp,
-		servers:      make(map[srvKey]*srvChan),
 		clients:      pmap.New(16),
 	}
+	p.host.Init(name, cfg.BootID, cfg.Ledger)
 	p.enables.Store(&map[ip.ProtoNum]xk.Protocol{})
-	p.peerBoots.Store(&map[xk.IPAddr]uint32{})
-	p.bootID.Store(cfg.BootID)
 	if err := llp.OpenEnable(p, xk.LocalOnly(xk.NewParticipant(cfg.Proto))); err != nil {
 		return nil, fmt.Errorf("%s: enable: %w", name, err)
 	}
@@ -295,17 +283,18 @@ func New(name string, llp xk.Protocol, cfg Config) (*Protocol, error) {
 
 // Stats snapshots the counters.
 func (p *Protocol) Stats() Stats {
+	n := p.host.Counts()
 	return Stats{
 		Calls:             p.ctr.calls.Load(),
 		Retransmits:       p.ctr.retransmits.Load(),
 		AcksSent:          p.ctr.acksSent.Load(),
 		AcksReceived:      p.ctr.acksReceived.Load(),
-		DuplicateRequests: p.ctr.duplicateRequests.Load(),
-		ReplayedReplies:   p.ctr.replayedReplies.Load(),
-		RequestsServed:    p.ctr.requestsServed.Load(),
+		DuplicateRequests: n.DuplicateRequests,
+		ReplayedReplies:   n.ReplayedReplies,
+		RequestsServed:    n.RequestsServed,
 		RemoteErrors:      p.ctr.remoteErrors.Load(),
-		StaleEpochRejects: p.ctr.staleEpochRejects.Load(),
-		LedgerReplays:     p.ctr.ledgerReplays.Load(),
+		StaleEpochRejects: n.StaleEpochRejects,
+		LedgerReplays:     n.LedgerReplays,
 		PeerReboots:       p.ctr.peerReboots.Load(),
 	}
 }
@@ -324,11 +313,7 @@ func (p *Protocol) RetransInFlight() int64 { return p.ctr.retransInFlight.Load()
 func (p *Protocol) ClientChannels() int64 { return int64(p.clients.Len()) }
 
 // ServerChannels reports the number of live server-side channel states.
-func (p *Protocol) ServerChannels() int64 {
-	p.srvMu.Lock()
-	defer p.srvMu.Unlock()
-	return int64(len(p.servers))
-}
+func (p *Protocol) ServerChannels() int64 { return int64(p.host.Chans()) }
 
 // RegisterGauges adds the protocol's live-state gauges to set under
 // prefix ("<prefix>.calls_inflight", ".retrans_inflight",
@@ -344,43 +329,14 @@ func (p *Protocol) RegisterGauges(set *gauge.Set, prefix string) {
 }
 
 // BootID reports the current boot incarnation.
-func (p *Protocol) BootID() uint32 {
-	return p.bootID.Load()
-}
+func (p *Protocol) BootID() uint32 { return p.host.Boot() }
 
-// Reboot simulates a crash: new boot id, all server-side state
-// dropped, and the ledger crashed with the host — a volatile ledger
-// forgets everything, a durable one replays its log and carries the
-// executed set into the new incarnation.
-func (p *Protocol) Reboot() {
-	boot := p.bootID.Add(1)
-	p.srvMu.Lock()
-	p.servers = make(map[srvKey]*srvChan)
-	p.srvMu.Unlock()
-	if err := p.cfg.Ledger.Reboot(); err != nil {
-		trace.Printf(trace.Events, p.Name(), "ledger reboot failed: %v", err)
-	}
-	trace.Printf(trace.Events, p.Name(), "rebooted, boot_id now %d", boot)
-}
+// Reboot simulates a crash of this host (amo.Host.Reboot).
+func (p *Protocol) Reboot() { p.host.Reboot() }
 
 // PeerBootID reports the last boot incarnation observed from host in a
 // reply or ack header, or 0 if the host has never answered.
-func (p *Protocol) PeerBootID(host xk.IPAddr) uint32 {
-	return (*p.peerBoots.Load())[host]
-}
-
-// notePeerBoot records host's boot id as carried in a reply or ack.
-// Runs on every reply, so the common no-change case is one load.
-func (p *Protocol) notePeerBoot(host xk.IPAddr, boot uint32) {
-	if p.PeerBootID(host) == boot {
-		return
-	}
-	p.bindMu.Lock()
-	defer p.bindMu.Unlock()
-	next := maps.Clone(*p.peerBoots.Load())
-	next[host] = boot
-	p.peerBoots.Store(&next)
-}
+func (p *Protocol) PeerBootID(host xk.IPAddr) uint32 { return p.host.PeerBoot(host) }
 
 // setEnable publishes enables with proto bound to hlp, or unbound when
 // hlp is nil.

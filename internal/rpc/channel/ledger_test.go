@@ -8,6 +8,8 @@ package channel_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,5 +225,90 @@ func TestLedgerVolatileMatchesPaperSemantics(t *testing.T) {
 	}
 	if got := b.sc.Stats().RequestsServed; got != 2 {
 		t.Fatalf("handler re-ran: RequestsServed = %d", got)
+	}
+}
+
+// TestReplyLostAfterAckIsReplayed: a request the server has acknowledged
+// is still the client's to recover. The handler replies from its own
+// goroutine after the client recorded an explicit ack, and that reply
+// is lost on the wire. An acked client keeps probing (the one ack rule:
+// everything acknowledged, the retransmission re-sends it all), and the
+// probe that finds the request finished draws the recorded reply from
+// the ledger. The handler runs once.
+func TestReplyLostAfterAckIsReplayed(t *testing.T) {
+	b := build(t, sim.Config{}, channel.Config{MaxRetries: 3})
+	release := make(chan struct{})
+	replied := make(chan error, 1)
+	var served atomic.Int32
+	app := xk.NewApp("srv", nil)
+	app.Deliver = func(s xk.Session, m *msg.Msg) error {
+		served.Add(1)
+		ss := s.(*channel.ServerSession)
+		go func() {
+			<-release
+			replied <- ss.Push(msg.New([]byte("done")))
+		}()
+		return nil
+	}
+	if err := b.sc.OpenEnable(app, xk.LocalOnly(xk.NewParticipant(hlpProto))); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, b.cc, 0)
+	done := make(chan error, 1)
+	go func() {
+		reply, err := s.Call(msg.New([]byte("slow request")))
+		if err == nil && string(reply.Bytes()) != "done" {
+			err = fmt.Errorf("reply %q, want \"done\"", reply.Bytes())
+		}
+		done <- err
+	}()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for i := 0; !cond(); i++ {
+			if i == 5000 {
+				t.Fatalf("never: %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// The first timeout: the retransmission finds the handler running
+	// and draws an explicit ack.
+	waitFor("the call armed its timeout", func() bool { return b.clock.PendingCount() > 0 })
+	b.clock.AdvanceToNext()
+	waitFor("the client recorded an ack", func() bool { return b.cc.Stats().AcksReceived > 0 })
+	waitFor("the call re-armed its timeout", func() bool { return b.clock.PendingCount() > 0 })
+
+	// The handler finishes; its reply is recorded and lost.
+	serverMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 2}
+	clientMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 1}
+	b.inj.DropWhere(func(src, dst xk.EthAddr) bool { return src == serverMAC && dst == clientMAC }, 1)
+	close(release)
+	if err := <-replied; err != nil {
+		t.Fatal(err)
+	}
+
+	// Only the client's next probe can recover it.
+	var err error
+	for finished := false; !finished; {
+		select {
+		case err = <-done:
+			finished = true
+		default:
+			if b.clock.PendingCount() > 0 {
+				b.clock.AdvanceToNext()
+			} else {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	if err != nil {
+		t.Fatalf("call whose reply was lost after an ack: %v", err)
+	}
+	if n := served.Load(); n != 1 {
+		t.Fatalf("handler ran %d times", n)
+	}
+	if st := b.sc.Stats(); st.ReplayedReplies != 1 {
+		t.Fatalf("ReplayedReplies = %d, want 1", st.ReplayedReplies)
 	}
 }

@@ -40,17 +40,18 @@ func TestSeededContentionNamesLockClass(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range mp.Samples {
-			if prof.LockClass(&mp.Samples[i]) == "(channel.srvChan).mu" {
+			if prof.LockClass(&mp.Samples[i]) == "(amo.Chan).mu" {
 				return
 			}
 		}
 	}
-	t.Fatal("no mutex sample attributed to (channel.srvChan).mu after 3 rounds")
+	t.Fatal("no mutex sample attributed to (amo.Chan).mu after 3 rounds")
 }
 
 // hammerSrvChan delivers request frames for one channel id from many
 // goroutines at once. Every path through serveRequest — fresh seq,
-// duplicate, stale — serializes on that channel's srvChan.mu. A
+// duplicate, stale — serializes on that channel's lock in the
+// at-most-once core (amo.Chan.mu). A
 // durable file ledger (fsync per record) makes reply's write-ahead
 // Record do real I/O while holding the lock, so the other deliveries
 // actually block and the runtime records the contention even on a

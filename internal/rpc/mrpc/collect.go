@@ -25,15 +25,17 @@ func oneFragment(h header) bool {
 	return h.numFrags <= 1 && h.fragMask == 1
 }
 
-// collecting reports whether c is part-way through message seq.
+// collecting reports whether c is part-way through message seq. A nil
+// collector — a server channel that never saw a request of several
+// fragments — collects nothing.
 func (c *collector) collecting(seq uint32) bool {
-	return c.numFrags != 0 && c.seq == seq
+	return c != nil && c.numFrags != 0 && c.seq == seq
 }
 
 // reset drops whatever was part-collected. Idle is the common case — a
 // one-fragment message never starts the collector — and costs one load.
 func (c *collector) reset() {
-	if c.numFrags != 0 {
+	if c != nil && c.numFrags != 0 {
 		*c = collector{}
 	}
 }

@@ -136,7 +136,7 @@ func TestNumFragsBeyondMaskRejected(t *testing.T) {
 		if frames == 0 {
 			t.Fatalf("%s: the input fed no frames", name)
 		}
-		if n := len(p.servers); n != 0 || p.Stats().RequestsServed != 0 {
+		if n := p.host.Chans(); n != 0 || p.Stats().RequestsServed != 0 {
 			t.Errorf("%s: %d server channels, %d requests served; want none", name, n, p.Stats().RequestsServed)
 		}
 		if cs := p.channels[0]; len(cs.replyCh) != 0 || cs.reply.numFrags != 0 {

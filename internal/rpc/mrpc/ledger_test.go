@@ -7,6 +7,8 @@ package mrpc_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,5 +178,79 @@ func TestLedgerReplayAcrossCrashMultiFragment(t *testing.T) {
 	}
 	if gotServed := srv.Stats().RequestsServed; gotServed != 3 {
 		t.Fatalf("RequestsServed = %d, want 3", gotServed)
+	}
+}
+
+// TestReplyLostAfterAckIsReplayed: a request the server has acknowledged
+// is still the client's to recover. The handler, parked on its own
+// delivery goroutine (an asynchronous segment), finishes after the
+// client recorded an explicit ack of every fragment, and its reply is
+// lost on the wire. The one ack rule — everything acknowledged, the
+// retransmission re-probes with it all — brings the recorded reply back
+// from the ledger. The handler runs once.
+func TestReplyLostAfterAckIsReplayed(t *testing.T) {
+	clock := event.NewFake()
+	cli, srv, inj := testbed(t, "vip", sim.Config{Async: true}, clock, mrpc.Config{})
+	const cmdSlow uint16 = 9
+	release := make(chan struct{})
+	var served atomic.Int32
+	srv.Register(cmdSlow, func(_ uint16, _ *msg.Msg) (*msg.Msg, error) {
+		served.Add(1)
+		<-release
+		return msg.New([]byte("done")), nil
+	})
+	s := open(t, cli, xk.IP(10, 0, 0, 2))
+	done := make(chan error, 1)
+	go func() {
+		reply, err := s.CallBytes(cmdSlow, []byte("slow request"))
+		if err == nil && string(reply) != "done" {
+			err = fmt.Errorf("reply %q, want \"done\"", reply)
+		}
+		done <- err
+	}()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for i := 0; !cond(); i++ {
+			if i == 5000 {
+				t.Fatalf("never: %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// The first timeout: the retransmission finds the handler running
+	// and draws an explicit ack.
+	waitFor("the handler ran", func() bool { return served.Load() == 1 })
+	waitFor("the call armed its timeout", func() bool { return clock.PendingCount() > 0 })
+	clock.AdvanceToNext()
+	waitFor("the client recorded an ack", func() bool { return cli.Stats().AcksReceived > 0 })
+
+	// The handler finishes; its reply is recorded and lost.
+	serverMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 2}
+	clientMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 1}
+	inj.DropWhere(func(src, dst xk.EthAddr) bool { return src == serverMAC && dst == clientMAC }, 1)
+	dropped := inj.Stats().FramesDropped
+	close(release)
+	waitFor("the reply was lost", func() bool { return inj.Stats().FramesDropped > dropped })
+
+	// Only the client's next probe can recover it. Each expiry waits for
+	// the probe's answer to cross the asynchronous segment.
+	var err error
+	for finished := false; !finished; {
+		select {
+		case err = <-done:
+			finished = true
+		case <-time.After(50 * time.Millisecond):
+			clock.AdvanceToNext()
+		}
+	}
+	if err != nil {
+		t.Fatalf("call whose reply was lost after an ack: %v", err)
+	}
+	if n := served.Load(); n != 1 {
+		t.Fatalf("handler ran %d times", n)
+	}
+	if st := srv.Stats(); st.ReplayedReplies != 1 {
+		t.Fatalf("ReplayedReplies = %d, want 1", st.ReplayedReplies)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/obs/gauge"
 	"xkernel/internal/proto/ip"
+	"xkernel/internal/rpc/amo"
 	"xkernel/internal/rpc/fragmask"
 	"xkernel/internal/rpc/retry"
 	"xkernel/internal/trace"
@@ -156,6 +157,15 @@ func (e *PeerRebootedError) Is(target error) bool { return target == xk.ErrPeerR
 // Protocol is the monolithic Sprite RPC protocol object. One instance
 // serves both roles: client calls go out through sessions, and
 // registered handlers serve incoming requests.
+//
+// Locking (DESIGN.md §4): what a fault-free call locks is what makes
+// at-most-once atomic, per conversation. M.RPC's own is the client
+// chanState's mu (claim the channel and its seq, accept only that seq's
+// reply, release). The rest are the at-most-once core's (amo.Host), the
+// same code CHANNEL runs: the table lock for the one lookup of the
+// request's channel, and that channel's mutex — the duplicate filter's
+// decision, with a multi-fragment request collected under it, then the
+// write-ahead Record before the reply leaves — and the ledger's.
 type Protocol struct {
 	xk.BaseProtocol
 	cfg   Config
@@ -165,37 +175,22 @@ type Protocol struct {
 	channels []*chanState
 	free     chan *chanState
 
-	ctr    statCounters
-	bootID atomic.Uint32
+	ctr  statCounters
+	host amo.Host // boot id, peer boots, server channels: the at-most-once core
 
 	// handlers is read on every served request and written only at
-	// registration; peerBoots (below) is read on every call and reply and
-	// written only when a server's boot id changes. Both are immutable
-	// snapshots: readers load, writers copy under bindMu and publish.
+	// registration: an immutable snapshot readers load and a writer
+	// copies under bindMu and publishes.
 	bindMu   sync.Mutex
 	handlers atomic.Pointer[map[uint16]Handler]
 	fallback atomic.Pointer[Handler]
-
-	// srvMu guards only the servers map; each srvChan has its own lock
-	// for the per-channel at-most-once machinery, so concurrent clients
-	// never serialize on a protocol-wide mutex.
-	srvMu   sync.Mutex
-	servers map[srvKey]*srvChan
-
-	// peerBoots is the client-side record of each server's last
-	// observed boot id, learned from reply and ack headers and sent
-	// back (truncated) as the epoch hint in requests.
-	peerBoots atomic.Pointer[map[xk.IPAddr]uint32]
 }
 
 // statCounters mirrors Stats with atomic cells so counting stays off
 // the locks entirely.
 type statCounters struct {
 	calls, retransmits, acksSent, acksReceived atomic.Int64
-	duplicateRequests, replayedReplies         atomic.Int64
-	requestsServed, errors                     atomic.Int64
-	staleEpochRejects, peerReboots             atomic.Int64
-	ledgerReplays                              atomic.Int64
+	errors, peerReboots                        atomic.Int64
 }
 
 // New creates the protocol for the host with address local above llp,
@@ -208,12 +203,10 @@ func New(name string, llp xk.Protocol, local xk.IPAddr, cfg Config) (*Protocol, 
 		cfg:          cfg,
 		llp:          llp,
 		local:        local,
-		servers:      make(map[srvKey]*srvChan),
 		free:         make(chan *chanState, cfg.NumChannels),
 	}
+	p.host.Init(name, cfg.BootID, cfg.Ledger)
 	p.handlers.Store(&map[uint16]Handler{})
-	p.peerBoots.Store(&map[xk.IPAddr]uint32{})
-	p.bootID.Store(cfg.BootID)
 	for i := 0; i < cfg.NumChannels; i++ {
 		cs := &chanState{
 			id:      uint16(i),
@@ -243,17 +236,18 @@ func (p *Protocol) RegisterDefault(h Handler) { p.fallback.Store(&h) }
 
 // Stats snapshots the counters.
 func (p *Protocol) Stats() Stats {
+	n := p.host.Counts()
 	return Stats{
 		Calls:             p.ctr.calls.Load(),
 		Retransmits:       p.ctr.retransmits.Load(),
 		AcksSent:          p.ctr.acksSent.Load(),
 		AcksReceived:      p.ctr.acksReceived.Load(),
-		DuplicateRequests: p.ctr.duplicateRequests.Load(),
-		ReplayedReplies:   p.ctr.replayedReplies.Load(),
-		RequestsServed:    p.ctr.requestsServed.Load(),
+		DuplicateRequests: n.DuplicateRequests,
+		ReplayedReplies:   n.ReplayedReplies,
+		RequestsServed:    n.RequestsServed,
 		Errors:            p.ctr.errors.Load(),
-		StaleEpochRejects: p.ctr.staleEpochRejects.Load(),
-		LedgerReplays:     p.ctr.ledgerReplays.Load(),
+		StaleEpochRejects: n.StaleEpochRejects,
+		LedgerReplays:     n.LedgerReplays,
 		PeerReboots:       p.ctr.peerReboots.Load(),
 	}
 }
@@ -268,44 +262,16 @@ func (p *Protocol) RegisterGauges(set *gauge.Set, prefix string) {
 }
 
 // BootID reports the current boot incarnation.
-func (p *Protocol) BootID() uint32 {
-	return p.bootID.Load()
-}
+func (p *Protocol) BootID() uint32 { return p.host.Boot() }
 
-// Reboot simulates a crash and restart: the boot id changes and all
-// server-side channel state is lost, which is what the boot_id header
-// field exists to expose. The ledger crashes with the host — a
-// volatile ledger forgets everything, a durable one replays its log
-// and carries the executed set into the new incarnation.
-func (p *Protocol) Reboot() {
-	boot := p.bootID.Add(1)
-	p.srvMu.Lock()
-	p.servers = make(map[srvKey]*srvChan)
-	p.srvMu.Unlock()
-	if err := p.cfg.Ledger.Reboot(); err != nil {
-		trace.Printf(trace.Events, p.Name(), "ledger reboot failed: %v", err)
-	}
-	trace.Printf(trace.Events, p.Name(), "rebooted, boot_id now %d", boot)
-}
+// Reboot simulates a crash and restart of this host (amo.Host.Reboot):
+// the boot id changes and all server-side channel state is lost, which
+// is what the boot_id header field exists to expose.
+func (p *Protocol) Reboot() { p.host.Reboot() }
 
 // PeerBootID reports the last boot incarnation observed from host in a
 // reply or ack header, or 0 if the host has never answered.
-func (p *Protocol) PeerBootID(host xk.IPAddr) uint32 {
-	return (*p.peerBoots.Load())[host]
-}
-
-// notePeerBoot records host's boot id as carried in a reply or ack; the
-// common no-change case is one load.
-func (p *Protocol) notePeerBoot(host xk.IPAddr, boot uint32) {
-	if p.PeerBootID(host) == boot {
-		return
-	}
-	p.bindMu.Lock()
-	defer p.bindMu.Unlock()
-	next := maps.Clone(*p.peerBoots.Load())
-	next[host] = boot
-	p.peerBoots.Store(&next)
-}
+func (p *Protocol) PeerBootID(host xk.IPAddr) uint32 { return p.host.PeerBoot(host) }
 
 // Control answers CtlHLPMaxMsg — the question VIP asks at open time.
 // "Sprite RPC reports that it never sends a message greater than
@@ -360,7 +326,7 @@ type chanState struct {
 	mu     sync.Mutex
 	seq    uint32
 	active bool
-	acked  uint16 // request fragments explicitly acknowledged
+	call   amo.Call // the call in progress: attempts, acks, schedule
 
 	// replyCh carries the reply of the call in progress: filled under
 	// mu, only for the current seq; drained under mu when the next call
@@ -407,6 +373,17 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 		return nil, fmt.Errorf("%s: %d bytes: %w", p.Name(), args.Len(), xk.ErrMsgTooBig)
 	}
 	p.ctr.calls.Add(1)
+	maxFrag := p.cfg.MaxPacket - HeaderLen
+	numFrags := uint16(1)
+	interval := p.cfg.RetransmitInterval
+	if n := fragmask.Count(args.Len(), maxFrag); n > fragmask.Max {
+		return nil, fmt.Errorf("%s: %d fragments (max %d): %w", p.Name(), n, fragmask.Max, xk.ErrMsgTooBig)
+	} else if n > 1 {
+		numFrags = uint16(n)
+		// Multi-fragment patience: give the peer time to collect
+		// everything before retransmitting.
+		interval += time.Duration(n) * (p.cfg.RetransmitInterval / 4)
+	}
 
 	// "the SELECT layer simply chooses one of the existing channels
 	// when an RPC is invoked; it blocks if there are none available"
@@ -418,7 +395,7 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	cs.seq++
 	seq := cs.seq
 	cs.active = true
-	cs.acked = 0
+	cs.call.Start(numFrags, interval, p.cfg.MaxRetries, p.cfg.Retry)
 	cs.reply.reset()
 	// A duplicate reply to the previous call may have landed after that
 	// call took its own; from here on only seq's reply is accepted.
@@ -438,20 +415,9 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	// place, and the channel holds a copy for retransmission; a longer one
 	// (or one without the header room) is held as it is, and each fragment
 	// is cut from it as it is sent.
-	maxFrag := p.cfg.MaxPacket - HeaderLen
 	inPlace := args.Len() <= maxFrag && xk.RoomInPlace(args, HeaderLen)
 	if inPlace {
 		args.CopyInto(&cs.held)
-	}
-	numFrags := uint16(1)
-	interval := p.cfg.RetransmitInterval
-	if n := fragmask.Count(args.Len(), maxFrag); n > fragmask.Max {
-		return nil, fmt.Errorf("%s: %d fragments (max %d): %w", p.Name(), n, fragmask.Max, xk.ErrMsgTooBig)
-	} else if n > 1 {
-		numFrags = uint16(n)
-		// Multi-fragment patience: give the peer time to collect
-		// everything before retransmitting.
-		interval += time.Duration(n) * (p.cfg.RetransmitInterval / 4)
 	}
 	h := header{
 		flags:    flagRequest,
@@ -462,33 +428,24 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 		// the server reboots mid-call, every retransmission still
 		// carries the old hint (see header.go) and is rejected rather
 		// than executed twice.
-		srvrProc: uint16(p.PeerBootID(s.server)),
+		srvrProc: uint16(p.host.PeerBoot(s.server)),
 		seq:      seq,
 		numFrags: numFrags,
 		command:  command,
-		bootID:   p.bootID.Load(),
+		bootID:   p.host.Boot(),
 	}
 
 	lls := s.Down(0)
-	full := fragmask.Full(numFrags)
-	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
-		acked := uint16(0) // only a retransmission can have been acked
-		if attempt > 0 {
+	for {
+		// The call machine names the fragments: all of them first, then
+		// the ones the server has not acknowledged, or all of them again
+		// as a probe once it has acknowledged every one.
+		send, pleaseAck := cs.call.Send()
+		if pleaseAck {
 			h.flags |= flagPleaseAck
-			cs.mu.Lock()
-			if cs.acked == full {
-				// The server acknowledged every fragment but the reply is
-				// overdue: it may have crashed and lost the request. Clear
-				// the mask and re-probe with a full resend — if the server
-				// did reboot, the stale epoch hint gets the call rejected
-				// (typed) instead of silently timing out.
-				cs.acked = 0
-			}
-			acked = cs.acked
-			cs.mu.Unlock()
 		}
 		for i := 0; i < int(numFrags); i++ {
-			if acked&(1<<i) != 0 {
+			if send&(1<<i) == 0 {
 				continue // already at the server
 			}
 			// The protocol keeps the request for retransmission: a
@@ -503,7 +460,7 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 				if out, err = args.Fragment(off, min(args.Len()-off, maxFrag), msg.DefaultLeader); err != nil {
 					return nil, err
 				}
-			case attempt > 0:
+			case pleaseAck: // a retransmission
 				out = cs.held.Clone()
 			}
 			h.fragMask = 1 << i
@@ -515,12 +472,8 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 				return nil, err
 			}
 		}
-		if attempt > 0 {
-			p.ctr.retransmits.Add(1)
-			trace.Printf(trace.Events, p.Name(), "retransmit chan=%d seq=%d attempt=%d", cs.id, seq, attempt)
-		}
 
-		cs.timeout.Arm(p.cfg.Retry.Interval(attempt, interval))
+		cs.timeout.Arm(cs.call.Wait())
 		select {
 		case r := <-cs.replyCh:
 			cs.timeout.Disarm()
@@ -528,8 +481,15 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 		case <-cs.timeout.C:
 			cs.timeout.Expired()
 		}
+		cs.mu.Lock()
+		again := cs.call.Expire()
+		cs.mu.Unlock()
+		if !again {
+			return nil, fmt.Errorf("%s: call to %s chan=%d seq=%d: %w", p.Name(), s.server, cs.id, seq, xk.ErrTimeout)
+		}
+		p.ctr.retransmits.Add(1)
+		trace.Printf(trace.Events, p.Name(), "retransmit chan=%d seq=%d attempt=%d", cs.id, seq, cs.call.Attempt())
 	}
-	return nil, fmt.Errorf("%s: call to %s chan=%d seq=%d: %w", p.Name(), s.server, cs.id, seq, xk.ErrTimeout)
 }
 
 // CallBytes is Call with plain byte-slice payloads.
@@ -596,7 +556,7 @@ func (p *Protocol) clientReceive(h header, m *msg.Msg) error {
 	}
 	// Every reply or ack teaches us the server's current incarnation;
 	// the next call's epoch hint is built from it.
-	p.notePeerBoot(h.srvrHost, h.bootID)
+	p.host.NotePeerBoot(h.srvrHost, h.bootID)
 	cs := p.channels[h.channel]
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -610,7 +570,7 @@ func (p *Protocol) clientReceive(h header, m *msg.Msg) error {
 		p.ctr.acksReceived.Add(1)
 		// frag_mask reports which request fragments the server has;
 		// only the missing ones go out on the next retransmission.
-		cs.acked |= h.fragMask
+		cs.call.Ack(h.fragMask)
 		return nil
 	}
 	// Reply fragment. A reply that is one fragment is complete as it

@@ -85,6 +85,12 @@ go test -race -count=1 ./internal/load/ -run 'TestConformanceCaptureOnOff'
 # collection at its own due, records reused while it is pending, Close
 # leaving no timer, and the send hold kept in send order.
 go test -race -count=3 ./internal/rpc/fragment/ -run 'TestAsyncOneAndMultiFragmentInterleaved|TestOneFragmentFrameContradictingCollection|TestOneGapEvent|TestRecordReusedWhileGapEventPending|TestCloseLeavesNoTimersPending|TestHold'
+# The at-most-once core both engines run: the call machine over every
+# bounded sequence of acks and expiries, admission's table on a real
+# ledger, and the one ack rule recovering a reply lost after an explicit
+# ack, in each engine.
+go test -race -count=3 ./internal/rpc/amo/
+go test -race -count=3 ./internal/rpc/channel/ ./internal/rpc/mrpc/ -run 'TestReplyLostAfterAckIsReplayed'
 # The publication points of the lock-free per-message path (DESIGN.md §4
 # "Locking discipline"): a session's up/lower/closed read with atomic
 # loads while open, re-open and close write them, and the map tool's
