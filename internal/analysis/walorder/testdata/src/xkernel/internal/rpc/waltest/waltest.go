@@ -151,10 +151,10 @@ func (e *engine) serve(r amo.Request, m *msg.Msg) error {
 }
 
 // reply records through the core before the reply leaves.
-func (e *engine) reply(ch *amo.Chan, seq uint32, m *msg.Msg) error {
+func (e *engine) reply(ch *amo.Chan, cp amo.Capture, m *msg.Msg) error {
 	hdr := header{flags: flagReply}
 	_ = hdr
-	if err := ch.Record(seq, nil); err != nil {
+	if err := ch.Record(cp, nil); err != nil {
 		return err
 	}
 	return e.down.Push(m)

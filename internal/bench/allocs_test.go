@@ -53,7 +53,11 @@ import (
 // the UDP round trip, so a whole layer's worth of cost grown into any of
 // them is an allocation count that moved, not a timing band. M_RPC-ETH,
 // M_RPC-IP and SELECT-CHANNEL-VIPsize are the same 3 as over VIP; UDP-IP-ETH
-// keeps no ledger, so 2. N_RPC 15 is M.RPC's 3 plus the Sprite shim's
+// keeps no ledger, so 2. SUNRPC-FRAGMENT-VIP's REQUEST_REPLY runs the
+// at-most-once core's call slot, as CHANNEL does, so it spends nothing per
+// call of its own (its own loop spent 8: a reply channel, a clone of the
+// request, and a timer built for every attempt with its channel and
+// closure). N_RPC 15 is M.RPC's 3 plus the Sprite shim's
 // emulated buffer mismanagement: each of the four shim crossings (request
 // and reply, down and up) flattens the message, copies it once and wraps
 // the copy — 3 apiece, 12 in all. N.RPC's 1 ms crash probe reads the
@@ -84,6 +88,10 @@ var allocBudgets = []struct {
 	{MRPCIP, 0, false, 3},
 	{SelChanVIPsize, 0, false, 3},
 	{UDPIP, 0, false, 2},
+	// SUNSELECT's call header and its XDR buffer, the handler's reply,
+	// SUNSELECT's reply header and its XDR buffer: 5, one fewer than the
+	// same SUNSELECT over CHANNEL (6, its ledger blob).
+	{SunRPCVIP, 0, false, 5},
 }
 
 func TestAllocBudgets(t *testing.T) {

@@ -3,15 +3,19 @@
 // it (§3.2), and M.RPC, the monolithic protocol it was taken from. The
 // paper's point is that the decomposition changes the protocol
 // boundaries and the headers, not the algorithm; here the algorithm is
-// one package and each engine keeps only its own framing, fragmentation,
-// demux and waiting.
+// one package and each engine keeps only its own framing, fragmentation
+// and demux.
 //
-// The client half is Call, a value with no goroutine, clock, message or
-// lock: it decides what a transmission sends, how long to wait for the
-// reply, and whether an expiry retries or times out. The server half is
-// Host and Chan: the boot epoch and the peer-boot table, the per-channel
-// duplicate filter, admission against the execution ledger, and the
-// write-ahead Record that must precede every reply.
+// The client half is shared by all three engines, REQUEST_REPLY's
+// zero-or-more client included: Call, a value with no goroutine, clock,
+// message or lock, decides what a transmission sends, how long to wait
+// for the reply, and whether an expiry retries or times out; Client is
+// the per-channel slot around it (lock, sequence number, held request,
+// reply channel, timer). What at-most-once adds is the server half, the
+// duplicate filter: Host and Chan hold the boot epoch and the peer-boot
+// table, the per-channel filter that admits one request at a time,
+// admission against the execution ledger, and the write-ahead Record,
+// under the request it was computed for, that must precede every reply.
 package amo
 
 import (
@@ -23,20 +27,9 @@ import (
 
 // Call is one call's retransmission state at the client: the attempt
 // count, the message's fragments and the ones the server acknowledged,
-// and the schedule. An engine keeps one in each client channel and
-// drives it:
-//
-//	c.Start(...)                // under the channel lock, with the new sequence number
-//	for {
-//		send, pleaseAck := c.Send() // push the fragments in send
-//		// arm c.Wait(); wait for the reply or the expiry
-//		// under the channel lock: if !c.Expire() { time out }
-//	}
-//
-// Ack runs under the same lock, on the goroutine that receives the
-// server's explicit acknowledgement; Send, Wait and Attempt read only
-// what the calling goroutine writes, so the fault-free call takes no lock
-// for them.
+// and the schedule. Client drives it: Start, Ack and Expire under the
+// slot's lock; Send, Wait and Attempt read only what the calling
+// goroutine writes, so the fault-free call takes no lock for them.
 //
 // The one ack rule: a retransmission sends the fragments the server has
 // not acknowledged. Once it has acknowledged every one, the reply is

@@ -1,6 +1,7 @@
 package amo
 
 import (
+	"errors"
 	"maps"
 	"sync"
 	"sync/atomic"
@@ -22,7 +23,8 @@ const (
 	// Drop: an older request, or a duplicate of a finished one with no
 	// reply left to replay.
 	Drop
-	// Ack: a duplicate of the request still executing: send an explicit ack.
+	// Ack: a duplicate of the request still executing, or a newer request
+	// waiting for it to finish: send an explicit ack.
 	Ack
 	// Replay: push the recorded reply with ReplayBlob.
 	Replay
@@ -46,8 +48,12 @@ type Request struct {
 // ReplayedReplies answered across a reboot of this host.
 type Counts struct {
 	DuplicateRequests, ReplayedReplies, LedgerReplays int64
-	StaleEpochRejects, RequestsServed                 int64
+	StaleEpochRejects, RequestsServed, StaleReplies   int64
 }
+
+// ErrStaleReply is Record's refusal of a reply its channel no longer
+// awaits: the request was answered, or superseded by a newer one.
+var ErrStaleReply = errors.New("stale reply: its request is not the one the channel awaits")
 
 // Host is one host's at-most-once state: its boot incarnation, the boot
 // ids its calls learned of their servers, and one Chan per client
@@ -66,7 +72,7 @@ type Host struct {
 	mu    sync.Mutex
 	chans map[ledger.Key]*Chan
 
-	duplicates, replays, ledgerReplays, rejects, served atomic.Int64
+	duplicates, replays, ledgerReplays, rejects, served, stale atomic.Int64
 }
 
 // Init readies h for the protocol named name, in incarnation boot.
@@ -109,6 +115,7 @@ func (h *Host) Counts() Counts {
 		LedgerReplays:     h.ledgerReplays.Load(),
 		StaleEpochRejects: h.rejects.Load(),
 		RequestsServed:    h.served.Load(),
+		StaleReplies:      h.stale.Load(),
 	}
 }
 
@@ -180,9 +187,17 @@ func (h *Host) chanFor(r Request) *Chan {
 // for the client's previous incarnation.
 type State interface{ ClientRebooted() }
 
+// Capture names the request Commit admitted: the client incarnation and
+// the sequence number its reply is recorded under.
+type Capture struct{ ClientBoot, Seq uint32 }
+
 // Chan is one client channel's duplicate filter at the server. Its
 // mutex makes the decision atomic per channel: admission takes it, the
 // write-ahead Record takes it again. The reply lives in the ledger.
+//
+// It executes one request at a time: a newer one (a higher seq, or a new
+// client incarnation) is acked meanwhile and supersedes it, so a late
+// handler's result is refused, never recorded for or sent to another call.
 type Chan struct {
 	host *Host
 	key  ledger.Key
@@ -191,6 +206,7 @@ type Chan struct {
 	clientBoot uint32
 	lastSeq    uint32
 	executing  bool
+	superseded bool  // a newer request waits for the one executing
 	State      State // the engine's, set in the New path
 }
 
@@ -201,13 +217,18 @@ func (c *Chan) Key() ledger.Key { return c.key }
 func (c *Chan) admit(r Request) (Verdict, []byte) {
 	h := c.host
 	c.mu.Lock()
+	if c.executing && (c.clientBoot != r.ClientBoot || r.Seq > c.lastSeq) {
+		c.superseded = true
+		c.mu.Unlock()
+		trace.Printf(trace.Events, h.name, "explicit ack %v boot=%d seq=%d: seq %d still executing", c.key, r.ClientBoot, r.Seq, c.lastSeq)
+		return Ack, nil
+	}
 	if c.clientBoot != r.ClientBoot {
 		// Everything the channel remembers belongs to a dead incarnation
 		// of the client, which can never legally ask for its reply again.
 		trace.Printf(trace.Events, h.name, "client rebooted (boot %d -> %d), resetting %v", c.clientBoot, r.ClientBoot, c.key)
 		c.clientBoot = r.ClientBoot
 		c.lastSeq = 0
-		c.executing = false
 		if c.State != nil {
 			c.State.ClientRebooted()
 		}
@@ -242,28 +263,55 @@ func (c *Chan) admit(r Request) (Verdict, []byte) {
 	return New, nil
 }
 
-// Commit admits new request seq, executing until its Record, and unlocks.
-func (c *Chan) Commit(seq uint32) {
+// Commit admits new request seq, executing until its Record, unlocks,
+// and returns the request's capture.
+func (c *Chan) Commit(seq uint32) Capture {
 	c.lastSeq = seq
 	c.executing = true
+	cp := Capture{c.clientBoot, seq}
 	c.mu.Unlock()
 	c.host.served.Add(1)
+	return cp
+}
+
+// Captured reports the request the channel admitted last.
+func (c *Chan) Captured() Capture {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Capture{c.clientBoot, c.lastSeq}
 }
 
 // Release unlocks without admitting: the request is not complete yet.
 func (c *Chan) Release() { c.mu.Unlock() }
 
-// Record is the one write-ahead site: request seq's reply, framed as it
-// will leave, is recorded before any frame of it is pushed, so no reply
-// is on the wire without a record a recovered incarnation can replay. On
-// an error the reply must not be sent (the client retransmits).
-func (c *Chan) Record(seq uint32, reply []byte) error {
+// Record is the one write-ahead site: request cp's reply, framed as it
+// will leave, is recorded under cp before any frame of it is pushed. On an
+// error it must not be sent; ErrStaleReply (counted) refuses a request no
+// longer executing or superseded, and ends its execution.
+func (c *Chan) Record(cp Capture, reply []byte) error {
 	c.mu.Lock()
-	c.executing = false
+	defer c.mu.Unlock()
+	current := c.executing && cp == Capture{c.clientBoot, c.lastSeq}
+	stale := !current || c.superseded
+	if current {
+		c.executing, c.superseded = false, false
+	}
+	if stale {
+		c.host.stale.Add(1)
+		return ErrStaleReply
+	}
 	//xk:allow locksafety — write-ahead by design: Record must commit under c.mu before the reply leaves; its fsync Schedule only enqueues, the sync handler re-locks on a later dispatch
-	err := c.host.led.Record(c.key, ledger.Entry{ClientBoot: c.clientBoot, Seq: seq, Reply: reply})
+	return c.host.led.Record(c.key, ledger.Entry{ClientBoot: cp.ClientBoot, Seq: cp.Seq, Reply: reply})
+}
+
+// Abort ends request cp's execution with nothing recorded or sent, on an
+// engine error between Commit and Record; the channel admits its next request.
+func (c *Chan) Abort(cp Capture) {
+	c.mu.Lock()
+	if c.executing && cp == (Capture{c.clientBoot, c.lastSeq}) {
+		c.executing, c.superseded = false, false
+	}
 	c.mu.Unlock()
-	return err
 }
 
 // ReplayBlob pushes a recorded reply through lls byte for byte, old boot

@@ -2,6 +2,7 @@ package amo_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"xkernel/internal/ledger"
@@ -23,26 +24,36 @@ func request(seq uint32) amo.Request {
 }
 
 // serve runs r through admission as new work and, unless executing is
-// set, records reply for it, as an engine does after its handler.
-func serve(t *testing.T, h *amo.Host, r amo.Request, reply string, executing bool) {
+// set, records reply for it, as an engine does after its handler. It
+// returns the channel and the capture a handler still executing replies
+// under.
+func serve(t *testing.T, h *amo.Host, r amo.Request, reply string, executing bool) (*amo.Chan, amo.Capture) {
 	t.Helper()
 	ch, v, _ := h.Admit(r)
 	if v != amo.New {
 		t.Fatalf("setup: seq %d admitted as %d, want New", r.Seq, v)
 	}
-	ch.Commit(r.Seq)
+	cp := ch.Commit(r.Seq)
 	if executing {
-		return
+		return ch, cp
 	}
-	if err := ch.Record(r.Seq, ledger.EncodeFrames([]byte(reply))); err != nil {
+	if err := ch.Record(cp, ledger.EncodeFrames([]byte(reply))); err != nil {
 		t.Fatal(err)
 	}
+	return ch, cp
 }
+
+func abort(ch *amo.Chan, cp amo.Capture) { ch.Abort(cp) }
+
+// parked is the capture of the handler a row's setup leaves executing,
+// for the rows whose then finishes it late.
+var parked amo.Capture
 
 // TestAdmission holds the server half to its table: each row builds a
 // host on a fresh ledger.Mem, admits one request, and checks the verdict,
 // the reply it replays, and what it cost the ledger — lookups read from
-// the ledger's own Stats, and retirements.
+// the ledger's own Stats, and retirements. A row's then, if any, runs
+// last, on the channel the request was admitted to.
 func TestAdmission(t *testing.T) {
 	rows := []struct {
 		name    string
@@ -53,6 +64,7 @@ func TestAdmission(t *testing.T) {
 		lookups int64
 		retires int64
 		chans   int // server channels after admission
+		then    func(t *testing.T, h *amo.Host, ch *amo.Chan, led ledger.ExecLedger)
 	}{
 		{
 			name: "stale hint, the ledger holds exactly this request",
@@ -129,6 +141,79 @@ func TestAdmission(t *testing.T) {
 			req:   request(6),
 			want:  amo.New, chans: 1,
 		},
+		{
+			// An engine error between Commit and Record (a reply too long
+			// to frame) aborts the execution: the channel is not held by a
+			// request that will never record, and its retransmissions are
+			// dropped.
+			name:  "a higher sequence number after an aborted execution",
+			setup: func(t *testing.T, h *amo.Host, _ ledger.ExecLedger) { abort(serve(t, h, request(5), "", true)) },
+			req:   request(6),
+			want:  amo.New, chans: 1,
+		},
+		{
+			name:  "the same sequence number after its execution was aborted",
+			setup: func(t *testing.T, h *amo.Host, _ ledger.ExecLedger) { abort(serve(t, h, request(5), "", true)) },
+			req:   request(5),
+			want:  amo.Drop, lookups: 1, chans: 1,
+		},
+		{
+			// One request at a time: the newer request waits, acknowledged,
+			// and the handler still running for seq 5 is superseded — its
+			// reply is refused, and seq 6 is admitted on its next probe.
+			name:  "a higher sequence number while one executes",
+			setup: func(t *testing.T, h *amo.Host, _ ledger.ExecLedger) { _, parked = serve(t, h, request(5), "", true) },
+			req:   request(6),
+			want:  amo.Ack, chans: 1,
+			then: func(t *testing.T, h *amo.Host, ch *amo.Chan, led ledger.ExecLedger) {
+				if err := ch.Record(parked, ledger.EncodeFrames([]byte("late"))); !errors.Is(err, amo.ErrStaleReply) {
+					t.Fatalf("the superseded handler's Record: %v, want ErrStaleReply", err)
+				}
+				if _, ok := led.Lookup(chanKey); ok {
+					t.Fatal("the superseded reply was recorded")
+				}
+				next, v, _ := h.Admit(request(6))
+				if v != amo.New {
+					t.Fatalf("seq 6's next probe is %d, want New", v)
+				}
+				next.Commit(6)
+			},
+		},
+		{
+			// A new client incarnation waits for the old one's handler too,
+			// and flips the channel only once that handler is done; the
+			// orphan's reply is neither recorded nor sent.
+			name:  "Record after a client-reboot flip",
+			setup: func(t *testing.T, h *amo.Host, _ ledger.ExecLedger) { _, parked = serve(t, h, request(5), "", true) },
+			req:   amo.Request{Key: chanKey, Hint: uint16(thisBoot), ClientBoot: 2, Seq: 1},
+			want:  amo.Ack, chans: 1,
+			then: func(t *testing.T, h *amo.Host, ch *amo.Chan, led ledger.ExecLedger) {
+				if err := ch.Record(parked, ledger.EncodeFrames([]byte("orphan"))); !errors.Is(err, amo.ErrStaleReply) {
+					t.Fatalf("the orphan's Record: %v, want ErrStaleReply", err)
+				}
+				if err := ch.Record(parked, ledger.EncodeFrames([]byte("orphan"))); !errors.Is(err, amo.ErrStaleReply) {
+					t.Fatalf("a second Record of the same request: %v, want ErrStaleReply", err)
+				}
+				if got := h.Counts().StaleReplies; got != 2 {
+					t.Fatalf("StaleReplies = %d, want 2", got)
+				}
+				before := led.Stats()
+				nch, v, _ := h.Admit(amo.Request{Key: chanKey, Hint: uint16(thisBoot), ClientBoot: 2, Seq: 1})
+				if v != amo.New {
+					t.Fatalf("the new incarnation's next probe is %d, want New", v)
+				}
+				cp := nch.Commit(1)
+				if got := led.Stats().Retires - before.Retires; got != 1 {
+					t.Fatalf("%d retirements at the flip, want 1", got)
+				}
+				if err := nch.Record(cp, ledger.EncodeFrames([]byte("new life"))); err != nil {
+					t.Fatal(err)
+				}
+				if e, ok := led.Lookup(chanKey); !ok || e.ClientBoot != 2 || e.Seq != 1 {
+					t.Fatalf("ledger holds %+v (%v), want the new incarnation's seq 1", e, ok)
+				}
+			},
+		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -162,6 +247,9 @@ func TestAdmission(t *testing.T) {
 			if got := h.Chans(); got != row.chans {
 				t.Errorf("%d server channels, want %d", got, row.chans)
 			}
+			if row.then != nil {
+				row.then(t, &h, ch, led)
+			}
 		})
 	}
 }
@@ -179,8 +267,8 @@ func TestClientRebootResetsState(t *testing.T) {
 	}
 	st := &resetCounter{}
 	ch.State = st
-	ch.Commit(5)
-	if err := ch.Record(5, ledger.EncodeFrames([]byte("old"))); err != nil {
+	cp := ch.Commit(5)
+	if err := ch.Record(cp, ledger.EncodeFrames([]byte("old"))); err != nil {
 		t.Fatal(err)
 	}
 	ch, v, _ = h.Admit(amo.Request{Key: chanKey, Hint: uint16(thisBoot), ClientBoot: 2, Seq: 5})

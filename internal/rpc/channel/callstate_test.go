@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -8,11 +9,14 @@ import (
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/ip"
+	"xkernel/internal/rpc/retry"
 	"xkernel/internal/xk"
 )
 
-// A channel's call state — reply slot and timeout — is set up once and
-// reused by every call. These tests drive a client Session over
+// A channel's call state — the at-most-once core's call slot, with its
+// reply channel and timeout — is set up once and reused by every call
+// (the slot's own rules are amo's TestClient*). These tests drive a
+// client Session over
 // a scripted lower session and look at what one call can leave behind
 // for the next.
 
@@ -95,20 +99,20 @@ func TestStaleReplyDoesNotSatisfyNextCall(t *testing.T) {
 	if err != nil || string(r.Bytes()) != "reply to one" {
 		t.Fatalf("first call: %v, %v", r, err)
 	}
-	// Rebuild the window by hand: call one is still active, has taken
-	// its reply, and the duplicate arrives.
-	s.mu.Lock()
-	s.active = true
-	s.mu.Unlock()
-	if err := s.receive(header{flags: flagReply, channel: s.id, protoNum: uint32(s.proto), seq: s.seq, bootID: 7}, msg.New([]byte("stale"))); err != nil {
+	// Rebuild the window by hand: a call holds the channel and has taken
+	// its reply, and a duplicate of that reply arrives.
+	seq, _ := s.slot.Start(1, time.Second, 0, retry.Step{})
+	dup := header{flags: flagReply, channel: s.id, protoNum: uint32(s.proto), seq: seq, bootID: 7}
+	if err := p.clientReceive(dup, callPeer, msg.New([]byte("stale"))); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	s.active = false
-	s.mu.Unlock()
-	if len(s.replyCh) != 1 {
+	if r, replied, _ := s.slot.Wait(); !replied || string(r.M.Bytes()) != "stale" {
 		t.Fatal("the duplicate did not land in the reply slot; the test builds nothing")
 	}
+	if err := p.clientReceive(dup, callPeer, msg.New([]byte("stale"))); err != nil {
+		t.Fatal(err)
+	}
+	s.slot.Finish()
 	r, err = s.Call(msg.New([]byte("two")))
 	if err != nil || string(r.Bytes()) != "reply to two" {
 		t.Fatalf("second call returned %q, %v; want its own reply", r.Bytes(), err)
@@ -132,7 +136,7 @@ func TestTimerRearmedAcrossCalls(t *testing.T) {
 			pushed <- 0 // "lost": no answer to the first transmission
 			return
 		}
-		if err := p.Demux(lower, replyTo(h, "ok")); err != nil {
+		if err := p.Demux(lower, replyTo(h, "reply to "+string(payload))); err != nil {
 			t.Error(err)
 		}
 		pushed <- 1
@@ -142,7 +146,10 @@ func TestTimerRearmedAcrossCalls(t *testing.T) {
 		t.Helper()
 		done := make(chan error, 1)
 		go func() {
-			_, err := s.Call(msg.New([]byte(payload)))
+			r, err := s.Call(msg.New([]byte(payload)))
+			if err == nil && string(r.Bytes()) != "reply to "+payload {
+				err = fmt.Errorf("call %q returned %q", payload, r.Bytes())
+			}
 			done <- err
 		}()
 		if wantRetransmit {
@@ -178,7 +185,10 @@ func TestTimerRearmedAcrossCalls(t *testing.T) {
 	if got := p.Stats().Retransmits; got != 3 {
 		t.Fatalf("Retransmits = %d, want exactly 3 (one per lost request)", got)
 	}
-	if len(s.timeout.C) != 0 || len(s.replyCh) != 0 {
-		t.Fatalf("slots not empty between calls: timeout=%d reply=%d", len(s.timeout.C), len(s.replyCh))
+	// Nothing the lossy calls left behind reaches a clean one: it gets
+	// its own reply, with no retransmission and no timer left pending.
+	call("clean", false)
+	if got := p.Stats().Retransmits; got != 3 {
+		t.Fatalf("Retransmits = %d after a clean call, want still 3", got)
 	}
 }

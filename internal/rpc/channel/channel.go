@@ -184,6 +184,8 @@ type Stats struct {
 	// PeerReboots counts calls this client failed with
 	// PeerRebootedError.
 	PeerReboots int64
+	// StaleReplies counts handler replies refused (amo.ErrStaleReply).
+	StaleReplies int64
 }
 
 // header is the decoded CHANNEL_HDR.
@@ -224,15 +226,9 @@ func decodeHeader(b []byte) header {
 // needs a reason. Counters are atomic words; enables is an immutable
 // snapshot an enable copies under bindMu; clients is a pmap, whose
 // last-key cache answers a channel's replies without a lock. What a
-// fault-free call still locks is what makes at-most-once atomic, per
-// conversation. CHANNEL's own: the client Session's mu (claim the channel
-// and its seq, accept only that seq's reply, release) and the
-// ServerSession's mu (demux sets the pending request, the handler's Push
-// consumes it). The at-most-once core's (amo.Host): its table lock for
-// the one lookup of the request's channel, and that channel's mutex
-// (the duplicate filter's decision, then the write-ahead Record before
-// the reply leaves), so requests on different channels never serialize
-// on one protocol lock; and the ledger's.
+// fault-free call still locks makes at-most-once atomic, per
+// conversation, and is the at-most-once core's (the client slot, the
+// server channel) or the ledger's.
 type Protocol struct {
 	xk.BaseProtocol
 	cfg Config
@@ -296,6 +292,7 @@ func (p *Protocol) Stats() Stats {
 		StaleEpochRejects: n.StaleEpochRejects,
 		LedgerReplays:     n.LedgerReplays,
 		PeerReboots:       p.ctr.peerReboots.Load(),
+		StaleReplies:      n.StaleReplies,
 	}
 }
 
@@ -379,29 +376,36 @@ func (p *Protocol) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-func key(k *pmap.Key, proto ip.ProtoNum, id uint16, remote xk.IPAddr) []byte {
+// ClientKey builds the client-session map key: proto(1) ++ chan(2) ++
+// remote(4). REQUEST_REPLY keys its sessions the same way.
+func ClientKey(k *pmap.Key, proto ip.ProtoNum, id uint16, remote xk.IPAddr) []byte {
 	return k.Reset().U8(uint8(proto)).U16(id).Bytes(remote[:]).Built()
 }
 
-// Open creates the client end of one channel. parts:
-// local=[ip.ProtoNum, ID] (the high-level protocol's number, then the
-// channel number), remote=[xk.IPAddr].
-func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) {
+// OpenParts reads the participants Open takes: local=[ip.ProtoNum, ID]
+// (the high-level protocol's number, then the channel number),
+// remote=[xk.IPAddr]. REQUEST_REPLY's Open takes the same shape, so
+// SUN_SELECT composes over either.
+func OpenParts(ps *xk.Participants) (proto ip.ProtoNum, id uint16, remote xk.IPAddr, err error) {
 	lp, rp := ps.Local.Clone(), ps.Remote.Clone()
-	id, err := xk.PopAddr[ID](&lp, "channel id")
-	if err != nil {
-		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
+	cid, err := xk.PopAddr[ID](&lp, "channel id")
+	if err == nil {
+		proto, err = xk.PopAddr[ip.ProtoNum](&lp, "protocol number")
 	}
-	proto, err := xk.PopAddr[ip.ProtoNum](&lp, "protocol number")
-	if err != nil {
-		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
+	if err == nil {
+		remote, err = xk.PopAddr[xk.IPAddr](&rp, "remote host")
 	}
-	remote, err := xk.PopAddr[xk.IPAddr](&rp, "remote host")
+	return proto, uint16(cid), remote, err
+}
+
+// Open creates the client end of one channel (parts: OpenParts).
+func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) {
+	proto, id, remote, err := OpenParts(ps)
 	if err != nil {
 		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
 	}
 	var kb pmap.Key
-	if v, ok := p.clients.Resolve(key(&kb, proto, uint16(id), remote)); ok {
+	if v, ok := p.clients.Resolve(ClientKey(&kb, proto, id, remote)); ok {
 		return v.(*Session), nil
 	}
 	lls, err := p.llp.Open(p, xk.NewParticipants(
@@ -411,8 +415,8 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	if err != nil {
 		return nil, err
 	}
-	s := newSession(p, hlp, proto, uint16(id), remote, lls)
-	if cur, inserted := p.clients.BindIfAbsent(key(&kb, proto, uint16(id), remote), s); !inserted {
+	s := newSession(p, hlp, proto, id, remote, lls)
+	if cur, inserted := p.clients.BindIfAbsent(ClientKey(&kb, proto, id, remote), s); !inserted {
 		return cur.(*Session), nil
 	}
 	trace.Printf(trace.Events, p.Name(), "open chan=%d proto=%d remote=%s", id, proto, remote)
@@ -491,10 +495,31 @@ func (p *Protocol) clientReceive(h header, peer xk.IPAddr, m *msg.Msg) error {
 		return fmt.Errorf("%s: protocol number %d: %w", p.Name(), h.protoNum, xk.ErrBadHeader)
 	}
 	var kb pmap.Key
-	v, ok := p.clients.Resolve(key(&kb, ip.ProtoNum(h.protoNum), h.channel, peer))
+	v, ok := p.clients.Resolve(ClientKey(&kb, ip.ProtoNum(h.protoNum), h.channel, peer))
 	if !ok {
 		trace.Printf(trace.Events, p.Name(), "drop reply for unknown chan=%d proto=%d peer=%s", h.channel, h.protoNum, peer)
 		return nil
 	}
-	return v.(*Session).receive(h, m)
+	s := v.(*Session)
+	// Every reply and ack teaches the client the server's current
+	// incarnation; the next call's epoch hint names it.
+	p.host.NotePeerBoot(s.remote, h.bootID)
+	if !s.slot.Accept(h.seq) {
+		trace.Printf(trace.Events, p.Name(), "drop stale chan=%d seq=%d", s.id, h.seq)
+		return nil
+	}
+	switch {
+	case h.flags&flagAck != 0:
+		p.ctr.acksReceived.Add(1)
+		s.slot.Ack(1) // the one fragment
+	case h.errCode == errOK:
+		s.slot.Deliver(m, nil)
+	case h.errCode == errRebooted:
+		p.ctr.peerReboots.Add(1)
+		s.slot.Deliver(nil, &PeerRebootedError{Host: s.remote, BootID: h.bootID})
+	default:
+		p.ctr.remoteErrors.Add(1)
+		s.slot.Deliver(nil, &RemoteError{Msg: string(m.Bytes())})
+	}
+	return nil
 }

@@ -1,11 +1,10 @@
 package channel
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"xkernel/internal/event"
 	"xkernel/internal/ledger"
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
@@ -20,10 +19,8 @@ import (
 // returned" (§3.2). One request is outstanding at a time; concurrency
 // comes from SELECT holding several channels.
 //
-// Because at most one call is outstanding, the state a call needs — the
-// reply slot and the retransmission timeout — belongs to the channel, not
-// to the call: it is set up once and re-armed per call (the LRPC A-stack
-// idea: per-binding, not per-call).
+// Because at most one call is outstanding, the state a call needs
+// belongs to the channel: the at-most-once core's call slot.
 type Session struct {
 	xk.BaseSession
 	p      *Protocol
@@ -34,36 +31,12 @@ type Session struct {
 	// of the step-function timeout; a constant of the binding.
 	optPacket int
 
-	mu     sync.Mutex
-	seq    uint32
-	active bool
-	call   amo.Call // the call in progress: attempts, acks, schedule
-
-	// replyCh carries the reply of the call in progress: filled by
-	// receive under mu, only for the current seq; drained under mu when
-	// the next call starts.
-	replyCh chan result
-	timeout *event.Timeout
-
-	// held is the request of the call in progress, kept for
-	// retransmission: a copy of the message by value, in the channel's own
-	// storage, filled before the first transmission and cleared when Call
-	// returns. Only Call touches it, and only while it owns the channel
-	// (active). Last, so the fields above share a cache line.
-	held msg.Msg
-}
-
-type result struct {
-	m   *msg.Msg
-	err error
+	slot amo.Client
 }
 
 func newSession(p *Protocol, hlp xk.Protocol, proto ip.ProtoNum, id uint16, remote xk.IPAddr, lls xk.Session) *Session {
-	s := &Session{
-		p: p, proto: proto, id: id, remote: remote,
-		replyCh: make(chan result, 1),
-		timeout: event.NewTimeout(p.cfg.Clock),
-	}
+	s := &Session{p: p, proto: proto, id: id, remote: remote}
+	s.slot.Init(p.cfg.Clock, nil)
 	s.InitSession(p, hlp, lls)
 	if v, err := lls.Control(xk.CtlGetOptPacket, nil); err == nil {
 		s.optPacket, _ = v.(int)
@@ -90,32 +63,17 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 	boot := p.host.Boot()
 	base := s.stepTimeout(m.Len())
 
-	s.mu.Lock()
-	if s.active {
-		s.mu.Unlock()
+	seq, ok := s.slot.Start(1, base, p.cfg.MaxRetries, p.cfg.Retry)
+	if !ok {
 		return nil, fmt.Errorf("%s: chan %d: %w", p.Name(), s.id, ErrChannelBusy)
 	}
-	s.seq++
-	seq := s.seq
-	s.active = true
-	s.call.Start(1, base, p.cfg.MaxRetries, p.cfg.Retry)
-	// A duplicate reply to the previous call may have landed after that
-	// call took its own; from here on receive accepts only seq.
-	select {
-	case <-s.replyCh:
-	default:
-	}
-	s.mu.Unlock()
 	p.ctr.callsInFlight.Add(1)
 	retransCounted := false
 	// CHANNEL keeps the request for retransmission, so it is the layer
 	// that copies: the layers below consume what they are pushed.
-	m.CopyInto(&s.held)
+	s.slot.Hold(m)
 	defer func() {
-		s.held = msg.Msg{} // a finished call pins no payload
-		s.mu.Lock()
-		s.active = false
-		s.mu.Unlock()
+		s.slot.Finish()
 		p.ctr.callsInFlight.Add(-1)
 		if retransCounted {
 			p.ctr.retransInFlight.Add(-1)
@@ -141,11 +99,11 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 		// a reply lost after the ack. Each (re)transmission is an
 		// independent message to the layer below: FRAGMENT assigns it a
 		// new sequence number of its own.
-		if send, pleaseAck := s.call.Send(); send != 0 {
+		if send, pleaseAck := s.slot.Send(); send != 0 {
 			out := m
 			if pleaseAck { // a retransmission, cloned from the held copy
 				h.flags |= flagPleaseAck
-				out = s.held.Clone()
+				out = s.slot.Held()
 			}
 			var hb [HeaderLen]byte
 			h.encode(hb[:])
@@ -155,17 +113,10 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 			}
 		}
 
-		s.timeout.Arm(s.call.Wait())
-		select {
-		case r := <-s.replyCh:
-			s.timeout.Disarm()
-			return r.m, r.err
-		case <-s.timeout.C:
-			s.timeout.Expired()
+		r, replied, again := s.slot.Wait()
+		if replied {
+			return r.M, r.Err
 		}
-		s.mu.Lock()
-		again := s.call.Expire()
-		s.mu.Unlock()
 		if !again {
 			return nil, fmt.Errorf("%s: call chan=%d seq=%d to %s: %w", p.Name(), s.id, seq, s.remote, xk.ErrTimeout)
 		}
@@ -174,7 +125,7 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 			retransCounted = true
 			p.ctr.retransInFlight.Add(1)
 		}
-		trace.Printf(trace.Events, p.Name(), "retransmit chan=%d seq=%d attempt=%d", s.id, seq, s.call.Attempt())
+		trace.Printf(trace.Events, p.Name(), "retransmit chan=%d seq=%d attempt=%d", s.id, seq, s.slot.Attempt())
 	}
 }
 
@@ -197,41 +148,6 @@ func (s *Session) stepTimeout(msgLen int) time.Duration {
 		interval += time.Duration(frags) * p.cfg.RetransmitPerFrag
 	}
 	return interval
-}
-
-// receive handles a reply or ack for this channel.
-func (s *Session) receive(h header, m *msg.Msg) error {
-	p := s.p
-	// Every reply and ack teaches the client the server's current
-	// incarnation; the next call's epoch hint names it.
-	p.host.NotePeerBoot(s.remote, h.bootID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.active || h.seq != s.seq {
-		trace.Printf(trace.Events, p.Name(), "drop stale chan=%d seq=%d (current %d)", s.id, h.seq, s.seq)
-		return nil
-	}
-	if h.flags&flagAck != 0 {
-		p.ctr.acksReceived.Add(1)
-		s.call.Ack(1) // the one fragment
-		return nil
-	}
-	var r result
-	switch h.errCode {
-	case errOK:
-		r.m = m
-	case errRebooted:
-		r.err = &PeerRebootedError{Host: s.remote, BootID: h.bootID}
-		p.ctr.peerReboots.Add(1)
-	default:
-		r.err = &RemoteError{Msg: string(m.Bytes())}
-		p.ctr.remoteErrors.Add(1)
-	}
-	select {
-	case s.replyCh <- r:
-	default:
-	}
-	return nil
 }
 
 // Push satisfies the uniform interface: a push is a call whose reply is
@@ -271,56 +187,43 @@ func (s *Session) Close() error {
 		return nil
 	}
 	var kb pmap.Key
-	s.p.clients.Unbind(key(&kb, s.proto, s.id, s.remote))
+	s.p.clients.Unbind(ClientKey(&kb, s.proto, s.id, s.remote))
 	return nil
 }
 
-// ServerSession is the server end of a channel: the session the
-// high-level protocol's handler pushes the reply through. Push sends the
-// reply for the request most recently delivered on this channel.
+// ServerSession is the server end of a channel: its handler's Push
+// answers the request the channel executes (one at a time, amo.Chan), or
+// is refused with amo.ErrStaleReply.
 type ServerSession struct {
 	xk.BaseSession
 	p  *Protocol
 	ch *amo.Chan // the channel's duplicate filter this session replies through (1:1)
-
-	mu         sync.Mutex
-	pendingSeq uint32
-	pendingOK  bool
 }
 
 // Peer reports the client host.
 func (s *ServerSession) Peer() xk.IPAddr { return s.ch.Key().Peer }
 
-// ClientRebooted keeps the session across a client reboot: it is the
-// channel's, and the pending request is whichever was delivered last.
+// ClientRebooted keeps the session: it answers what the channel executes.
 func (s *ServerSession) ClientRebooted() {}
 
-// Push sends the reply to the pending request.
-func (s *ServerSession) Push(m *msg.Msg) error { return s.reply(m, errOK) }
+// Push sends the reply to the request executing.
+func (s *ServerSession) Push(m *msg.Msg) error { return s.reply(s.ch.Captured(), m, errOK) }
 
-// PushError reports a failure for the pending request; the message
+// PushError reports a failure for the request executing; the message
 // payload carries the error text.
 func (s *ServerSession) PushError(text string) error {
-	return s.reply(msg.New([]byte(text)), errRemote)
+	return s.reply(s.ch.Captured(), msg.New([]byte(text)), errRemote)
 }
 
-func (s *ServerSession) reply(m *msg.Msg, code uint16) error {
+// reply answers request cp, if the channel still awaits it.
+func (s *ServerSession) reply(cp amo.Capture, m *msg.Msg, code uint16) error {
 	p := s.p
 	k := s.ch.Key()
-	s.mu.Lock()
-	if !s.pendingOK {
-		s.mu.Unlock()
-		return fmt.Errorf("%s: no pending request on chan %d", p.Name(), k.Channel)
-	}
-	seq := s.pendingSeq
-	s.pendingOK = false
-	s.mu.Unlock()
-
 	h := header{
 		flags:    flagReply,
 		channel:  k.Channel,
 		protoNum: k.Proto,
-		seq:      seq,
+		seq:      cp.Seq,
 		errCode:  code,
 		bootID:   p.BootID(),
 	}
@@ -328,8 +231,8 @@ func (s *ServerSession) reply(m *msg.Msg, code uint16) error {
 	h.encode(hb[:])
 	// Push consumes m: the header goes onto the handler's reply itself.
 	m.MustPush(hb[:])
-	if err := s.ch.Record(seq, ledger.EncodeMsgs(m)); err != nil {
-		return fmt.Errorf("%s: ledger record chan=%d seq=%d: %w", p.Name(), k.Channel, seq, err)
+	if err := s.ch.Record(cp, ledger.EncodeMsgs(m)); err != nil {
+		return fmt.Errorf("%s: reply chan=%d seq=%d: %w", p.Name(), k.Channel, cp.Seq, err)
 	}
 	return s.Down(0).Push(m)
 }
@@ -389,15 +292,10 @@ func (p *Protocol) serveRequest(h header, peer xk.IPAddr, m *msg.Msg, lls xk.Ses
 		ss.InitSession(p, hlp, lls)
 		ch.State = ss
 	}
-	ch.Commit(h.seq)
-
-	ss.mu.Lock()
-	ss.pendingSeq = h.seq
-	ss.pendingOK = true
+	cp := ch.Commit(h.seq)
 	// Replies go back the way the request came; the lower session may
 	// differ after a passive re-open.
 	ss.SetDown(0, lls)
-	ss.mu.Unlock()
 
 	if fresh {
 		pps := xk.NewParticipants(
@@ -405,13 +303,17 @@ func (p *Protocol) serveRequest(h header, peer xk.IPAddr, m *msg.Msg, lls xk.Ses
 			xk.NewParticipant(peer),
 		)
 		if err := hlp.OpenDone(p, ss, pps); err != nil {
+			ch.Abort(cp)
 			return err
 		}
 	}
 	if err := hlp.Demux(ss, m); err != nil {
+		if errors.Is(err, amo.ErrStaleReply) {
+			return err // the handler's own reply was refused: nothing more to send
+		}
 		// The high-level protocol could not serve it; report through the
 		// error field so the client fails fast rather than timing out.
-		return ss.PushError(err.Error())
+		return ss.reply(cp, msg.New([]byte(err.Error())), errRemote)
 	}
 	return nil
 }

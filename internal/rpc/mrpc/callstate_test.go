@@ -8,6 +8,7 @@ import (
 
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
+	"xkernel/internal/rpc/retry"
 	"xkernel/internal/xk"
 )
 
@@ -127,20 +128,20 @@ func TestStaleReplyDoesNotSatisfyNextCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := cli.channels[0]
-	cs.mu.Lock()
-	cs.active = true // call one again, its reply taken, the duplicate arriving
-	seq := cs.seq
-	cs.mu.Unlock()
+	// A call holds the channel and has taken its reply; a duplicate of
+	// that reply arrives.
+	seq, _ := cs.slot.Start(1, time.Second, 0, retry.Step{})
 	dup := header{flags: flagReply, clntHost: pipeClient, srvrHost: pipeServer, seq: seq, numFrags: 1, fragMask: 1, bootID: 1}
 	if err := cli.clientReceive(dup, msg.New([]byte("stale"))); err != nil {
 		t.Fatal(err)
 	}
-	cs.mu.Lock()
-	cs.active = false
-	cs.mu.Unlock()
-	if len(cs.replyCh) != 1 {
+	if r, replied, _ := cs.slot.Wait(); !replied || string(r.M.Bytes()) != "stale" {
 		t.Fatal("the duplicate did not land in the reply slot; the test builds nothing")
 	}
+	if err := cli.clientReceive(dup, msg.New([]byte("stale"))); err != nil {
+		t.Fatal(err)
+	}
+	cs.slot.Finish()
 	reply, err := s.Call(1, msg.New([]byte("two")))
 	if err != nil || string(reply.Bytes()) != "two" {
 		t.Fatalf("second call returned %q, %v; want its own reply", reply.Bytes(), err)
@@ -157,10 +158,8 @@ func TestOneFragmentReplyContradictingCollection(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := cli.channels[0]
-	cs.mu.Lock()
-	cs.active = true // a call in flight, its two-fragment reply arriving
-	seq := cs.seq
-	cs.mu.Unlock()
+	seq, _ := cs.slot.Start(1, time.Second, 0, retry.Step{}) // a call in flight, its two-fragment reply arriving
+	defer cs.slot.Finish()
 	frag := func(numFrags, mask uint16, body string) {
 		t.Helper()
 		h := header{flags: flagReply, clntHost: pipeClient, srvrHost: pipeServer, seq: seq, numFrags: numFrags, fragMask: mask, bootID: 1}
@@ -170,21 +169,13 @@ func TestOneFragmentReplyContradictingCollection(t *testing.T) {
 	}
 	frag(2, 1, "first ")
 	frag(1, 1, "forged")
-	if len(cs.replyCh) != 0 {
-		t.Fatal("the forged one-fragment reply was handed to the caller")
-	}
 	frag(2, 2, "second")
-	select {
-	case r := <-cs.replyCh:
-		if r.err != nil || string(r.m.Bytes()) != "first second" {
-			t.Fatalf("collected reply %q, %v", r.m.Bytes(), r.err)
-		}
-	default:
-		t.Fatal("the real reply never completed")
+	// The call's one reply: the forged frame, had it been handed over,
+	// would have taken the slot, and the collected reply been dropped.
+	r, replied, _ := cs.slot.Wait()
+	if !replied || r.Err != nil || string(r.M.Bytes()) != "first second" {
+		t.Fatalf("the call was handed %+v (replied %v), want the collected reply", r, replied)
 	}
-	cs.mu.Lock()
-	cs.active = false
-	cs.mu.Unlock()
 }
 
 // The client holds the request as it was given and cuts each fragment

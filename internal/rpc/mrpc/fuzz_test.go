@@ -11,10 +11,14 @@ package mrpc
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
+	"xkernel/internal/rpc/amo"
+	"xkernel/internal/rpc/retry"
 	"xkernel/internal/xk"
 )
 
@@ -95,8 +99,9 @@ func newFuzzTarget(t *testing.T) *Protocol {
 		t.Fatal(err)
 	}
 	p.Register(1, func(_ uint16, args *msg.Msg) (*msg.Msg, error) { return args, nil })
-	cs := p.channels[0]
-	cs.seq, cs.active = fuzzSeq, true
+	if seq, _ := p.channels[0].slot.Start(1, time.Second, 0, retry.Step{}); seq != fuzzSeq {
+		t.Fatalf("the call in flight is seq %d, want %d", seq, fuzzSeq)
+	}
 	return p
 }
 
@@ -139,8 +144,32 @@ func TestNumFragsBeyondMaskRejected(t *testing.T) {
 		if n := p.host.Chans(); n != 0 || p.Stats().RequestsServed != 0 {
 			t.Errorf("%s: %d server channels, %d requests served; want none", name, n, p.Stats().RequestsServed)
 		}
-		if cs := p.channels[0]; len(cs.replyCh) != 0 || cs.reply.numFrags != 0 {
-			t.Errorf("%s: the waiting call was handed a reply, or its collector started", name)
+		if p.channels[0].reply.numFrags != 0 {
+			t.Errorf("%s: the waiting call's collector started", name)
+		}
+		if _, replied, _ := waitOut(p, p.channels[0]); replied {
+			t.Errorf("%s: the waiting call was handed a reply", name)
+		}
+	}
+}
+
+// waitOut runs the waiting call's Wait on its own goroutine and advances
+// the fake clock until it returns: a reply, or the expiry of its one
+// attempt.
+func waitOut(p *Protocol, cs *chanState) (r amo.Reply, replied, again bool) {
+	clock := p.cfg.Clock.(*event.FakeClock)
+	done := make(chan bool, 1)
+	go func() {
+		r, replied, again = cs.slot.Wait()
+		done <- true
+	}()
+	for {
+		select {
+		case <-done:
+			return r, replied, again
+		default:
+			clock.AdvanceToNext()
+			runtime.Gosched()
 		}
 	}
 }

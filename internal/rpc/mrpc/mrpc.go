@@ -128,6 +128,8 @@ type Stats struct {
 	// PeerReboots counts calls this client failed with
 	// PeerRebootedError.
 	PeerReboots int64
+	// StaleReplies counts handler replies refused (amo.ErrStaleReply).
+	StaleReplies int64
 }
 
 // RemoteError is a server-reported failure, distinguished from transport
@@ -158,14 +160,11 @@ func (e *PeerRebootedError) Is(target error) bool { return target == xk.ErrPeerR
 // serves both roles: client calls go out through sessions, and
 // registered handlers serve incoming requests.
 //
-// Locking (DESIGN.md §4): what a fault-free call locks is what makes
-// at-most-once atomic, per conversation. M.RPC's own is the client
-// chanState's mu (claim the channel and its seq, accept only that seq's
-// reply, release). The rest are the at-most-once core's (amo.Host), the
-// same code CHANNEL runs: the table lock for the one lookup of the
-// request's channel, and that channel's mutex — the duplicate filter's
-// decision, with a multi-fragment request collected under it, then the
-// write-ahead Record before the reply leaves — and the ledger's.
+// Locking (DESIGN.md §4): what a fault-free call locks makes at-most-once
+// atomic, per conversation, and is the at-most-once core's, the code
+// CHANNEL runs — the client slot, with a multi-fragment reply collected
+// under it, and the server channel, with a multi-fragment request
+// collected under it — or the ledger's.
 type Protocol struct {
 	xk.BaseProtocol
 	cfg   Config
@@ -208,11 +207,8 @@ func New(name string, llp xk.Protocol, local xk.IPAddr, cfg Config) (*Protocol, 
 	p.host.Init(name, cfg.BootID, cfg.Ledger)
 	p.handlers.Store(&map[uint16]Handler{})
 	for i := 0; i < cfg.NumChannels; i++ {
-		cs := &chanState{
-			id:      uint16(i),
-			replyCh: make(chan callResult, 1),
-			timeout: event.NewTimeout(cfg.Clock),
-		}
+		cs := &chanState{id: uint16(i)}
+		cs.slot.Init(cfg.Clock, nil)
 		p.channels = append(p.channels, cs)
 		p.free <- cs
 	}
@@ -249,6 +245,7 @@ func (p *Protocol) Stats() Stats {
 		StaleEpochRejects: n.StaleEpochRejects,
 		LedgerReplays:     n.LedgerReplays,
 		PeerReboots:       p.ctr.peerReboots.Load(),
+		StaleReplies:      n.StaleReplies,
 	}
 }
 
@@ -316,38 +313,15 @@ func (p *Protocol) OpenDone(llp xk.Protocol, lls xk.Session, ps *xk.Participants
 	return nil
 }
 
-// chanState is one client-side RPC channel. A channel carries one call
-// at a time; the fixed pool bounds concurrency exactly as in Sprite —
-// which is also why the reply slot and the retransmission timeout belong
-// to the channel and are re-armed per call, not built per call.
+// chanState is one client-side RPC channel, carrying one call at a time
+// in its call slot; the fixed pool bounds concurrency exactly as in Sprite.
 type chanState struct {
-	id uint16
+	id   uint16
+	slot amo.Client
 
-	mu     sync.Mutex
-	seq    uint32
-	active bool
-	call   amo.Call // the call in progress: attempts, acks, schedule
-
-	// replyCh carries the reply of the call in progress: filled under
-	// mu, only for the current seq; drained under mu when the next call
-	// starts.
-	replyCh chan callResult
-	timeout *event.Timeout
-
-	// held is the one-packet request of the call in progress, kept for
-	// retransmission: a copy of the message by value, in the channel's own
-	// storage, filled before the first transmission and cleared when Call
-	// returns. Only the Call that owns the channel touches it.
-	held msg.Msg
-
-	// reply collects a multi-fragment reply; last, so a one-fragment
-	// call stays on the cache line of the fields above.
+	// reply collects a multi-fragment reply, under the slot's lock; last,
+	// so a one-fragment call stays off its cache lines.
 	reply collector
-}
-
-type callResult struct {
-	m   *msg.Msg
-	err error
 }
 
 // Session is a client binding to one server host.
@@ -391,25 +365,10 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	cs := <-p.free
 	defer func() { p.free <- cs }()
 
-	cs.mu.Lock()
-	cs.seq++
-	seq := cs.seq
-	cs.active = true
-	cs.call.Start(numFrags, interval, p.cfg.MaxRetries, p.cfg.Retry)
+	// The slot is idle, so no reply touches the collector until Start.
 	cs.reply.reset()
-	// A duplicate reply to the previous call may have landed after that
-	// call took its own; from here on only seq's reply is accepted.
-	select {
-	case <-cs.replyCh:
-	default:
-	}
-	cs.mu.Unlock()
-	defer func() {
-		cs.held = msg.Msg{} // a finished call pins no payload
-		cs.mu.Lock()
-		cs.active = false
-		cs.mu.Unlock()
-	}()
+	seq, _ := cs.slot.Start(numFrags, interval, p.cfg.MaxRetries, p.cfg.Retry) // the pool gave cs to this call alone
+	defer cs.slot.Finish()
 
 	// A request that fits one packet is sent as it is, header pushed in
 	// place, and the channel holds a copy for retransmission; a longer one
@@ -417,7 +376,7 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	// is cut from it as it is sent.
 	inPlace := args.Len() <= maxFrag && xk.RoomInPlace(args, HeaderLen)
 	if inPlace {
-		args.CopyInto(&cs.held)
+		cs.slot.Hold(args)
 	}
 	h := header{
 		flags:    flagRequest,
@@ -437,10 +396,8 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 
 	lls := s.Down(0)
 	for {
-		// The call machine names the fragments: all of them first, then
-		// the ones the server has not acknowledged, or all of them again
-		// as a probe once it has acknowledged every one.
-		send, pleaseAck := cs.call.Send()
+		// The call machine names the fragments (the one ack rule).
+		send, pleaseAck := cs.slot.Send()
 		if pleaseAck {
 			h.flags |= flagPleaseAck
 		}
@@ -448,10 +405,8 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 			if send&(1<<i) == 0 {
 				continue // already at the server
 			}
-			// The protocol keeps the request for retransmission: a
-			// fragment is cut from it and leaves it as it was; sent in
-			// place, the layers below consume it, and a retransmission
-			// is a clone of the held copy.
+			// A fragment is cut from the request and leaves it as it
+			// was; sent in place, a retransmission clones the held copy.
 			out := args
 			switch {
 			case !inPlace:
@@ -461,7 +416,7 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 					return nil, err
 				}
 			case pleaseAck: // a retransmission
-				out = cs.held.Clone()
+				out = cs.slot.Held()
 			}
 			h.fragMask = 1 << i
 			h.data1Sz = uint16(out.Len())
@@ -473,22 +428,15 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 			}
 		}
 
-		cs.timeout.Arm(cs.call.Wait())
-		select {
-		case r := <-cs.replyCh:
-			cs.timeout.Disarm()
-			return r.m, r.err
-		case <-cs.timeout.C:
-			cs.timeout.Expired()
+		r, replied, again := cs.slot.Wait()
+		if replied {
+			return r.M, r.Err
 		}
-		cs.mu.Lock()
-		again := cs.call.Expire()
-		cs.mu.Unlock()
 		if !again {
 			return nil, fmt.Errorf("%s: call to %s chan=%d seq=%d: %w", p.Name(), s.server, cs.id, seq, xk.ErrTimeout)
 		}
 		p.ctr.retransmits.Add(1)
-		trace.Printf(trace.Events, p.Name(), "retransmit chan=%d seq=%d attempt=%d", cs.id, seq, cs.call.Attempt())
+		trace.Printf(trace.Events, p.Name(), "retransmit chan=%d seq=%d attempt=%d", cs.id, seq, cs.slot.Attempt())
 	}
 }
 
@@ -558,19 +506,17 @@ func (p *Protocol) clientReceive(h header, m *msg.Msg) error {
 	// the next call's epoch hint is built from it.
 	p.host.NotePeerBoot(h.srvrHost, h.bootID)
 	cs := p.channels[h.channel]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if !cs.active || h.seq != cs.seq {
+	if !cs.slot.Accept(h.seq) {
 		// A stale reply to an earlier incarnation of the channel:
 		// at-most-once filtering on the client side.
-		trace.Printf(trace.Events, p.Name(), "drop stale chan=%d seq=%d (current %d)", h.channel, h.seq, cs.seq)
+		trace.Printf(trace.Events, p.Name(), "drop stale chan=%d seq=%d", h.channel, h.seq)
 		return nil
 	}
 	if h.flags&flagAck != 0 {
 		p.ctr.acksReceived.Add(1)
 		// frag_mask reports which request fragments the server has;
 		// only the missing ones go out on the next retransmission.
-		cs.call.Ack(h.fragMask)
+		cs.slot.Ack(h.fragMask)
 		return nil
 	}
 	// Reply fragment. A reply that is one fragment is complete as it
@@ -584,23 +530,19 @@ func (p *Protocol) clientReceive(h header, m *msg.Msg) error {
 			cs.reply.start(h.seq, h.numFrags)
 		}
 		if !cs.reply.add(h.fragMask, m) {
+			cs.slot.Unlock()
 			return nil
 		}
 		full = cs.reply.assemble()
 	}
-	var res callResult
 	switch {
 	case h.flags&flagRebooted != 0:
 		p.ctr.peerReboots.Add(1)
-		res.err = &PeerRebootedError{Host: h.srvrHost, BootID: h.bootID}
+		cs.slot.Deliver(nil, &PeerRebootedError{Host: h.srvrHost, BootID: h.bootID})
 	case h.flags&flagError != 0:
-		res.err = &RemoteError{Msg: string(full.Bytes())}
+		cs.slot.Deliver(nil, &RemoteError{Msg: string(full.Bytes())})
 	default:
-		res.m = full
-	}
-	select {
-	case cs.replyCh <- res:
-	default:
+		cs.slot.Deliver(full, nil)
 	}
 	return nil
 }

@@ -394,3 +394,47 @@ func TestCallTimesOutWhenServerUnreachable(t *testing.T) {
 	}
 	t.Fatal("call never timed out")
 }
+
+// A reply too long to frame fails its own call, and only that call: the
+// server ends the execution, so the channel is not left waiting for a
+// reply that will never be recorded, and the next call on it is served.
+func TestUnframeableReplyFailsOnlyItsCall(t *testing.T) {
+	clock := event.NewFake()
+	cli, srv, _ := testbed(t, "vip", sim.Config{}, clock, mrpc.Config{NumChannels: 1, MaxRetries: 2})
+	const cmdHuge uint16 = 4
+	srv.Register(cmdHuge, func(uint16, *msg.Msg) (*msg.Msg, error) {
+		return msg.New(make([]byte, 16*1024+1)), nil
+	})
+	s := open(t, cli, xk.IP(10, 0, 0, 2))
+	call := func(command uint16) ([]byte, error) {
+		t.Helper()
+		done := make(chan error, 1)
+		var reply []byte
+		go func() {
+			var err error
+			reply, err = s.CallBytes(command, []byte("ping"))
+			done <- err
+		}()
+		for {
+			select {
+			case err := <-done:
+				return reply, err
+			default:
+				if clock.PendingCount() > 0 {
+					clock.AdvanceToNext()
+				} else {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		}
+	}
+	if _, err := call(cmdHuge); !errors.Is(err, xk.ErrTimeout) {
+		t.Fatalf("the unframeable reply's call: %v, want ErrTimeout", err)
+	}
+	if reply, err := call(cmdEcho); err != nil || string(reply) != "ping" {
+		t.Fatalf("the next call on the channel: %q, %v; want its echo", reply, err)
+	}
+	if st := srv.Stats(); st.RequestsServed != 2 || st.StaleReplies != 0 {
+		t.Fatalf("served %d, stale replies %d; want 2 and 0", st.RequestsServed, st.StaleReplies)
+	}
+}

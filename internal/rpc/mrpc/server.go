@@ -34,8 +34,8 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 		// recorded reply.
 		return amo.ReplayBlob(lls, blob)
 	case amo.Ack:
-		// Still working: an explicit ack with the full mask tells the
-		// client every fragment is here.
+		// Still working, on this request or one it waits behind: the
+		// full mask makes the client's next attempt re-probe with all.
 		p.ctr.acksSent.Add(1)
 		return p.sendControl(h, flagAck, h.numFrags, fragmask.Full(h.numFrags), lls)
 	case amo.Drop:
@@ -66,16 +66,16 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 		args = col.assemble()
 	}
 	col.reset() // a part-collected older request is superseded
-	ch.Commit(h.seq)
+	cp := ch.Commit(h.seq)
 	handler := (*p.handlers.Load())[h.command]
 	if f := p.fallback.Load(); handler == nil && f != nil {
 		handler = *f
 	}
-	return p.execute(h, ch, handler, args, lls)
+	return p.execute(h, ch, cp, handler, args, lls)
 }
 
 // execute runs the handler on the shepherd goroutine and sends the reply.
-func (p *Protocol) execute(h header, ch *amo.Chan, handler Handler, args *msg.Msg, lls xk.Session) error {
+func (p *Protocol) execute(h header, ch *amo.Chan, cp amo.Capture, handler Handler, args *msg.Msg, lls xk.Session) error {
 	var reply *msg.Msg
 	var herr error
 	if handler == nil {
@@ -103,14 +103,15 @@ func (p *Protocol) execute(h header, ch *amo.Chan, handler Handler, args *msg.Ms
 	} else {
 		var err error
 		if frames, err = p.frameReply(h, flags, reply); err != nil {
+			ch.Abort(cp)
 			return err
 		}
 	}
 
 	// Write-ahead: the framed reply is recorded before any fragment of it
 	// leaves this host.
-	if err := ch.Record(h.seq, ledger.EncodeMsgs(frames...)); err != nil {
-		return fmt.Errorf("%s: ledger record seq=%d: %w", p.Name(), h.seq, err)
+	if err := ch.Record(cp, ledger.EncodeMsgs(frames...)); err != nil {
+		return fmt.Errorf("%s: reply seq=%d: %w", p.Name(), h.seq, err)
 	}
 
 	for _, f := range frames {

@@ -10,8 +10,9 @@
 // repeated loss usually means the path is down and hammering it helps
 // nobody (partitions, crashed hosts, chaos scenarios).
 //
-// CHANNEL and M.RPC use a Policy for call retransmission; FRAGMENT uses
-// one for its gap-request (selective-retransmission) chase timers.
+// CHANNEL, M.RPC and REQUEST_REPLY use a Policy for call retransmission
+// (REQUEST_REPLY always Step); FRAGMENT uses one for its gap-request
+// (selective-retransmission) chase timers.
 package retry
 
 import "time"

@@ -3,8 +3,10 @@ package selectp_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
@@ -25,7 +27,9 @@ const (
 
 type bed struct {
 	clock    *event.FakeClock
+	network  *sim.Network
 	cs, ss   *selectp.Protocol
+	sc       *channel.Protocol // the server's CHANNEL, under ss
 	unblock  chan struct{}
 	inflight *sync.WaitGroup
 }
@@ -33,13 +37,13 @@ type bed struct {
 func build(t *testing.T, netCfg sim.Config, scfg selectp.Config) *bed {
 	t.Helper()
 	clock := event.NewFake()
-	client, server, _, err := stacks.TwoHosts(netCfg, clock)
+	client, server, network, err := stacks.TwoHosts(netCfg, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	client.ARP.AddEntry(xk.IP(10, 0, 0, 2), xk.EthAddr{0x02, 0, 0, 0, 0, 2})
 	server.ARP.AddEntry(xk.IP(10, 0, 0, 1), xk.EthAddr{0x02, 0, 0, 0, 0, 1})
-	mk := func(h *stacks.Host) *selectp.Protocol {
+	mk := func(h *stacks.Host) (*selectp.Protocol, *channel.Protocol) {
 		v, err := vip.New(h.Name+"/vip", h.Eth, h.IP, h.ARP)
 		if err != nil {
 			t.Fatal(err)
@@ -57,9 +61,11 @@ func build(t *testing.T, netCfg sim.Config, scfg selectp.Config) *bed {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return s, c
 	}
-	b := &bed{clock: clock, cs: mk(client), ss: mk(server), unblock: make(chan struct{}), inflight: &sync.WaitGroup{}}
+	b := &bed{clock: clock, network: network, unblock: make(chan struct{}), inflight: &sync.WaitGroup{}}
+	b.cs, _ = mk(client)
+	b.ss, b.sc = mk(server)
 
 	b.ss.Register(cmdEcho, func(_ uint16, args *msg.Msg) (*msg.Msg, error) {
 		return msg.New(args.Bytes()), nil
@@ -250,5 +256,70 @@ func TestCloseReleasesChannels(t *testing.T) {
 	}
 	if _, err := s2.Call(cmdEcho, msg.Empty()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A SELECT handler that outlives its call over CHANNEL: SELECT replies
+// from inside Demux and returns the reply's error, so the refused late
+// reply comes back to CHANNEL as Demux's error. It is refused once,
+// counted once, and answered by nothing else — in particular not by an
+// error reply that the next call, waiting on the same channel, would
+// take for its own.
+func TestLateHandlerOverChannel(t *testing.T) {
+	b := build(t, sim.Config{Async: true}, selectp.Config{NumChannels: 1})
+	s := open(t, b.cs)
+	call := func(command uint16, args string) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			got, err := s.CallBytes(command, []byte(args))
+			if err == nil && string(got) != args {
+				err = fmt.Errorf("reply %q, want %q", got, args)
+			}
+			done <- err
+		}()
+		return done
+	}
+	drive := func(done <-chan error) error {
+		for {
+			select {
+			case err := <-done:
+				return err
+			default:
+				if b.clock.PendingCount() > 0 {
+					b.clock.AdvanceToNext()
+				} else {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		}
+	}
+	settle := func() {
+		for b.network.DeliveriesInFlight() > 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+
+	b.inflight.Add(1)
+	done1 := call(cmdBlock, "")
+	b.inflight.Wait() // handler 1 is parked
+	if err := drive(done1); !errors.Is(err, xk.ErrTimeout) {
+		t.Fatalf("call 1: %v, want a timeout with its handler parked", err)
+	}
+	settle()
+	acks := b.sc.Stats().AcksSent
+	done2 := call(cmdEcho, "second")
+	for b.sc.Stats().AcksSent == acks {
+		time.Sleep(100 * time.Microsecond) // call 2 waits, acknowledged, behind handler 1
+	}
+	close(b.unblock)
+	for b.sc.Stats().StaleReplies == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := drive(done2); err != nil {
+		t.Fatalf("call 2: %v, want its own reply", err)
+	}
+	settle()
+	if st := b.sc.Stats(); st.RequestsServed != 2 || st.StaleReplies != 1 {
+		t.Fatalf("served %d, stale replies %d; want 2 and 1", st.RequestsServed, st.StaleReplies)
 	}
 }

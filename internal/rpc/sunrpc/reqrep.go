@@ -15,13 +15,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
+	"xkernel/internal/rpc/amo"
 	"xkernel/internal/rpc/channel"
+	"xkernel/internal/rpc/retry"
 	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
@@ -110,7 +113,8 @@ func decodeRRHeader(b []byte) rrHeader {
 // ReqRep is the REQUEST_REPLY protocol object: request/reply pairing
 // with zero-or-more execution semantics. A retransmitted request that
 // reaches the server twice runs twice — the property CHANNEL exists to
-// remove, and exactly what makes swapping the two layers meaningful.
+// remove, and exactly what makes swapping the two layers meaningful. Its
+// client half is the call slot CHANNEL runs (amo.Client).
 type ReqRep struct {
 	xk.BaseProtocol
 	cfg ReqRepConfig
@@ -119,8 +123,10 @@ type ReqRep struct {
 	mu      sync.Mutex
 	enables map[ip.ProtoNum]xk.Protocol
 	servers map[rrSrvKey]*RRServerSession
-	stats   ReqRepStats
-	nextXid uint32
+
+	calls, retransmits, executions, remoteErrors atomic.Int64
+	// xids numbers calls across every session of the protocol.
+	xids atomic.Uint32
 
 	clients *pmap.Map // proto(1) ++ chan(2) ++ remote(4) → *RRSession
 }
@@ -144,34 +150,18 @@ func NewReqRep(name string, llp xk.Protocol, cfg ReqRepConfig) (*ReqRep, error) 
 
 // Stats snapshots the counters.
 func (p *ReqRep) Stats() ReqRepStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
+	return ReqRepStats{p.calls.Load(), p.retransmits.Load(), p.executions.Load(), p.remoteErrors.Load()}
 }
 
-func rrKey(k *pmap.Key, proto ip.ProtoNum, id uint16, remote xk.IPAddr) []byte {
-	return k.Reset().U8(uint8(proto)).U16(id).Bytes(remote[:]).Built()
-}
-
-// Open creates the client end of a request/reply binding. parts:
-// local=[ip.ProtoNum, channel.ID], remote=[xk.IPAddr] — the same shape
-// CHANNEL takes, so SUN_SELECT can compose over either.
+// Open creates the client end of a request/reply binding, on the
+// participants CHANNEL takes (channel.OpenParts).
 func (p *ReqRep) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) {
-	lp, rp := ps.Local.Clone(), ps.Remote.Clone()
-	id, err := xk.PopAddr[channel.ID](&lp, "session id")
-	if err != nil {
-		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
-	}
-	proto, err := xk.PopAddr[ip.ProtoNum](&lp, "protocol number")
-	if err != nil {
-		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
-	}
-	remote, err := xk.PopAddr[xk.IPAddr](&rp, "remote host")
+	proto, id, remote, err := channel.OpenParts(ps)
 	if err != nil {
 		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
 	}
 	var kb pmap.Key
-	if v, ok := p.clients.Resolve(rrKey(&kb, proto, uint16(id), remote)); ok {
+	if v, ok := p.clients.Resolve(channel.ClientKey(&kb, proto, id, remote)); ok {
 		return v.(*RRSession), nil
 	}
 	lls, err := p.llp.Open(p, xk.NewParticipants(
@@ -181,9 +171,10 @@ func (p *ReqRep) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &RRSession{p: p, proto: proto, id: uint16(id), remote: remote}
+	s := &RRSession{p: p, proto: proto, id: id, remote: remote}
+	s.slot.Init(p.cfg.Clock, &p.xids)
 	s.InitSession(p, hlp, lls)
-	if cur, inserted := p.clients.BindIfAbsent(rrKey(&kb, proto, uint16(id), remote), s); !inserted {
+	if cur, inserted := p.clients.BindIfAbsent(channel.ClientKey(&kb, proto, id, remote), s); !inserted {
 		return cur.(*RRSession), nil
 	}
 	trace.Printf(trace.Events, p.Name(), "open id=%d proto=%d remote=%s", id, proto, remote)
@@ -224,16 +215,10 @@ func (p *ReqRep) OpenDone(llp xk.Protocol, lls xk.Session, ps *xk.Participants) 
 // Control defers size questions to the layer below.
 func (p *ReqRep) Control(op xk.ControlOp, arg any) (any, error) {
 	switch op {
-	case xk.CtlHLPMaxMsg:
+	case xk.CtlHLPMaxMsg, xk.CtlGetMTU:
 		v, err := p.llp.Control(xk.CtlGetMTU, nil)
-		if err != nil {
-			return nil, err
-		}
-		return v.(int), nil
-	case xk.CtlGetMTU:
-		v, err := p.llp.Control(xk.CtlGetMTU, nil)
-		if err != nil {
-			return nil, err
+		if err != nil || op == xk.CtlHLPMaxMsg {
+			return v, err
 		}
 		return v.(int) - ReqRepHeaderLen, nil
 	default:
@@ -261,14 +246,15 @@ func (p *ReqRep) Demux(lls xk.Session, m *msg.Msg) error {
 		return p.serve(h, peer, m, lls)
 	case rrReply:
 		var kb pmap.Key
-		cv, ok := p.clients.Resolve(rrKey(&kb, ip.ProtoNum(h.protoNum), h.channel, peer))
+		cv, ok := p.clients.Resolve(channel.ClientKey(&kb, ip.ProtoNum(h.protoNum), h.channel, peer))
 		if !ok {
 			if trace.Enabled(trace.Events) {
 				trace.Printf(trace.Events, p.Name(), "drop reply id=%d xid=%d from %s", h.channel, h.xid, peer)
 			}
 			return nil
 		}
-		return cv.(*RRSession).receive(h, m)
+		cv.(*RRSession).receive(h, m)
+		return nil
 	default:
 		return fmt.Errorf("%s: type %d: %w", p.Name(), h.typ, xk.ErrBadHeader)
 	}
@@ -299,8 +285,8 @@ func (p *ReqRep) serve(h rrHeader, peer xk.IPAddr, m *msg.Msg, lls xk.Session) e
 		ss.InitSession(p, hlp, lls)
 		p.servers[k] = ss
 	}
-	p.stats.Executions++
 	p.mu.Unlock()
+	p.executions.Add(1)
 
 	ss.mu.Lock()
 	ss.pendingXid = h.xid
@@ -323,7 +309,7 @@ func (p *ReqRep) serve(h rrHeader, peer xk.IPAddr, m *msg.Msg, lls xk.Session) e
 	return nil
 }
 
-// RRSession is the client end: one outstanding call at a time.
+// RRSession is the client end: one call at a time, in its call slot.
 type RRSession struct {
 	xk.BaseSession
 	p      *ReqRep
@@ -331,95 +317,55 @@ type RRSession struct {
 	id     uint16
 	remote xk.IPAddr
 
-	mu      sync.Mutex
-	xid     uint32
-	active  bool
-	replyCh chan rrResult
-}
-
-type rrResult struct {
-	m   *msg.Msg
-	err error
+	slot amo.Client
 }
 
 // Call sends the request and waits for the reply, retransmitting
-// blindly on timeout — zero-or-more semantics.
+// blindly every Retransmit, MaxRetries times — zero-or-more semantics.
+// Call consumes m; a retransmission clones the copy the session holds.
 func (s *RRSession) Call(m *msg.Msg) (*msg.Msg, error) {
 	if s.Closed() {
 		return nil, xk.ErrClosed
 	}
 	p := s.p
-	p.mu.Lock()
-	p.stats.Calls++
-	p.nextXid++
-	xid := p.nextXid
-	p.mu.Unlock()
-
-	s.mu.Lock()
-	if s.active {
-		s.mu.Unlock()
+	p.calls.Add(1)
+	xid, ok := s.slot.Start(1, p.cfg.Retransmit, p.cfg.MaxRetries, retry.Step{})
+	if !ok {
 		return nil, fmt.Errorf("%s: session %d busy", p.Name(), s.id)
 	}
-	s.active = true
-	s.xid = xid
-	s.replyCh = make(chan rrResult, 1)
-	replyCh := s.replyCh
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.active = false
-		s.mu.Unlock()
-	}()
+	defer s.slot.Finish()
+	s.slot.Hold(m)
 
 	h := rrHeader{typ: rrCall, protoNum: uint32(s.proto), channel: s.id, xid: xid}
 	var hb [ReqRepHeaderLen]byte
 	h.encode(hb[:])
 	lls := s.Down(0)
-
-	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
-		out := m.Clone()
+	for out := m; ; out = s.slot.Held() {
 		out.MustPush(hb[:])
 		if err := lls.Push(out); err != nil {
 			return nil, err
 		}
-		if attempt > 0 {
-			p.mu.Lock()
-			p.stats.Retransmits++
-			p.mu.Unlock()
+		r, replied, again := s.slot.Wait()
+		if replied {
+			return r.M, r.Err
 		}
-		timeout := make(chan struct{})
-		ev := p.cfg.Clock.Schedule(p.cfg.Retransmit, func() { close(timeout) })
-		select {
-		case r := <-replyCh:
-			ev.Cancel()
-			return r.m, r.err
-		case <-timeout:
+		if !again {
+			return nil, fmt.Errorf("%s: call id=%d xid=%d to %s: %w", p.Name(), s.id, xid, s.remote, xk.ErrTimeout)
 		}
+		p.retransmits.Add(1)
 	}
-	return nil, fmt.Errorf("%s: call id=%d xid=%d to %s: %w", p.Name(), s.id, xid, s.remote, xk.ErrTimeout)
 }
 
-// receive completes the outstanding call if the xid matches.
-func (s *RRSession) receive(h rrHeader, m *msg.Msg) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.active || h.xid != s.xid {
-		return nil // stale reply to an earlier transmission
-	}
-	var r rrResult
-	if h.status != rrOK {
-		r.err = &RemoteError{Msg: string(m.Bytes())}
-		s.p.mu.Lock()
-		s.p.stats.RemoteErrors++
-		s.p.mu.Unlock()
-	} else {
-		r.m = m
-	}
-	select {
-	case s.replyCh <- r:
+// receive completes the call in progress if the xid matches.
+func (s *RRSession) receive(h rrHeader, m *msg.Msg) {
+	switch {
+	case !s.slot.Accept(h.xid): // a stale reply to an earlier call
+	case h.status != rrOK:
+		s.p.remoteErrors.Add(1)
+		s.slot.Deliver(nil, &RemoteError{Msg: string(m.Bytes())})
 	default:
+		s.slot.Deliver(m, nil)
 	}
-	return nil
 }
 
 // Push is a call with the reply discarded.
@@ -451,7 +397,7 @@ func (s *RRSession) Close() error {
 		return nil
 	}
 	var kb pmap.Key
-	s.p.clients.Unbind(rrKey(&kb, s.proto, s.id, s.remote))
+	s.p.clients.Unbind(channel.ClientKey(&kb, s.proto, s.id, s.remote))
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,8 +15,10 @@ import (
 	"xkernel/internal/rpc/channel"
 	"xkernel/internal/rpc/fragment"
 	"xkernel/internal/rpc/sunrpc"
+	"xkernel/internal/settle"
 	"xkernel/internal/sim"
 	"xkernel/internal/stacks"
+	"xkernel/internal/wire"
 	"xkernel/internal/xk"
 )
 
@@ -35,23 +38,24 @@ type composition struct {
 }
 
 type bed struct {
-	clock    *event.FakeClock
-	network  *sim.Network
-	cs       *sunrpc.Select
-	ss       *sunrpc.Select
-	srvLower any // *sunrpc.ReqRep or *channel.Protocol for stats
+	clock              *event.FakeClock
+	inj                *wire.Injector // the segment's fault board
+	cs                 *sunrpc.Select
+	ss                 *sunrpc.Select
+	cliLower, srvLower any // *sunrpc.ReqRep or *channel.Protocol for stats
 }
 
 func build(t *testing.T, netCfg sim.Config, comp composition) *bed {
 	t.Helper()
 	clock := event.NewFake()
-	client, server, network, err := stacks.TwoHosts(netCfg, clock)
+	netCfg.Clock = clock
+	client, server, w, err := stacks.TwoHostsOn(wire.Injected(sim.Factory(netCfg)), clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	client.ARP.AddEntry(xk.IP(10, 0, 0, 2), xk.EthAddr{0x02, 0, 0, 0, 0, 2})
 	server.ARP.AddEntry(xk.IP(10, 0, 0, 1), xk.EthAddr{0x02, 0, 0, 0, 0, 1})
-	b := &bed{clock: clock, network: network}
+	b := &bed{clock: clock, inj: w.(*wire.Injector)}
 
 	mk := func(h *stacks.Host) (*sunrpc.Select, any) {
 		v, err := vip.New(h.Name+"/vip", h.Eth, h.IP, h.ARP)
@@ -90,7 +94,7 @@ func build(t *testing.T, netCfg sim.Config, comp composition) *bed {
 		}
 		return s, raw
 	}
-	b.cs, _ = mk(client)
+	b.cs, b.cliLower = mk(client)
 	b.ss, b.srvLower = mk(server)
 
 	b.ss.Register(progCalc, versCalc, procAdd, func(args *msg.Msg) (*msg.Msg, error) {
@@ -320,27 +324,87 @@ func TestSessionSurfaceOperations(t *testing.T) {
 	}
 }
 
-func TestReqRepStatsCountRetransmits(t *testing.T) {
-	b := build(t, sim.Config{LossRate: 0.5, Seed: 77}, composition{lower: "reqrep"})
-	done := make(chan error, 1)
+// REQUEST_REPLY's defaults (ReqRepConfig), which build keeps.
+const (
+	rrRetransmit = 50 * time.Millisecond
+	rrMaxRetries = 8
+)
+
+var (
+	clientMAC = xk.EthAddr{0x02, 0, 0, 0, 0, 1}
+	serverMAC = xk.EthAddr{0x02, 0, 0, 0, 0, 2}
+)
+
+// drivenCall makes one echo call on its own goroutine and advances the
+// fake clock, to its next deadline, only while that goroutine is parked.
+// It returns the call's error and the fake time the call took.
+func drivenCall(t *testing.T, b *bed) (error, time.Duration) {
+	t.Helper()
+	s := open(t, b.cs)
+	type result struct {
+		err     error
+		elapsed time.Duration
+	}
+	watch := make(chan *settle.Watch, 1)
+	done := make(chan result, 1)
 	go func() {
-		s := open(t, b.cs)
+		watch <- settle.WatchSelf()
+		start := b.clock.Now()
 		_, err := s.CallBytes(progCalc, versCalc, procEcho, []byte("y"))
-		done <- err
+		done <- result{err, b.clock.Now().Sub(start)}
 	}()
-	deadline := time.After(20 * time.Second)
+	w := <-watch
 	for {
 		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			return
-		case <-deadline:
-			t.Fatal("call never completed")
+		case r := <-done:
+			return r.err, r.elapsed
 		default:
-			b.clock.Advance(30 * time.Millisecond)
-			time.Sleep(200 * time.Microsecond)
+			if w.Parked() && b.clock.PendingCount() > 0 {
+				b.clock.AdvanceToNext()
+			} else {
+				runtime.Gosched()
+			}
 		}
+	}
+}
+
+// REQUEST_REPLY counts what its schedule does, under scripted loss: a
+// lost request costs one retransmission and runs once; a lost reply
+// costs one retransmission and runs twice, because zero-or-more
+// re-executes; and a wire that loses everything times the call out after
+// exactly MaxRetries+1 waits of Retransmit, MaxRetries of them
+// retransmitting.
+func TestReqRepStatsCountRetransmits(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		src, dst                xk.EthAddr // the direction dropped; zero: both
+		drops                   int
+		wantErr                 error
+		retransmits, executions int64
+		elapsed                 time.Duration // checked when wantErr is set
+	}{
+		{"first request dropped", clientMAC, serverMAC, 1, nil, 1, 1, 0},
+		{"first reply dropped", serverMAC, clientMAC, 1, nil, 1, 2, 0},
+		{"every frame dropped", xk.EthAddr{}, xk.EthAddr{}, 1 << 20, xk.ErrTimeout, rrMaxRetries, 0, (rrMaxRetries + 1) * rrRetransmit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := build(t, sim.Config{}, composition{lower: "reqrep"})
+			b.inj.DropWhere(func(src, dst xk.EthAddr) bool {
+				return tc.src == (xk.EthAddr{}) || src == tc.src && dst == tc.dst
+			}, tc.drops)
+			err, elapsed := drivenCall(t, b)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("call: %v, want %v", err, tc.wantErr)
+			}
+			if tc.wantErr != nil && elapsed != tc.elapsed {
+				t.Fatalf("timed out after %v of fake time, want %v", elapsed, tc.elapsed)
+			}
+			cli := b.cliLower.(*sunrpc.ReqRep).Stats()
+			srv := b.srvLower.(*sunrpc.ReqRep).Stats()
+			if cli.Calls != 1 || cli.Retransmits != tc.retransmits || srv.Executions != tc.executions {
+				t.Fatalf("client %+v, server executions %d; want 1 call, %d retransmits, %d executions",
+					cli, srv.Executions, tc.retransmits, tc.executions)
+			}
+		})
 	}
 }

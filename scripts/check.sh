@@ -85,12 +85,17 @@ go test -race -count=1 ./internal/load/ -run 'TestConformanceCaptureOnOff'
 # collection at its own due, records reused while it is pending, Close
 # leaving no timer, and the send hold kept in send order.
 go test -race -count=3 ./internal/rpc/fragment/ -run 'TestAsyncOneAndMultiFragmentInterleaved|TestOneFragmentFrameContradictingCollection|TestOneGapEvent|TestRecordReusedWhileGapEventPending|TestCloseLeavesNoTimersPending|TestHold'
-# The at-most-once core both engines run: the call machine over every
-# bounded sequence of acks and expiries, admission's table on a real
-# ledger, and the one ack rule recovering a reply lost after an explicit
-# ack, in each engine.
+# The at-most-once core: the call machine over every bounded sequence of
+# acks and expiries and the call slot all three client engines run,
+# admission's table on a real ledger, the one ack rule recovering a reply
+# lost after an explicit ack in each engine, a late handler's reply never
+# reaching the next call (bare, and under SELECT), an execution that fails
+# before its reply freeing its channel, and REQUEST_REPLY on the shared
+# slot.
 go test -race -count=3 ./internal/rpc/amo/
-go test -race -count=3 ./internal/rpc/channel/ ./internal/rpc/mrpc/ -run 'TestReplyLostAfterAckIsReplayed'
+go test -race -count=3 ./internal/rpc/channel/ ./internal/rpc/mrpc/ -run 'TestReplyLostAfterAckIsReplayed|TestLateHandlerNeverAnswersTheNextCall|TestRefusedOpenFailsOnlyItsCall|TestUnframeableReplyFailsOnlyItsCall'
+go test -race -count=3 ./internal/rpc/sunrpc/
+go test -race -count=3 ./internal/rpc/selectp/ -run 'TestLateHandlerOverChannel'
 # The publication points of the lock-free per-message path (DESIGN.md §4
 # "Locking discipline"): a session's up/lower/closed read with atomic
 # loads while open, re-open and close write them, and the map tool's
