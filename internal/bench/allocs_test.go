@@ -30,24 +30,28 @@ import (
 //
 // What the 16 KB budgets buy (twelve fragments):
 //
-//	L_RPC-VIP 17: the request 1, the fragments cut from the held
-//	  request 12, the reassembled chain moved out of line 2 (spill
-//	  record + exact-size slice), the reply 1 and its ledger blob 1.
-//	  SELECT's and CHANNEL's headers ride in fragment 0's own leader
-//	  (msg.Fragment pushes them there), not in a block copied for them.
-//	M_RPC-VIP 17: the same; nothing is pushed above it, so it never had
-//	  a header copy to lose.
-//	FRAGMENT-VIP 16: request 1, fragments 12, chain 2, reply 1.
+//	L_RPC-VIP 8: the request 1, the fragments cut from the held request
+//	  3 (three slabs of four Msgs, msg.Cutter), the reassembled chain
+//	  moved out of line 2 (spill record + exact-size slice), the reply 1
+//	  and its ledger blob 1. SELECT's and CHANNEL's headers ride in
+//	  fragment 0's own leader (msg.Fragment pushes them there), not in a
+//	  block copied for them.
+//	M_RPC-VIP 8: the same; nothing is pushed above it, so it never had a
+//	  header copy to lose.
+//	FRAGMENT-VIP 7: request 1, fragment slabs 3, chain 2, reply 1.
 //
-// No Split slice, no Clone per frame, no hold record, no collection
-// record and no gap timer: those belong to the session, not the message.
+// A slab of four is one 1280-byte object where four fragments were four
+// 320-byte ones, so the bytes per call did not move when the count fell
+// from 17 to 8 (msg's TestCutterIsByteNeutral holds the slab rule). No
+// Split slice, no Clone per frame, no hold record, no collection record
+// and no gap timer: those belong to the session, not the message.
 //
-// The 4 KB echoes (three fragments each way) hold the reply direction to
-// the same rule. L_RPC-VIP 13 is 6 out (request, 3 fragments, chain 2)
-// and 7 back (ledger blob, 3 fragments, chain 2, the caller's Bytes) —
-// the upper headers in fragment 0's leader both ways; M_RPC-VIP 14 is 6
-// out and 8 back (frameReply's Split: slice + 3 fragments, blob, chain 2,
-// Bytes).
+// The 4 KB echoes (three fragments each way, a slab of two and one of
+// one) hold the reply direction to the same rule. L_RPC-VIP 11 is 5 out
+// (request, 2 slabs, chain 2) and 6 back (ledger blob, 2 slabs, chain 2,
+// the caller's Bytes) — the upper headers in fragment 0's leader both
+// ways; M_RPC-VIP 11 is the same 5 out and 6 back: frameReply cuts the
+// reply into an array on the server's stack, not a Split slice.
 //
 // The remaining null rows are the configurations of Table I, §4.3 and
 // the UDP round trip, so a whole layer's worth of cost grown into any of
@@ -78,11 +82,11 @@ var allocBudgets = []struct {
 	{ChanFragVIP, 0, false, 3},
 	{LRPCVIP, 0, false, 3},
 	{MRPCVIP, 0, false, 3},
-	{FragVIP, 16 * 1024, false, 16},
-	{LRPCVIP, 16 * 1024, false, 17},
-	{MRPCVIP, 16 * 1024, false, 17},
-	{LRPCVIP, 4 * 1024, true, 13},
-	{MRPCVIP, 4 * 1024, true, 14},
+	{FragVIP, 16 * 1024, false, 7},
+	{LRPCVIP, 16 * 1024, false, 8},
+	{MRPCVIP, 16 * 1024, false, 8},
+	{LRPCVIP, 4 * 1024, true, 11},
+	{MRPCVIP, 4 * 1024, true, 11},
 	{NRPC, 0, false, 15},
 	{MRPCEth, 0, false, 3},
 	{MRPCIP, 0, false, 3},

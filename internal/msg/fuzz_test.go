@@ -14,7 +14,8 @@ import (
 // bit 3 of each op byte picks which of the two — original or clone — the
 // op mutates, and both are checked after every step: the leader, blocks
 // and attributes live inside the Msg, so an op on one must never show
-// through the other.
+// through the other. Every fragment Fragment cuts is cut through a Cutter
+// as well, and the two must match in bytes, Len and Headroom.
 func FuzzPushPopFragmentJoin(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 2, 3, 1, 2, 5, 6, 0, 7})
@@ -55,6 +56,10 @@ func FuzzPushPopFragmentJoin(f *testing.F) {
 		}
 		orig := &pair{m: Empty(), attrs: map[AttrKey]byte{}}
 		var clone *pair // nil until the sequence clones
+		// cut cuts every Fragment's fragment again, from its slabs; it is
+		// reset to a fuzz-chosen count whenever that runs out, so cuts from
+		// every slab size and every position in one are compared.
+		var cut Cutter
 
 		verify := func(op string) {
 			t.Helper()
@@ -168,6 +173,18 @@ func FuzzPushPopFragmentJoin(f *testing.F) {
 				}
 				if frag.Headroom() != wantRoom {
 					t.Fatalf("Fragment(%d,%d, leader %d) of %d header bytes: headroom %d, want %d", off, n, leader, m.headerLen(), frag.Headroom(), wantRoom)
+				}
+				if cut.left <= 0 {
+					cut.Reset(1 + int(next())%8)
+				}
+				spare := len(cut.slab) // 0: this cut starts a slab
+				cf, err := cut.Fragment(m, off, n, leader)
+				if err != nil {
+					t.Fatalf("Cutter.Fragment(%d,%d): %v", off, n, err)
+				}
+				if !bytes.Equal(cf.Bytes(), frag.Bytes()) || cf.Len() != frag.Len() || cf.Headroom() != frag.Headroom() {
+					t.Fatalf("Cutter.Fragment(%d,%d, leader %d), %d spare in the slab = %q len %d headroom %d; Fragment = %q len %d headroom %d",
+						off, n, leader, spare, cf.Bytes(), cf.Len(), cf.Headroom(), frag.Bytes(), frag.Len(), frag.Headroom())
 				}
 			case 6: // Split + Join (and JoinAll onto the first fragment) rebuilds the message
 				size := 1 + int(next())%64

@@ -22,7 +22,13 @@
 //  3. A message must not cost more than one allocation. The leader, the
 //     first two blocks and the first two attributes live inside the Msg
 //     (see the type), so creating, cloning or fragmenting a message is
-//     one object for the collector, not three.
+//     one object for the collector, not three. A message cut into several
+//     fragments costs less than one each: a Cutter (which Split uses)
+//     takes their Msgs from slabs of four, then two, then one, so twelve
+//     fragments are three objects, in exactly the bytes twelve would take.
+//     The price is lifetime, not bytes: a slab lives while any of its Msgs
+//     does, so a delivered message cut from one keeps up to three sibling
+//     Msgs (960 bytes) alive until it is dropped.
 //
 // Len is O(1): every operation maintains the total length incrementally.
 //
@@ -131,22 +137,28 @@ func New(data []byte) *Msg {
 
 // NewWithLeader is New with an explicit leader size.
 func NewWithLeader(data []byte, leaderSize int) *Msg {
-	if leaderSize < 0 {
-		panic("msg: negative leader size")
-	}
 	m := &Msg{}
-	if leaderSize > DefaultLeader {
-		m.spill = &spill{leader: make([]byte, leaderSize)}
-	} else {
-		m.leadLen = uint8(leaderSize)
-	}
-	m.headStart = int32(leaderSize)
+	m.setLeader(leaderSize)
 	if len(data) > 0 {
 		m.blocks[0] = block{data: data}
 		m.nblocks = 1
 		m.length = len(data)
 	}
 	return m
+}
+
+// setLeader gives a message that has none leaderSize bytes of header
+// space: inline when it fits, out of line otherwise.
+func (m *Msg) setLeader(leaderSize int) {
+	if leaderSize < 0 {
+		panic("msg: negative leader size")
+	}
+	if leaderSize > DefaultLeader {
+		m.spill = &spill{leader: make([]byte, leaderSize)}
+	} else {
+		m.leadLen = uint8(leaderSize)
+	}
+	m.headStart = int32(leaderSize)
 }
 
 // Empty returns a message with no payload and DefaultLeader header space.
@@ -362,11 +374,26 @@ const lowerHeadroom = 64
 // leave lowerHeadroom free; otherwise into a fresh payload block, which
 // costs an allocation. The fragment gets leader bytes of header space,
 // less whatever those header bytes took. m is unchanged.
+//
+// Fragment is one object per fragment; a message cut into several goes
+// through a Cutter instead, which cuts the same fragments from slabs.
 func (m *Msg) Fragment(off, n, leader int) (*Msg, error) {
-	if off < 0 || n < 0 || off+n > m.length {
-		return nil, ErrBadRange
+	f := new(Msg)
+	if err := m.FragmentInto(f, off, n, leader); err != nil {
+		return nil, err
 	}
-	f := NewWithLeader(nil, leader)
+	return f, nil
+}
+
+// FragmentInto makes *dst the fragment Fragment(off, n, leader) returns,
+// in storage the caller owns. *dst must be the zero Msg — fresh storage,
+// as new(Msg) and a Cutter's slabs are: it is filled, not cleared first,
+// so a cut zeroes its storage once, when it is allocated.
+func (m *Msg) FragmentInto(dst *Msg, off, n, leader int) error {
+	if off < 0 || n < 0 || off+n > m.length {
+		return ErrBadRange
+	}
+	dst.setLeader(leader)
 	remain := n
 	skip := off
 	// Header region first.
@@ -375,9 +402,9 @@ func (m *Msg) Fragment(off, n, leader int) (*Msg, error) {
 		take := min(hl-skip, remain)
 		hdr := m.leader()[int(m.headStart)+skip:][:take]
 		if take+lowerHeadroom <= leader {
-			f.MustPush(hdr)
+			dst.MustPush(hdr)
 		} else {
-			f.Append(append([]byte(nil), hdr...))
+			dst.Append(append([]byte(nil), hdr...))
 		}
 		remain -= take
 		skip = hl
@@ -397,33 +424,75 @@ func (m *Msg) Fragment(off, n, leader int) (*Msg, error) {
 		if len(d) > remain {
 			d = d[:remain]
 		}
-		f.Append(d) // aliases m's storage; blocks are immutable
+		dst.Append(d) // aliases m's storage; blocks are immutable
 		remain -= len(d)
+	}
+	return nil
+}
+
+// A Cutter hands out the storage of a message's fragments from slabs: of
+// four Msgs while four or more fragments are left to cut, then of two,
+// then of one. A Msg is 312 bytes, so those slabs fill the allocator's
+// 320-, 640- and 1280-byte size classes exactly: a cut costs the bytes of
+// one object per fragment, in a quarter of the objects. (A slab of three
+// would take 1024 bytes for 960, and one of twelve 4096 for 3840.)
+//
+// Every fragment is still its own Msg, owned by whoever it is handed to,
+// but a slab is freed only when none of its Msgs is reachable: a delivered
+// message that began as a cut fragment keeps up to three siblings (960
+// bytes) alive until it is dropped.
+//
+// Reset sizes a Cutter to the cut at hand; the zero Cutter cuts one
+// fragment per slab. A Cutter is a value on its user's stack.
+type Cutter struct {
+	left int   // fragments still to cut, as Reset and the cuts since say
+	slab []Msg // storage not yet handed out
+}
+
+// Reset readies c for the next n fragments. Storage not yet handed out
+// is dropped.
+func (c *Cutter) Reset(n int) { c.left, c.slab = n, nil }
+
+// Fragment is m.Fragment(off, n, leader), cut into c's next Msg.
+func (c *Cutter) Fragment(m *Msg, off, n, leader int) (*Msg, error) {
+	if len(c.slab) == 0 {
+		k := 1
+		if c.left >= 4 {
+			k = 4
+		} else if c.left >= 2 {
+			k = 2
+		}
+		c.slab = make([]Msg, k)
+	}
+	f := &c.slab[0]
+	c.slab = c.slab[1:]
+	c.left--
+	if err := m.FragmentInto(f, off, n, leader); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
 // Split breaks the message payload into fragments of at most size bytes
 // each (headers included in the byte count), every fragment with leader
-// bytes of header space. The original message is unchanged.
+// bytes of header space. The fragments are cut through one Cutter, so
+// they cost its slabs, and the slice listing them is the one other
+// allocation. An empty message is one empty fragment. The original
+// message is unchanged.
 func (m *Msg) Split(size, leader int) ([]*Msg, error) {
 	if size <= 0 {
 		return nil, ErrBadRange
 	}
-	frags := make([]*Msg, 0, (m.length+size-1)/size+1)
-	for off := 0; off < m.length || (off == 0 && m.length == 0); off += size {
-		n := m.length - off
-		if n > size {
-			n = size
-		}
-		f, err := m.Fragment(off, n, leader)
+	frags := make([]*Msg, max(1, (m.length+size-1)/size))
+	var c Cutter
+	c.Reset(len(frags))
+	for i := range frags {
+		off := i * size
+		f, err := c.Fragment(m, off, min(size, m.length-off), leader)
 		if err != nil {
 			return nil, err
 		}
-		frags = append(frags, f)
-		if m.length == 0 {
-			break
-		}
+		frags[i] = f
 	}
 	return frags, nil
 }

@@ -2,6 +2,7 @@ package fragment
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -142,8 +143,10 @@ func (s *session) Push(m *msg.Msg) error {
 	p.ctr.messagesSent.Add(1)
 	p.ctr.fragmentsSent.Add(int64(numFrags))
 
+	var c msg.Cutter
+	c.Reset(numFrags)
 	for i := 0; i < numFrags; i++ {
-		if err := s.pushFragment(m, seq, numFrags, i); err != nil {
+		if err := s.pushFragment(&c, m, seq, numFrags, i); err != nil {
 			return err
 		}
 	}
@@ -153,12 +156,12 @@ func (s *session) Push(m *msg.Msg) error {
 	return nil
 }
 
-// pushFragment transmits fragment i of the held message m: cut, framed
-// and pushed, reading m and leaving it as it was.
-func (s *session) pushFragment(m *msg.Msg, seq uint32, numFrags, i int) error {
+// pushFragment transmits fragment i of the held message m: cut through c,
+// framed and pushed, reading m and leaving it as it was.
+func (s *session) pushFragment(c *msg.Cutter, m *msg.Msg, seq uint32, numFrags, i int) error {
 	maxFrag := s.p.cfg.MaxPacket - HeaderLen
 	off := i * maxFrag
-	f, err := m.Fragment(off, min(m.Len()-off, maxFrag), msg.DefaultLeader)
+	f, err := c.Fragment(m, off, min(m.Len()-off, maxFrag), msg.DefaultLeader)
 	if err != nil {
 		return err
 	}
@@ -501,11 +504,14 @@ func (s *session) receiveResendRequest(h header) error {
 		return nil
 	}
 	p.ctr.resendsHonored.Add(1)
+	full := fragmask.Full(uint16(sm.numFrags))
+	var c msg.Cutter
+	c.Reset(bits.OnesCount16(full &^ h.fragMask))
 	for i := 0; i < sm.numFrags; i++ {
 		if h.fragMask&(1<<i) != 0 {
 			continue // the peer has this one
 		}
-		if err := s.pushFragment(sm.m, h.seq, sm.numFrags, i); err != nil {
+		if err := s.pushFragment(&c, sm.m, h.seq, sm.numFrags, i); err != nil {
 			return err
 		}
 	}

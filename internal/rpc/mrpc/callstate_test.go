@@ -239,6 +239,71 @@ func TestRetransmissionRecutsTheSameFragments(t *testing.T) {
 	}
 }
 
+// A twelve-fragment request loses fragments 1, 5, 6 and 11 on its first
+// two attempts. The second attempt draws the server's partial acks, so
+// the third retransmits exactly those four, cut again from the held
+// request: each the same bytes as its retransmission before. The server
+// runs the request once, on the bytes the caller passed, and the echo
+// comes back byte-identical.
+func TestPartialMaskRetransmissionIsByteIdentical(t *testing.T) {
+	cli, srv, cliWire, _ := newPipe(t)
+	s := openPipe(t, cli)
+	clock := cli.cfg.Clock.(*event.FakeClock)
+	maxFrag := cli.cfg.MaxPacket - HeaderLen
+	args := msg.New(msg.MakeData(11*maxFrag + 100)) // twelve fragments
+	args.MustPush([]byte("caller's own header"))
+	want := args.Bytes()
+
+	lost := map[int]bool{1: true, 5: true, 6: true, 11: true}
+	cliWire.lose = func(n int) bool { return n <= 24 && lost[(n-1)%12] }
+	cliWire.frames = 0
+	type result struct {
+		reply *msg.Msg
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		reply, err := s.Call(1, args)
+		done <- result{reply, err}
+	}()
+	var r result
+	for waiting := true; waiting; {
+		select {
+		case r = <-done:
+			waiting = false
+		default:
+			clock.Advance(cli.cfg.RetransmitInterval)
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if r.err != nil || !bytes.Equal(r.reply.Bytes(), want) {
+		t.Fatalf("echo after two lossy attempts: %v", r.err)
+	}
+	if got := cli.Stats().Retransmits; got != 2 {
+		t.Fatalf("%d retransmissions, want 2", got)
+	}
+	if got := srv.Stats().RequestsServed; got != 1 {
+		t.Fatalf("server ran the request %d times, want 1", got)
+	}
+	sent := cliWire.sent
+	if len(sent) != 12+12+len(lost) {
+		t.Fatalf("%d request frames, want 12 first + 12 again + the %d still missing", len(sent), len(lost))
+	}
+	k := 24
+	for i := 0; i < 12; i++ {
+		if !lost[i] {
+			continue
+		}
+		if h := decodeHeader(sent[k]); h.fragMask != 1<<i || h.flags&flagPleaseAck == 0 {
+			t.Fatalf("third attempt, frame %d: %+v, want fragment %d with PLEASE_ACK", k-24, h, i)
+		}
+		if !bytes.Equal(sent[k], sent[12+i]) {
+			t.Fatalf("fragment %d's third transmission differs from its second", i)
+		}
+		k++
+	}
+}
+
 // Call derives the fragment count from the length before it cuts
 // anything: a request of too many fragments is refused with nothing sent.
 func TestCallCountsFragmentsBeforeCutting(t *testing.T) {

@@ -18,6 +18,7 @@ package mrpc
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -395,11 +396,15 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	}
 
 	lls := s.Down(0)
+	var c msg.Cutter
 	for {
 		// The call machine names the fragments (the one ack rule).
 		send, pleaseAck := cs.slot.Send()
 		if pleaseAck {
 			h.flags |= flagPleaseAck
+		}
+		if !inPlace { // this attempt's fragments come from slabs sized to it
+			c.Reset(bits.OnesCount16(send))
 		}
 		for i := 0; i < int(numFrags); i++ {
 			if send&(1<<i) == 0 {
@@ -412,7 +417,7 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 			case !inPlace:
 				off := i * maxFrag
 				var err error
-				if out, err = args.Fragment(off, min(args.Len()-off, maxFrag), msg.DefaultLeader); err != nil {
+				if out, err = c.Fragment(args, off, min(args.Len()-off, maxFrag), msg.DefaultLeader); err != nil {
 					return nil, err
 				}
 			case pleaseAck: // a retransmission

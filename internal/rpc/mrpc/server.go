@@ -94,15 +94,17 @@ func (p *Protocol) execute(h header, ch *amo.Chan, cp amo.Capture, handler Handl
 	}
 
 	// A reply that fits one packet is framed in place (execute consumes
-	// the handler's reply); a longer one is split.
+	// the handler's reply); a longer one is cut into fragments. Either
+	// way the frames are listed in an array on this stack.
 	var one [1]*msg.Msg
 	frames := one[:]
 	if reply.Len() <= p.cfg.MaxPacket-HeaderLen && xk.RoomInPlace(reply, HeaderLen) {
 		p.pushReplyHeader(reply, h, flags, 1, 1)
 		one[0] = reply
 	} else {
+		var all [fragmask.Max]*msg.Msg
 		var err error
-		if frames, err = p.frameReply(h, flags, reply); err != nil {
+		if frames, err = p.frameReply(h, flags, reply, &all); err != nil {
 			ch.Abort(cp)
 			return err
 		}
@@ -122,25 +124,31 @@ func (p *Protocol) execute(h header, ch *amo.Chan, cp amo.Capture, handler Handl
 	return nil
 }
 
-// frameReply fragments and frames a reply payload too long for one
-// packet, for the wire and for the ledger record that replays survive
-// from.
-func (p *Protocol) frameReply(req header, flags uint16, reply *msg.Msg) ([]*msg.Msg, error) {
+// frameReply cuts a reply payload too long for one packet into fragments
+// and frames them, for the wire and for the ledger record that replays
+// survive from. The frames are listed in buf, and returned as its prefix.
+func (p *Protocol) frameReply(req header, flags uint16, reply *msg.Msg, buf *[fragmask.Max]*msg.Msg) ([]*msg.Msg, error) {
 	if reply.Len() > p.cfg.MaxMsg {
 		return nil, fmt.Errorf("%s: reply %d bytes: %w", p.Name(), reply.Len(), xk.ErrMsgTooBig)
 	}
 	maxFrag := p.cfg.MaxPacket - HeaderLen
-	if n := fragmask.Count(reply.Len(), maxFrag); n > fragmask.Max {
+	n := fragmask.Count(reply.Len(), maxFrag)
+	if n > fragmask.Max {
 		return nil, fmt.Errorf("%s: reply needs %d fragments: %w", p.Name(), n, xk.ErrMsgTooBig)
 	}
-	frags, err := reply.Split(maxFrag, msg.DefaultLeader)
-	if err != nil {
-		return nil, err
+	var c msg.Cutter
+	c.Reset(n)
+	frames := buf[:n]
+	for i := range frames {
+		off := i * maxFrag
+		f, err := c.Fragment(reply, off, min(reply.Len()-off, maxFrag), msg.DefaultLeader)
+		if err != nil {
+			return nil, err
+		}
+		p.pushReplyHeader(f, req, flags, uint16(n), 1<<i)
+		frames[i] = f
 	}
-	for i, f := range frags {
-		p.pushReplyHeader(f, req, flags, uint16(len(frags)), 1<<i)
-	}
-	return frags, nil
+	return frames, nil
 }
 
 // pushReplyHeader frames f as fragment fragMask of numFrags of the reply

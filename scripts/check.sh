@@ -83,8 +83,12 @@ go test -race -count=1 ./internal/bench/ -run 'TestHandoffUnderLossAndDup'
 go test -race -count=1 ./internal/load/ -run 'TestConformanceCaptureOnOff'
 # FRAGMENT's per-session bookkeeping: the one gap event chasing every
 # collection at its own due, records reused while it is pending, Close
-# leaving no timer, and the send hold kept in send order.
-go test -race -count=3 ./internal/rpc/fragment/ -run 'TestAsyncOneAndMultiFragmentInterleaved|TestOneFragmentFrameContradictingCollection|TestOneGapEvent|TestRecordReusedWhileGapEventPending|TestCloseLeavesNoTimersPending|TestHold'
+# leaving no timer, and the send hold kept in send order. Then the resend
+# paths, whose fragments are cut from slabs (msg.Cutter): FRAGMENT
+# honouring a request for scattered fragments and M.RPC retransmitting a
+# partial mask must both deliver the message byte for byte.
+go test -race -count=3 ./internal/rpc/fragment/ -run 'TestAsyncOneAndMultiFragmentInterleaved|TestOneFragmentFrameContradictingCollection|TestOneGapEvent|TestRecordReusedWhileGapEventPending|TestCloseLeavesNoTimersPending|TestHold|TestScatteredResendIsByteIdentical'
+go test -race -count=3 ./internal/rpc/mrpc/ -run 'TestPartialMaskRetransmissionIsByteIdentical'
 # The at-most-once core: the call machine over every bounded sequence of
 # acks and expiries and the call slot all three client engines run,
 # admission's table on a real ledger, the one ack rule recovering a reply
@@ -110,9 +114,14 @@ echo "== allocation budgets (exact allocs per round trip, no race detector) =="
 # suite above skipped them. The budgets are exact: one allocation more OR
 # fewer per round trip on any gated stack fails here until the committed
 # constant is changed on purpose; the UDP row holds SendMsg to the one
-# allocation that is the message itself.
+# allocation that is the message itself. The msg rows hold the fragment
+# cutter to its slab rule: a slab per four fragments, and exactly the
+# bytes one object per fragment would take (a Msg is 312 bytes, 320 with
+# its size class); FRAGMENT's resend of k fragments costs those slabs.
 go test -count=1 ./internal/bench/ -run 'TestAllocBudgets'
 go test -count=1 ./internal/wire/udp/ -run 'TestSendMsgAllocations'
+go test -count=1 ./internal/msg/ -run 'TestMsgIs312Bytes|TestCutterIsByteNeutral'
+go test -count=1 ./internal/rpc/fragment/ -run 'TestResendAllocatesItsSlabs'
 
 echo "== chaos smoke (partition+reboot per stack family) =="
 # The -short sweep runs one canned scenario set per reliability stack;
