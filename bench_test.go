@@ -1,15 +1,10 @@
-// Benchmarks regenerating the paper's evaluation (§4), one group per
-// table plus the supplementary measurements. Run with
+// Benchmarks over the composed stacks. Timings and per-layer costs come
+// from the benchmark (go run ./benchmark); these are profiling entry
+// points, run with
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench RoundTrip -cpuprofile cpu.out
 //
-// Each benchmark iteration is one complete round trip through a real
-// protocol stack over the in-memory ethernet, so ns/op here corresponds
-// to the paper's "Latency" columns (orderings and ratios, not absolute
-// Sun 3/75 milliseconds); the *_16K benchmarks correspond to the
-// throughput workload (16k request, null reply). cmd/xkbench prints the
-// same measurements formatted as the paper's tables with the published
-// numbers alongside.
+// and never the source of a figure.
 package xkernel_test
 
 import (
@@ -23,19 +18,40 @@ import (
 	"xkernel/internal/sim"
 )
 
-// run builds a fresh testbed for the named stack and measures
+// BenchmarkRoundTrip runs one complete round trip per iteration through
+// each measured stack over the in-memory ethernet: a null call, and a
+// 16 KB request with a null reply where the stack's endpoint takes one.
+// It is a profiling entry point, never a figure: the benchmark is the one
+// instrument that times the stack.
+func BenchmarkRoundTrip(b *testing.B) {
+	for _, stack := range bench.Stacks() {
+		for _, c := range []struct {
+			name string
+			size int
+		}{{"0B", 0}, {"16KB", 16 * 1024}} {
+			b.Run(string(stack)+"/"+c.name, func(b *testing.B) {
+				roundTrips(b, stack, c.size)
+			})
+		}
+	}
+}
+
+// roundTrips builds a fresh testbed for the stack and times
 // RoundTrip(payload) per iteration.
-func run(b *testing.B, stack bench.Stack, payloadSize int) {
-	b.Helper()
+func roundTrips(b *testing.B, stack bench.Stack, payloadSize int) {
 	tb, err := bench.Build(stack, sim.Config{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload := msg.MakeData(payloadSize)
-	if payloadSize == 0 {
-		payload = nil
+	defer tb.Close()
+	if payloadSize > tb.MaxMsg {
+		b.Skipf("%s takes at most %d bytes", stack, tb.MaxMsg)
 	}
-	// Warm the session caches: the paper measures steady state.
+	var payload []byte
+	if payloadSize > 0 {
+		payload = msg.MakeData(payloadSize)
+	}
+	// Warm the session caches: steady state is what a profile should show.
 	if err := tb.End.RoundTrip(payload); err != nil {
 		b.Fatal(err)
 	}
@@ -46,63 +62,6 @@ func run(b *testing.B, stack bench.Stack, payloadSize int) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// ---- Table I: Evaluating VIP ----
-
-func BenchmarkTable1_NRPC_Null(b *testing.B)    { run(b, bench.NRPC, 0) }
-func BenchmarkTable1_MRPCEth_Null(b *testing.B) { run(b, bench.MRPCEth, 0) }
-func BenchmarkTable1_MRPCIP_Null(b *testing.B)  { run(b, bench.MRPCIP, 0) }
-func BenchmarkTable1_MRPCVIP_Null(b *testing.B) { run(b, bench.MRPCVIP, 0) }
-
-func BenchmarkTable1_NRPC_16K(b *testing.B)    { run(b, bench.NRPC, 16*1024) }
-func BenchmarkTable1_MRPCEth_16K(b *testing.B) { run(b, bench.MRPCEth, 16*1024) }
-func BenchmarkTable1_MRPCIP_16K(b *testing.B)  { run(b, bench.MRPCIP, 16*1024) }
-func BenchmarkTable1_MRPCVIP_16K(b *testing.B) { run(b, bench.MRPCVIP, 16*1024) }
-
-// ---- Table II: Monolithic RPC versus Layered RPC ----
-
-func BenchmarkTable2_MRPCVIP_Null(b *testing.B) { run(b, bench.MRPCVIP, 0) }
-func BenchmarkTable2_LRPCVIP_Null(b *testing.B) { run(b, bench.LRPCVIP, 0) }
-func BenchmarkTable2_MRPCVIP_16K(b *testing.B)  { run(b, bench.MRPCVIP, 16*1024) }
-func BenchmarkTable2_LRPCVIP_16K(b *testing.B)  { run(b, bench.LRPCVIP, 16*1024) }
-
-// The incremental-cost columns: the 1k–16k sweep for both versions.
-func BenchmarkTable2_Sweep(b *testing.B) {
-	for _, stack := range []bench.Stack{bench.MRPCVIP, bench.LRPCVIP} {
-		for _, size := range []int{1024, 4096, 8192, 16384} {
-			b.Run(fmt.Sprintf("%s/%dB", stack, size), func(b *testing.B) {
-				run(b, stack, size)
-			})
-		}
-	}
-}
-
-// ---- Table III: Cost of Individual RPC Layers ----
-
-func BenchmarkTable3_VIP(b *testing.B)            { run(b, bench.VIPOnly, 0) }
-func BenchmarkTable3_FragVIP(b *testing.B)        { run(b, bench.FragVIP, 0) }
-func BenchmarkTable3_ChanFragVIP(b *testing.B)    { run(b, bench.ChanFragVIP, 0) }
-func BenchmarkTable3_SelChanFragVIP(b *testing.B) { run(b, bench.SelChanFragVIP, 0) }
-
-// ---- §4.3: Dynamically Removing Layers (Table "IV") ----
-
-func BenchmarkTable4_SelChanVIPsize_Null(b *testing.B) { run(b, bench.SelChanVIPsize, 0) }
-func BenchmarkTable4_SelChanVIPsize_16K(b *testing.B)  { run(b, bench.SelChanVIPsize, 16*1024) }
-
-// ---- Supplementary measurements ----
-
-// X1: the §1 UDP/IP round-trip claim.
-func BenchmarkUDPRoundTrip(b *testing.B) { run(b, bench.UDPIP, 0) }
-
-// X2: §4.2 — FRAGMENT by itself moving 16k messages.
-func BenchmarkFragmentThroughput(b *testing.B) { run(b, bench.FragVIP, 16*1024) }
-
-// X4: §4.1/§5 — VIP's per-message overhead is one length test. The pair
-// of benchmarks isolates it as the M_RPC-VIP minus M_RPC-ETH delta.
-func BenchmarkVIPPushOverhead(b *testing.B) {
-	b.Run("via-eth", func(b *testing.B) { run(b, bench.MRPCEth, 0) })
-	b.Run("via-vip", func(b *testing.B) { run(b, bench.MRPCVIP, 0) })
 }
 
 // X3: §5 mix-and-match — Sun RPC over its compositions.

@@ -27,6 +27,9 @@ func TestCaptureDecodeReport(t *testing.T) {
 	if rep.Options.RPCs == 0 {
 		t.Error("no RPCs recorded")
 	}
+	if rep.Options.Source != "xkprof" {
+		t.Errorf("report source = %q, want xkprof", rep.Options.Source)
+	}
 
 	// The same files decode through the positional-argument path.
 	files, err := filepath.Glob(filepath.Join(dir, "*.pb.gz"))

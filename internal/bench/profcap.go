@@ -194,7 +194,7 @@ func ReportFromCapture(res *CaptureResult) (*prof.Report, error) {
 	rep.Options = prof.ReportOptions{
 		Stacks: res.Stacks,
 		RPCs:   res.RPCs,
-		Source: "xkbench",
+		Source: "xkprof",
 	}
 	return rep, nil
 }

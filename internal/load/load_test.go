@@ -179,8 +179,8 @@ func TestComputeKnees(t *testing.T) {
 	}
 }
 
-// TestTableReportRejected: ReadReport refuses JSON of another kind — the
-// kindless table report older xkbench builds wrote, and xkprof's.
+// TestTableReportRejected: ReadReport refuses JSON of another kind — a
+// kindless table report, and xkprof's.
 func TestTableReportRejected(t *testing.T) {
 	for _, doc := range []string{
 		`{"table":1,"configs":[{"stack":"X"}]}`,

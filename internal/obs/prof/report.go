@@ -49,7 +49,7 @@ type ReportOptions struct {
 	// were recording; with it, per-call CPU cost joins the per-call
 	// wall-clock the anatomy table reports (queueing vs compute).
 	RPCs int64 `json:"rpcs,omitempty"`
-	// Source names the producer ("xkbench", "xkload@16", ...).
+	// Source names the producer ("xkprof", "xkload@16", ...).
 	Source string `json:"source,omitempty"`
 }
 

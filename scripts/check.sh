@@ -165,8 +165,8 @@ echo "== ledger fuzz smoke (arbitrary segment bytes through recovery replay) =="
 # panicking — the torn-write tolerance the crash scenarios depend on.
 go test ./internal/ledger/ -run '^$' -fuzz FuzzLedgerReplay -fuzztime 5s
 
-echo "== Table I benchmark smoke (1 iteration each) =="
-go test . -run 'Bench' -bench 'BenchmarkTable1' -benchtime 1x
+echo "== round-trip benchmark smoke (every stack's profiling entry, 1 iteration each) =="
+go test . -run '^$' -bench 'RoundTrip' -benchtime 1x
 
 echo "== anatomy smoke (causal spans + compositional invariant) =="
 # Drives the Table I configurations with span capture on and fails if

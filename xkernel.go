@@ -43,8 +43,8 @@
 // in internal/bench's table (StackSpec returns it), so the graph an
 // example composes and the graph a table row times are one mechanism.
 //
-// See the examples directory for complete programs and cmd/xkbench for
-// the harness that regenerates the paper's evaluation tables.
+// See the examples directory for complete programs and the benchmark
+// directory (go run ./benchmark) for the harness that times the stacks.
 package xkernel
 
 import (
