@@ -68,24 +68,6 @@ func (s *server) ack() error {
 	return s.down.Push(m)
 }
 
-// replay re-pushes frames recorded on a previous execution: the
-// ledger.DecodeFrames origin is exempt (the Record already happened).
-func (s *server) replay(e ledger.Entry) error {
-	hdr := header{flags: flagReply}
-	_ = hdr
-	frames, err := ledger.DecodeFrames(e.Reply)
-	if err != nil {
-		return err
-	}
-	for _, fb := range frames {
-		m := msg.New(fb)
-		if err := s.down.Push(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // parseReply only reads the flag; client-side parsing stays out of
 // rule 1's scope.
 func (s *server) parseReply(h header, m *msg.Msg) error {
@@ -154,7 +136,7 @@ func (e *engine) serve(r amo.Request, m *msg.Msg) error {
 func (e *engine) reply(ch *amo.Chan, cp amo.Capture, m *msg.Msg) error {
 	hdr := header{flags: flagReply}
 	_ = hdr
-	if err := ch.Record(cp, nil); err != nil {
+	if err := ch.Record(cp, m); err != nil {
 		return err
 	}
 	return e.down.Push(m)
@@ -167,6 +149,35 @@ func (e *engine) replyUnrecorded(ch *amo.Chan, m *msg.Msg) error {
 	_ = hdr
 	_ = ch.Key()
 	return e.down.Push(m) // want "reply pushed without a preceding ExecLedger.Record"
+}
+
+// replay re-pushes a reply recorded on a previous execution: what
+// amo.Host.Admit returns for Replay is exempt (the Record already
+// happened).
+func (e *engine) replay(r amo.Request) error {
+	hdr := header{flags: flagReply}
+	_ = hdr
+	_, v, frames := e.host.Admit(r)
+	if v != amo.Replay {
+		return nil
+	}
+	for _, f := range frames {
+		if err := e.down.Push(f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replyThenRecord records only after the reply left: the write-ahead
+// order reversed, which a crash in between turns into a re-execution.
+func (e *engine) replyThenRecord(ch *amo.Chan, cp amo.Capture, m *msg.Msg) error {
+	hdr := header{flags: flagReply}
+	_ = hdr
+	if err := e.down.Push(m); err != nil { // want "reply pushed without a preceding ExecLedger.Record"
+		return err
+	}
+	return ch.Record(cp, m)
 }
 
 // serveUnadmitted dispatches with no admission anywhere.

@@ -9,8 +9,8 @@
 //     before the push. Without the Record, a crash between send and
 //     log re-executes a non-idempotent handler on retransmit — the
 //     exact duplicate LEDGER exists to prevent. Messages derived from
-//     msg.Empty() (control frames: acks, rejects) and from
-//     ledger.DecodeFrames (replays of already-recorded replies) are
+//     msg.Empty() (control frames: acks, rejects) and from the replay
+//     amo.Host.Admit returns (copies of an already-recorded reply) are
 //     exempt.
 //
 //  2. Lookup happens-before execute. A function in a ledger-aware rpc
@@ -227,8 +227,8 @@ func (c *checker) isSessionPush(call *ast.CallExpr) bool {
 }
 
 // isPayload classifies the pushed message: true unless it provably
-// derives from msg.Empty() (control frame) or ledger.DecodeFrames
-// (replay of an already-recorded reply). Unknown origins count as
+// derives from msg.Empty() (control frame) or amo.Host.Admit (the replay
+// of an already-recorded reply). Unknown origins count as
 // payload — the invariant is what needs proving, and //xk:allow exists
 // for deliberate exceptions.
 func (c *checker) isPayload(fd *ast.FuncDecl, arg ast.Expr) bool {
@@ -255,7 +255,7 @@ func (c *checker) classify(fd *ast.FuncDecl, e ast.Expr, depth int) origin {
 			if xkanalysis.IsPkgLevelFunc(obj, msgPath, "Empty") {
 				return exempt
 			}
-			if obj.Pkg() != nil && obj.Pkg().Path() == ledgerPath && obj.Name() == "DecodeFrames" {
+			if obj.Pkg() != nil && obj.Pkg().Path() == amoPath && obj.Name() == coreSite["Lookup"] {
 				return exempt
 			}
 			// msg.New(x), m.Clone(), ... : classify the receiver/argument.

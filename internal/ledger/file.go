@@ -134,8 +134,13 @@ func (f *File) Lookup(k Key) (Entry, bool) {
 }
 
 // Record appends an exec record (write-ahead: before the caller sends
-// the reply), applies the fsync policy, and rotates full segments.
+// the reply), applies the fsync policy, and rotates full segments. A
+// reply recorded as frames is encoded first: the disk, and the live
+// index compaction rewrites from, hold the blob.
 func (f *File) Record(k Key, e Entry) error {
+	if e.Frames != nil {
+		e = Entry{ClientBoot: e.ClientBoot, Seq: e.Seq, Reply: EncodeMsgs(e.Frames...)}
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {

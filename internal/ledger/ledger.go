@@ -9,7 +9,8 @@
 //
 // ExecLedger factors that state behind an interface with two
 // implementations. Mem is the paper-faithful volatile store — the old
-// in-memory maps, now bounded by an LRU byte cap. File is a
+// in-memory maps, now bounded by an LRU byte cap — and holds each reply's
+// frames by value, as the paper's server keeps its last reply. File is a
 // write-ahead log of checksummed records: a server that records the
 // reply before sending it can crash, replay the log on boot, and keep
 // suppressing duplicates across the crash, returning the cached reply
@@ -47,13 +48,30 @@ func (k Key) String() string {
 }
 
 // Entry is one executed request: the client boot epoch and sequence
-// number that identify it, and the reply exactly as it was framed for
-// the wire (EncodeFrames of the ready-to-push frames, headers
-// included), so a replay is byte-identical to the original send.
+// number that identify it, and its reply as framed for the wire, headers
+// included, so that a replay is byte-identical to the original send.
+//
+// The reply comes in one of two forms. Frames are the ready-to-push
+// messages themselves: the engines record these, Mem holds them by value
+// in storage of its own and File encodes them (EncodeMsgs) for its disk.
+// Neither keeps the slice or the messages it is handed, which the caller
+// goes on to push. Reply is the same frames encoded as one blob
+// (EncodeFrames): File's Lookup returns it, and a caller may record bytes.
+// An Entry sets one form, and a Lookup returns the form it holds.
 type Entry struct {
 	ClientBoot uint32
 	Seq        uint32
 	Reply      []byte
+	Frames     []*msg.Msg
+}
+
+// size is the reply bytes e holds: the blob's length, or the frames'.
+func (e Entry) size() int64 {
+	n := int64(len(e.Reply))
+	for _, f := range e.Frames {
+		n += int64(f.Len())
+	}
+	return n
 }
 
 // RecordInfo is one live entry as reported by Dump — the identity
@@ -82,7 +100,7 @@ const (
 // Stats is a point-in-time snapshot of a ledger's counters.
 type Stats struct {
 	Records     int64 `json:"records"`   // live entries
-	Bytes       int64 `json:"bytes"`     // reply bytes held by live entries
+	Bytes       int64 `json:"bytes"`     // reply bytes held by live entries: frames' bytes, or File's blobs
 	Lookups     int64 `json:"lookups"`   // Lookup calls
 	Hits        int64 `json:"hits"`      // Lookup calls that found an entry
 	Appends     int64 `json:"appends"`   // Record calls
@@ -106,12 +124,16 @@ type Stats struct {
 // Implementations are safe for concurrent use; Lookup sits on the
 // request hot path and must not allocate.
 type ExecLedger interface {
-	// Lookup returns the recorded entry for the channel, if any.
+	// Lookup returns the recorded entry for the channel, if any. Frames
+	// it returns are the ledger's, and stay as they are for as long as
+	// the caller holds them: a replay clones them and pushes the clones.
 	Lookup(k Key) (Entry, bool)
 	// Record stores the entry for the channel, replacing any previous
-	// one (implicit acknowledgement). A durable ledger persists the
-	// record before returning according to its fsync policy; an error
-	// means the caller must not send the reply (write-ahead).
+	// one (implicit acknowledgement). It keeps a copy of e's reply, held
+	// messages or encoded bytes, never e.Frames itself. A durable ledger
+	// persists the record before returning according to its fsync
+	// policy; an error means the caller must not send the reply
+	// (write-ahead).
 	Record(k Key, e Entry) error
 	// Retire drops the entry for a channel whose client epoch ended
 	// (the client rebooted, or the channel is being torn down).
@@ -153,8 +175,8 @@ func EncodeFrames(frames ...[]byte) []byte {
 }
 
 // EncodeMsgs is EncodeFrames for frames still held as messages: each is
-// flattened straight into the blob, so recording a reply costs the blob
-// and no intermediate copy per frame.
+// flattened straight into the blob, with no intermediate copy per frame.
+// File records a reply's frames this way.
 func EncodeMsgs(frames ...*msg.Msg) []byte {
 	return encodeBlob(len(frames),
 		func(i int) int { return frames[i].Len() },

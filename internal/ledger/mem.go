@@ -1,6 +1,10 @@
 package ledger
 
-import "sync"
+import (
+	"sync"
+
+	"xkernel/internal/msg"
+)
 
 // memNode is one live entry plus its position on the LRU list. Nodes
 // are heap-allocated once per Record of a new key; Lookup only moves
@@ -8,7 +12,34 @@ import "sync"
 type memNode struct {
 	key        Key
 	entry      Entry
+	held       heldFrames
 	prev, next *memNode
+}
+
+// heldFrames is a node's storage for a reply recorded as frames: each
+// frame held by value (msg.HoldInto), and the list of them an Entry's
+// Frames is. A Record reuses it, so holding a channel's replies one after
+// another allocates nothing once it has held the largest — unless a
+// Lookup has lent the frames out since. Lent frames are never written
+// again: the next Record takes fresh storage, and the replay that
+// borrowed them keeps reading what was recorded.
+type heldFrames struct {
+	msgs []msg.Msg
+	list []*msg.Msg
+	lent bool
+}
+
+// hold copies frames into h and returns the list of the copies.
+func (h *heldFrames) hold(frames []*msg.Msg) []*msg.Msg {
+	if h.lent || len(frames) > cap(h.msgs) {
+		*h = heldFrames{msgs: make([]msg.Msg, len(frames)), list: make([]*msg.Msg, len(frames))}
+	}
+	h.msgs, h.list = h.msgs[:len(frames)], h.list[:len(frames)]
+	for i, f := range frames {
+		f.HoldInto(&h.msgs[i])
+		h.list[i] = &h.msgs[i]
+	}
+	return h.list
 }
 
 // MemOptions configures the volatile ledger.
@@ -66,26 +97,34 @@ func (m *Mem) Lookup(k Key) (Entry, bool) {
 	m.ctr.hits++
 	m.moveToFront(n)
 	e := n.entry
+	if e.Frames != nil {
+		n.held.lent = true
+	}
 	m.mu.Unlock()
 	return e, true
 }
 
 // Record stores e for k, replacing any previous entry, then evicts
-// least recently used channels past the byte cap. A volatile record
-// cannot fail.
+// least recently used channels past the byte cap. Frames are held by
+// value in k's own storage; a Reply blob is kept as it is. A volatile
+// record cannot fail.
 func (m *Mem) Record(k Key, e Entry) error {
 	m.mu.Lock()
 	m.ctr.appends++
-	if n := m.entries[k]; n != nil {
-		m.bytes += int64(len(e.Reply)) - int64(len(n.entry.Reply))
-		n.entry = e
+	n := m.entries[k]
+	if n != nil {
+		m.bytes -= n.entry.size()
 		m.moveToFront(n)
 	} else {
-		n = &memNode{key: k, entry: e}
+		n = &memNode{key: k}
 		m.entries[k] = n
-		m.bytes += int64(len(e.Reply))
 		m.pushFront(n)
 	}
+	if e.Frames != nil {
+		e.Frames = n.held.hold(e.Frames)
+	}
+	n.entry = e
+	m.bytes += e.size()
 	if m.maxBytes > 0 {
 		for m.bytes > m.maxBytes && m.tail != nil && m.tail != m.head {
 			m.evict(m.tail)
@@ -137,7 +176,7 @@ func (m *Mem) Dump() []RecordInfo {
 	m.mu.Lock()
 	out := make([]RecordInfo, 0, len(m.entries))
 	for n := m.head; n != nil; n = n.next {
-		out = append(out, RecordInfo{Key: n.key, ClientBoot: n.entry.ClientBoot, Seq: n.entry.Seq, ReplyBytes: len(n.entry.Reply)})
+		out = append(out, RecordInfo{Key: n.key, ClientBoot: n.entry.ClientBoot, Seq: n.entry.Seq, ReplyBytes: int(n.entry.size())})
 	}
 	m.mu.Unlock()
 	return out
@@ -183,7 +222,7 @@ func (m *Mem) moveToFront(n *memNode) {
 func (m *Mem) remove(n *memNode) {
 	m.unlink(n)
 	delete(m.entries, n.key)
-	m.bytes -= int64(len(n.entry.Reply))
+	m.bytes -= n.entry.size()
 }
 
 func (m *Mem) evict(n *memNode) {

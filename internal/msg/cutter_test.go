@@ -70,3 +70,23 @@ func TestCutterIsByteNeutral(t *testing.T) {
 		}
 	}
 }
+
+// holdSink is the storage a ledger holds replies in, reused hold after
+// hold.
+var holdSink Msg
+
+// Holding a message into storage that held one of its shape before costs
+// nothing, spilled chain and all: the ledger's per-channel copy of each
+// reply is no allocation per call. CopyInto, by contrast, allocates a
+// spill record and a chain slice for every spilled message.
+func TestHoldIntoIsAllocationFree(t *testing.T) {
+	for _, blocks := range []int{1, inlineBlocks, 3, 12} {
+		src := spilled(blocks)
+		if objs, _ := heapPerRun(1000, func() { src.HoldInto(&holdSink) }); objs != 0 {
+			t.Errorf("holding a %d-block message: %d objects per hold, want 0", blocks, objs)
+		}
+	}
+	if objs, _ := heapPerRun(1000, func() { spilled(3).CopyInto(&holdSink) }); objs <= 1 {
+		t.Fatalf("CopyInto of a spilled message: %d objects, the comparison above is void", objs)
+	}
+}

@@ -15,7 +15,11 @@ import (
 // op mutates, and both are checked after every step: the leader, blocks
 // and attributes live inside the Msg, so an op on one must never show
 // through the other. Every fragment Fragment cuts is cut through a Cutter
-// as well, and the two must match in bytes, Len and Headroom.
+// as well, and the two must match in bytes, Len and Headroom. After every
+// step the message just changed is held (HoldInto) into one Msg reused
+// for the whole sequence, as a ledger holds reply after reply: the held
+// copy must read as the message did, carry no attributes, and not change
+// with whatever the next step does to the message.
 func FuzzPushPopFragmentJoin(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 2, 3, 1, 2, 5, 6, 0, 7})
@@ -60,6 +64,8 @@ func FuzzPushPopFragmentJoin(f *testing.F) {
 		// reset to a fuzz-chosen count whenever that runs out, so cuts from
 		// every slab size and every position in one are compared.
 		var cut Cutter
+		var held Msg
+		var heldModel []byte
 
 		verify := func(op string) {
 			t.Helper()
@@ -216,6 +222,19 @@ func FuzzPushPopFragmentJoin(f *testing.F) {
 			}
 			target.model = model
 			verify("step")
+			if got := held.Bytes(); !bytes.Equal(got, heldModel) {
+				t.Fatalf("step changed the copy held before it: %x, held as %x", got, heldModel)
+			}
+			target.m.HoldInto(&held)
+			heldModel = append([]byte(nil), model...)
+			if got := held.Bytes(); !bytes.Equal(got, heldModel) || held.Len() != len(heldModel) {
+				t.Fatalf("HoldInto=%x (Len %d), want %x", got, held.Len(), heldModel)
+			}
+			for k := AttrKey(0); k < 4; k++ {
+				if _, ok := held.Attr(k); ok {
+					t.Fatalf("HoldInto kept attribute %d", k)
+				}
+			}
 		}
 	})
 }

@@ -554,6 +554,45 @@ func (m *Msg) CopyInto(dst *Msg) {
 	}
 }
 
+// HoldInto makes *dst a copy of m to keep, in storage *dst already owns:
+// a reply held for retransmission. The header bytes are copied, the
+// payload blocks are shared (they are immutable), and the attributes,
+// which describe a message to the host it is on, are dropped. A spilled
+// chain or leader is copied into the out-of-line storage an earlier
+// HoldInto left in *dst, so holding message after message of one shape
+// into the same *dst allocates nothing; CopyInto would allocate twice for
+// a spilled message every time.
+//
+// *dst's out-of-line storage must be its own: *dst is the zero Msg or was
+// only ever a HoldInto destination, never pushed, cloned into or handed on.
+func (m *Msg) HoldInto(dst *Msg) {
+	sp := dst.spill
+	*dst = *m
+	dst.spill = nil
+	dst.attrs = [inlineAttrs]attr{}
+	dst.nattrs = 0
+	src := m.spill
+	if src == nil || (src.leader == nil && src.blocks == nil) {
+		return
+	}
+	if sp == nil {
+		sp = &spill{}
+	}
+	sp.leader = holdSlice(sp.leader, src.leader)
+	sp.blocks = holdSlice(sp.blocks, src.blocks)
+	sp.attrs = nil
+	dst.spill = sp
+}
+
+// holdSlice copies src into dst's storage, growing it only when src is
+// longer; a nil src stays nil, which says the inline storage is in use.
+func holdSlice[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
+}
+
 // Bytes flattens the whole message into a single fresh slice. It is the
 // boundary operation used by drivers putting a frame on the wire and by
 // applications consuming a delivered message; protocols in the middle of

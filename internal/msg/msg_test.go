@@ -754,3 +754,50 @@ func TestClearAttrs(t *testing.T) {
 		t.Fatalf("after ClearAttrs: attr %v %v, bytes %q", v, ok, m.Bytes())
 	}
 }
+
+// spilled builds a message of blocks payload blocks of 100 bytes each,
+// with a header pushed: past inlineBlocks, its chain is out of line, as a
+// reassembled message's is.
+func spilled(blocks int) *Msg {
+	m := New(MakeData(100))
+	for i := 1; i < blocks; i++ {
+		m.Append(MakeData(100))
+	}
+	m.MustPush([]byte("header"))
+	return m
+}
+
+// A held message is the source's bytes, and stays so whatever happens to
+// the source afterwards: consuming it (popping across blocks rewrites the
+// chain entries in place), pushing onto it, and holding another message
+// into the same storage do not reach the held copy's chain, and the
+// source's attributes are not held.
+func TestHoldIntoNeverAliasesTheSource(t *testing.T) {
+	var held Msg
+	for _, blocks := range []int{1, 3, 12, 5} { // storage shrinks and grows
+		src := spilled(blocks)
+		src.SetAttr(1, "host-local")
+		want := src.Bytes()
+		src.HoldInto(&held)
+		src.MustPush([]byte("lower"))
+		for src.Len() > 0 {
+			if _, err := src.Pop(min(7, src.Len())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(held.Bytes(), want) {
+			t.Fatalf("%d blocks: the held copy changed with its consumed source", blocks)
+		}
+		if _, ok := held.Attr(1); ok {
+			t.Fatalf("%d blocks: the held copy kept the source's attribute", blocks)
+		}
+		c := held.Clone()
+		c.MustPush([]byte("replay"))
+		if _, err := c.Pop(c.Len() - 1); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(held.Bytes(), want) {
+			t.Fatalf("%d blocks: consuming a clone of the held copy changed it", blocks)
+		}
+	}
+}

@@ -26,7 +26,7 @@ const (
 	// Ack: a duplicate of the request still executing, or a newer request
 	// waiting for it to finish: send an explicit ack.
 	Ack
-	// Replay: push the recorded reply with ReplayBlob.
+	// Replay: push the recorded reply Admit returns with Resend.
 	Replay
 	// Reject: the request names an earlier incarnation of this host, and
 	// the ledger cannot prove it executed there: refuse it, typed.
@@ -136,28 +136,56 @@ func (h *Host) NotePeerBoot(peer xk.IPAddr, boot uint32) {
 	h.peers.Store(&next)
 }
 
-// Admit runs a request through the duplicate filter; reply is the
-// recorded reply for Replay. A stale epoch hint is decided against the
-// ledger alone, with a nil Chan: Replay if the previous incarnation
-// recorded exactly this request, else Reject (it may have executed in
-// the ledger's unsynced window). Otherwise the request's Chan decides —
-// seeded from the ledger by the request that creates it, so a recovered
-// incarnation does not take a recorded request for new work.
-func (h *Host) Admit(r Request) (c *Chan, v Verdict, reply []byte) {
+// Admit runs a request through the duplicate filter; replay is the
+// recorded reply for Replay, as fresh messages of its own to push. A
+// stale epoch hint is decided against the ledger alone, with a nil Chan:
+// Replay if the previous incarnation recorded exactly this request, else
+// Reject (it may have executed in the ledger's unsynced window).
+// Otherwise the request's Chan decides — seeded from the ledger by the
+// request that creates it, so a recovered incarnation does not take a
+// recorded request for new work.
+func (h *Host) Admit(r Request) (c *Chan, v Verdict, replay []*msg.Msg) {
 	if r.Hint != 0 && r.Hint != uint16(h.boot.Load()) {
 		if e, ok := h.led.Lookup(r.Key); ok && e.ClientBoot == r.ClientBoot && e.Seq == r.Seq {
+			if replay = h.replayOf(r.Key, e); replay == nil {
+				return nil, Drop, nil
+			}
 			h.ledgerReplays.Add(1)
-			h.replays.Add(1)
 			trace.Printf(trace.Events, h.name, "ledger replay %v seq=%d (executed before crash)", r.Key, r.Seq)
-			return nil, Replay, e.Reply
+			return nil, Replay, replay
 		}
 		h.rejects.Add(1)
 		trace.Printf(trace.Events, h.name, "reject stale epoch %v seq=%d (hint %d, boot %d)", r.Key, r.Seq, r.Hint, h.boot.Load())
 		return nil, Reject, nil
 	}
 	c = h.chanFor(r)
-	v, reply = c.admit(r)
-	return c, v, reply
+	v, replay = c.admit(r)
+	return c, v, replay
+}
+
+// replayOf copies the reply e records out as messages to push, and counts
+// the replay: clones of the frames a ledger holds, or the frames of a
+// blob. A blob that does not decode is no reply to replay: nil.
+func (h *Host) replayOf(k ledger.Key, e ledger.Entry) []*msg.Msg {
+	var replay []*msg.Msg
+	if e.Frames != nil {
+		replay = make([]*msg.Msg, len(e.Frames))
+		for i, f := range e.Frames {
+			replay[i] = f.Clone()
+		}
+	} else {
+		frames, err := ledger.DecodeFrames(e.Reply)
+		if err != nil {
+			trace.Printf(trace.Events, h.name, "no replay %v seq=%d: %v", k, e.Seq, err)
+			return nil
+		}
+		replay = make([]*msg.Msg, len(frames))
+		for i, fb := range frames {
+			replay[i] = msg.New(fb)
+		}
+	}
+	h.replays.Add(1)
+	return replay
 }
 
 // chanFor finds or creates r's channel; only the request that creates it
@@ -193,7 +221,8 @@ type Capture struct{ ClientBoot, Seq uint32 }
 
 // Chan is one client channel's duplicate filter at the server. Its
 // mutex makes the decision atomic per channel: admission takes it, the
-// write-ahead Record takes it again. The reply lives in the ledger.
+// write-ahead Record takes it again. The reply lives in the ledger, and a
+// replay copies it out under the same lock.
 //
 // It executes one request at a time: a newer one (a higher seq, or a new
 // client incarnation) is acked meanwhile and supersedes it, so a late
@@ -208,13 +237,18 @@ type Chan struct {
 	executing  bool
 	superseded bool  // a newer request waits for the one executing
 	State      State // the engine's, set in the New path
+
+	// frames lists the reply Record hands the ledger: its own heap copy of
+	// the engine's list, which an interface call would otherwise move off
+	// the engine's stack on every reply.
+	frames []*msg.Msg
 }
 
 // Key names the channel in the ledger.
 func (c *Chan) Key() ledger.Key { return c.key }
 
 // admit is Admit's per-channel half: it returns with c locked for New.
-func (c *Chan) admit(r Request) (Verdict, []byte) {
+func (c *Chan) admit(r Request) (Verdict, []*msg.Msg) {
 	h := c.host
 	c.mu.Lock()
 	if c.executing && (c.clientBoot != r.ClientBoot || r.Seq > c.lastSeq) {
@@ -249,14 +283,16 @@ func (c *Chan) admit(r Request) (Verdict, []byte) {
 			trace.Printf(trace.Events, h.name, "explicit ack %v seq=%d", c.key, r.Seq)
 			return Ack, nil
 		}
-		e, ok := h.led.Lookup(c.key)
-		c.mu.Unlock()
-		if ok && e.ClientBoot == r.ClientBoot && e.Seq == r.Seq {
-			h.replays.Add(1)
-			trace.Printf(trace.Events, h.name, "replay reply %v seq=%d", c.key, r.Seq)
-			return Replay, e.Reply
+		var replay []*msg.Msg
+		if e, ok := h.led.Lookup(c.key); ok && e.ClientBoot == r.ClientBoot && e.Seq == r.Seq {
+			replay = h.replayOf(c.key, e)
 		}
-		return Drop, nil
+		c.mu.Unlock()
+		if replay == nil {
+			return Drop, nil
+		}
+		trace.Printf(trace.Events, h.name, "replay reply %v seq=%d", c.key, r.Seq)
+		return Replay, replay
 	}
 	// A new request implicitly acknowledges the previous reply, whose
 	// ledger entry is overwritten when this one records its own.
@@ -285,10 +321,11 @@ func (c *Chan) Captured() Capture {
 func (c *Chan) Release() { c.mu.Unlock() }
 
 // Record is the one write-ahead site: request cp's reply, framed as it
-// will leave, is recorded under cp before any frame of it is pushed. On an
-// error it must not be sent; ErrStaleReply (counted) refuses a request no
-// longer executing or superseded, and ends its execution.
-func (c *Chan) Record(cp Capture, reply []byte) error {
+// will leave, is recorded under cp before any frame of it is pushed; the
+// ledger keeps a copy, and the frames go on to be pushed. On an error they
+// must not be sent; ErrStaleReply (counted) refuses a request no longer
+// executing or superseded, and ends its execution.
+func (c *Chan) Record(cp Capture, frames ...*msg.Msg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	current := c.executing && cp == Capture{c.clientBoot, c.lastSeq}
@@ -300,8 +337,11 @@ func (c *Chan) Record(cp Capture, reply []byte) error {
 		c.host.stale.Add(1)
 		return ErrStaleReply
 	}
+	c.frames = append(c.frames[:0], frames...)
 	//xk:allow locksafety — write-ahead by design: Record must commit under c.mu before the reply leaves; its fsync Schedule only enqueues, the sync handler re-locks on a later dispatch
-	return c.host.led.Record(c.key, ledger.Entry{ClientBoot: cp.ClientBoot, Seq: cp.Seq, Reply: reply})
+	err := c.host.led.Record(c.key, ledger.Entry{ClientBoot: cp.ClientBoot, Seq: cp.Seq, Frames: c.frames})
+	clear(c.frames)
+	return err
 }
 
 // Abort ends request cp's execution with nothing recorded or sent, on an
@@ -314,15 +354,11 @@ func (c *Chan) Abort(cp Capture) {
 	c.mu.Unlock()
 }
 
-// ReplayBlob pushes a recorded reply through lls byte for byte, old boot
-// id and all, one push per frame.
-func ReplayBlob(lls xk.Session, blob []byte) error {
-	frames, err := ledger.DecodeFrames(blob)
-	if err != nil {
-		return err
-	}
-	for _, fb := range frames {
-		if err := lls.Push(msg.New(fb)); err != nil {
+// Resend pushes the reply Admit returned for Replay through lls, frame by
+// frame, byte for byte as it was recorded, old boot id and all.
+func Resend(lls xk.Session, replay []*msg.Msg) error {
+	for _, f := range replay {
+		if err := lls.Push(f); err != nil {
 			return err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xkernel/internal/ledger"
+	"xkernel/internal/msg"
 	"xkernel/internal/rpc/amo"
 	"xkernel/internal/xk"
 )
@@ -37,7 +38,7 @@ func serve(t *testing.T, h *amo.Host, r amo.Request, reply string, executing boo
 	if executing {
 		return ch, cp
 	}
-	if err := ch.Record(cp, ledger.EncodeFrames([]byte(reply))); err != nil {
+	if err := ch.Record(cp, msg.New([]byte(reply))); err != nil {
 		t.Fatal(err)
 	}
 	return ch, cp
@@ -166,7 +167,7 @@ func TestAdmission(t *testing.T) {
 			req:   request(6),
 			want:  amo.Ack, chans: 1,
 			then: func(t *testing.T, h *amo.Host, ch *amo.Chan, led ledger.ExecLedger) {
-				if err := ch.Record(parked, ledger.EncodeFrames([]byte("late"))); !errors.Is(err, amo.ErrStaleReply) {
+				if err := ch.Record(parked, msg.New([]byte("late"))); !errors.Is(err, amo.ErrStaleReply) {
 					t.Fatalf("the superseded handler's Record: %v, want ErrStaleReply", err)
 				}
 				if _, ok := led.Lookup(chanKey); ok {
@@ -188,10 +189,10 @@ func TestAdmission(t *testing.T) {
 			req:   amo.Request{Key: chanKey, Hint: uint16(thisBoot), ClientBoot: 2, Seq: 1},
 			want:  amo.Ack, chans: 1,
 			then: func(t *testing.T, h *amo.Host, ch *amo.Chan, led ledger.ExecLedger) {
-				if err := ch.Record(parked, ledger.EncodeFrames([]byte("orphan"))); !errors.Is(err, amo.ErrStaleReply) {
+				if err := ch.Record(parked, msg.New([]byte("orphan"))); !errors.Is(err, amo.ErrStaleReply) {
 					t.Fatalf("the orphan's Record: %v, want ErrStaleReply", err)
 				}
-				if err := ch.Record(parked, ledger.EncodeFrames([]byte("orphan"))); !errors.Is(err, amo.ErrStaleReply) {
+				if err := ch.Record(parked, msg.New([]byte("orphan"))); !errors.Is(err, amo.ErrStaleReply) {
 					t.Fatalf("a second Record of the same request: %v, want ErrStaleReply", err)
 				}
 				if got := h.Counts().StaleReplies; got != 2 {
@@ -206,7 +207,7 @@ func TestAdmission(t *testing.T) {
 				if got := led.Stats().Retires - before.Retires; got != 1 {
 					t.Fatalf("%d retirements at the flip, want 1", got)
 				}
-				if err := nch.Record(cp, ledger.EncodeFrames([]byte("new life"))); err != nil {
+				if err := nch.Record(cp, msg.New([]byte("new life"))); err != nil {
 					t.Fatal(err)
 				}
 				if e, ok := led.Lookup(chanKey); !ok || e.ClientBoot != 2 || e.Seq != 1 {
@@ -224,7 +225,7 @@ func TestAdmission(t *testing.T) {
 				row.setup(t, &h, led)
 			}
 			before := led.Stats()
-			ch, v, blob := h.Admit(row.req)
+			ch, v, replay := h.Admit(row.req)
 			if v == amo.New {
 				ch.Commit(row.req.Seq)
 			}
@@ -232,11 +233,8 @@ func TestAdmission(t *testing.T) {
 			if v != row.want {
 				t.Fatalf("verdict %d, want %d", v, row.want)
 			}
-			if v == amo.Replay {
-				frames, err := ledger.DecodeFrames(blob)
-				if err != nil || len(frames) != 1 || !bytes.Equal(frames[0], []byte(row.reply)) {
-					t.Fatalf("replays %q (%v), want %q", frames, err, row.reply)
-				}
+			if v == amo.Replay && (len(replay) != 1 || !bytes.Equal(replay[0].Bytes(), []byte(row.reply))) {
+				t.Fatalf("replays %v, want %q", replay, row.reply)
 			}
 			if got := after.Lookups - before.Lookups; got != row.lookups {
 				t.Errorf("%d ledger lookups, want %d", got, row.lookups)
@@ -268,7 +266,7 @@ func TestClientRebootResetsState(t *testing.T) {
 	st := &resetCounter{}
 	ch.State = st
 	cp := ch.Commit(5)
-	if err := ch.Record(cp, ledger.EncodeFrames([]byte("old"))); err != nil {
+	if err := ch.Record(cp, msg.New([]byte("old"))); err != nil {
 		t.Fatal(err)
 	}
 	ch, v, _ = h.Admit(amo.Request{Key: chanKey, Hint: uint16(thisBoot), ClientBoot: 2, Seq: 5})

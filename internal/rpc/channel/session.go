@@ -231,7 +231,7 @@ func (s *ServerSession) reply(cp amo.Capture, m *msg.Msg, code uint16) error {
 	h.encode(hb[:])
 	// Push consumes m: the header goes onto the handler's reply itself.
 	m.MustPush(hb[:])
-	if err := s.ch.Record(cp, ledger.EncodeMsgs(m)); err != nil {
+	if err := s.ch.Record(cp, m); err != nil {
 		return fmt.Errorf("%s: reply chan=%d seq=%d: %w", p.Name(), k.Channel, cp.Seq, err)
 	}
 	return s.Down(0).Push(m)
@@ -266,7 +266,7 @@ func (p *Protocol) serveRequest(h header, peer xk.IPAddr, m *msg.Msg, lls xk.Ses
 	if hlp == nil {
 		return fmt.Errorf("%s: proto %d: %w", p.Name(), proto, xk.ErrNoSession)
 	}
-	ch, v, blob := p.host.Admit(amo.Request{
+	ch, v, replay := p.host.Admit(amo.Request{
 		Key:        ledger.Key{Peer: peer, Proto: h.protoNum, Channel: h.channel},
 		Hint:       h.errCode,
 		ClientBoot: h.bootID,
@@ -276,7 +276,7 @@ func (p *Protocol) serveRequest(h header, peer xk.IPAddr, m *msg.Msg, lls xk.Ses
 	case amo.Reject:
 		return p.sendControl(h, flagReply, errRebooted, lls)
 	case amo.Replay:
-		return amo.ReplayBlob(lls, blob)
+		return amo.Resend(lls, replay)
 	case amo.Ack:
 		p.ctr.acksSent.Add(1)
 		return p.sendControl(h, flagAck, errOK, lls)

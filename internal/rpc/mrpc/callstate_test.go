@@ -8,6 +8,7 @@ import (
 
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
+	"xkernel/internal/rpc/fragmask"
 	"xkernel/internal/rpc/retry"
 	"xkernel/internal/xk"
 )
@@ -44,10 +45,18 @@ type pipeSession struct {
 	p, far *pipeProto
 }
 
+// Push delivers a copy of m and consumes m itself, as the receiving host
+// does with a frame on the simulator's message path: it is popped to its
+// end, so a pusher that kept m rather than a copy finds it emptied.
 func (s *pipeSession) Push(m *msg.Msg) error {
 	s.p.frames++
 	fr := m.Bytes()
 	s.p.sent = append(s.p.sent, fr)
+	for m.Len() > 0 {
+		if _, err := m.Pop(min(7, m.Len())); err != nil {
+			return err
+		}
+	}
 	if s.p.lose != nil && s.p.lose(s.p.frames) {
 		return nil
 	}
@@ -320,5 +329,55 @@ func TestCallCountsFragmentsBeforeCutting(t *testing.T) {
 	}
 	if cliWire.frames != 0 {
 		t.Fatalf("refused request put %d frames on the wire", cliWire.frames)
+	}
+}
+
+// TestReplayIsTheRecordedFrames: a reply whose last frame is lost is
+// replayed from the ledger when the retransmission finds the request
+// finished, and every replayed frame leaves byte for byte as the original
+// did, though the originals were consumed by the pipe below when they
+// were sent. One frame, and a 4 KB echo's three.
+func TestReplayIsTheRecordedFrames(t *testing.T) {
+	for _, size := range []int{64, 4096} {
+		cli, srv, _, srvWire := newPipe(t)
+		s := openPipe(t, cli)
+		clock := cli.cfg.Clock.(*event.FakeClock)
+		frames := fragmask.Count(size, cli.cfg.MaxPacket-HeaderLen)
+		srvWire.lose = func(n int) bool { return n == frames }
+		payload := msg.MakeData(size)
+		done := make(chan error, 1)
+		go func() {
+			reply, err := s.Call(1, msg.New(payload))
+			if err == nil && !bytes.Equal(reply.Bytes(), payload) {
+				err = errors.New("the echo came back changed")
+			}
+			done <- err
+		}()
+		for waiting := true; waiting; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%d bytes: %v", size, err)
+				}
+				waiting = false
+			default:
+				clock.Advance(cli.cfg.RetransmitInterval)
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		st := srv.Stats()
+		if st.RequestsServed != 1 || st.ReplayedReplies == 0 {
+			t.Fatalf("%d bytes: served %d, replayed %d; want 1 and some", size, st.RequestsServed, st.ReplayedReplies)
+		}
+		// Each retransmitted request frame draws a whole replay.
+		sent := srvWire.sent
+		if want := frames * int(1+st.ReplayedReplies); len(sent) != want {
+			t.Fatalf("%d bytes: the server sent %d frames, want %d: the reply and %d replays", size, len(sent), want, st.ReplayedReplies)
+		}
+		for i := frames; i < len(sent); i++ {
+			if !bytes.Equal(sent[i], sent[i%frames]) {
+				t.Fatalf("%d bytes: frame %d of replay %d differs from the original", size, i%frames, i/frames)
+			}
+		}
 	}
 }

@@ -19,7 +19,7 @@ func (c *collector) ClientRebooted() { c.reset() }
 // at-most-once core decides, and a request of several fragments collects
 // under the channel's lock between the core's New and its Commit.
 func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
-	ch, v, blob := p.host.Admit(amo.Request{
+	ch, v, replay := p.host.Admit(amo.Request{
 		Key:        ledger.Key{Peer: h.clntHost, Proto: uint32(p.cfg.Proto), Channel: h.channel},
 		Hint:       h.srvrProc,
 		ClientBoot: h.bootID,
@@ -32,7 +32,7 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 		// "timeouts trigger retransmissions which sometimes elicit
 		// explicit acknowledgements" — or, here, a replay of the
 		// recorded reply.
-		return amo.ReplayBlob(lls, blob)
+		return amo.Resend(lls, replay)
 	case amo.Ack:
 		// Still working, on this request or one it waits behind: the
 		// full mask makes the client's next attempt re-probe with all.
@@ -112,7 +112,7 @@ func (p *Protocol) execute(h header, ch *amo.Chan, cp amo.Capture, handler Handl
 
 	// Write-ahead: the framed reply is recorded before any fragment of it
 	// leaves this host.
-	if err := ch.Record(cp, ledger.EncodeMsgs(frames...)); err != nil {
+	if err := ch.Record(cp, frames...); err != nil {
 		return fmt.Errorf("%s: reply seq=%d: %w", p.Name(), h.seq, err)
 	}
 

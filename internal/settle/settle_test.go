@@ -1,6 +1,7 @@
 package settle
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -22,13 +23,8 @@ func TestGoroutinesSettlesAfterExit(t *testing.T) {
 }
 
 func TestGoroutinesReportsStuck(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	release := make(chan struct{})
-	go func() { <-release }()
-	defer close(release)
-	for runtime.NumGoroutine() < baseline+1 {
-		runtime.Gosched()
-	}
+	baseline := quietCount()
+	defer parkOne()()
 	// A goroutine that never exits must be reported, not waited for
 	// forever; zero patience keeps this to the yield-only phase.
 	if n := Goroutines(baseline, 0); n <= baseline {
@@ -51,15 +47,10 @@ func TestExpect(t *testing.T) {
 		t.Fatalf("clean settle reported an error (helper=%v errs=%d)", ok.helper, ok.errs)
 	}
 
-	release := make(chan struct{})
-	go func() { <-release }()
-	defer close(release)
-	baseline := runtime.NumGoroutine() - 1
-	for runtime.NumGoroutine() < baseline+1 {
-		runtime.Gosched()
-	}
+	baseline := quietCount()
+	defer parkOne()()
 	var leaky fakeTB
-	Expect(&leaky, baseline-1, 0)
+	Expect(&leaky, baseline, 0)
 	if leaky.errs != 1 {
 		t.Fatalf("leak not reported (errs=%d)", leaky.errs)
 	}
@@ -98,4 +89,59 @@ func TestWatchParked(t *testing.T) {
 	for !w.Parked() { // an exited goroutine will do nothing more either
 		runtime.Gosched()
 	}
+}
+
+// parkOne starts a goroutine that stays parked until the returned release
+// is called, and release returns only once it has exited: a goroutine
+// still unwinding would be counted in the next test's baseline and leave
+// that test when it exits, reading as settled.
+func parkOne() (release func()) {
+	watch := make(chan *Watch)
+	unpark := make(chan struct{})
+	go func() {
+		watch <- WatchSelf()
+		<-unpark
+	}()
+	w := <-watch
+	return func() {
+		close(unpark)
+		for !w.Parked() { // released, it cannot park again: Parked means exited
+			runtime.Gosched()
+		}
+	}
+}
+
+// quietCount is the goroutine count once no other goroutine is running
+// or runnable. A goroutine on its way out, such as the previous test's
+// runner after it signals completion, is one of those; the count is
+// taken only after it is gone, so it cannot leave during the test. The
+// wait is bounded by the yield budget Goroutines has, so a goroutine that
+// never stops running cannot hang the test.
+func quietCount() int {
+	buf := make([]byte, 64<<10)
+	for i := 0; i < spinRounds; i++ {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		if !othersActive(buf[:n]) {
+			break
+		}
+		runtime.Gosched()
+	}
+	return runtime.NumGoroutine()
+}
+
+// othersActive reports whether an all-goroutine stack dump shows any
+// goroutine but the first, the caller's own, running or runnable.
+func othersActive(dump []byte) bool {
+	for _, g := range bytes.Split(dump, []byte("\n\ngoroutine "))[1:] {
+		_, state, _ := bytes.Cut(g, []byte("["))
+		state = state[:bytes.IndexAny(state, ",]")]
+		if s := string(state); s == "running" || s == "runnable" {
+			return true
+		}
+	}
+	return false
 }

@@ -740,8 +740,3 @@ func (n *Network) RegisterGauges(set *gauge.Set, prefix string) {
 func serializationTime(length int, bps int64) time.Duration {
 	return time.Duration(int64(length) * 8 * int64(time.Second) / bps)
 }
-
-// WireTimeFor exposes the serialization model for the analytic cost model.
-func WireTimeFor(bytes int, bps int64) time.Duration {
-	return serializationTime(bytes, bps)
-}

@@ -259,12 +259,6 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-func TestWireTimeFor(t *testing.T) {
-	if got := WireTimeFor(1250, 10_000_000); got != time.Millisecond {
-		t.Fatalf("WireTimeFor = %v, want 1ms", got)
-	}
-}
-
 func TestAsyncDelivery(t *testing.T) {
 	n := New(Config{Async: true})
 	a, _ := collect(t, n, addrA)

@@ -41,6 +41,11 @@ go run ./cmd/xkvet -allows ./...
 
 echo "== go test -race (with coverage profile) =="
 go test -race -covermode=atomic -coverprofile=coverage.out ./...
+# The leak reporter's own contract, repeated: a parked goroutine must be
+# reported on every run, so a baseline taken while another goroutine is
+# still exiting (the previous test's runner, or its own released one)
+# shows here as a failure, not as a rare flake in the suite above.
+go test -race -count=50 ./internal/settle/ -run 'TestGoroutinesReportsStuck|TestExpect'
 
 echo "== coverage floor =="
 # The profile doubles as a CI artifact; the floor catches a PR that
@@ -95,9 +100,14 @@ go test -race -count=3 ./internal/rpc/mrpc/ -run 'TestPartialMaskRetransmissionI
 # lost after an explicit ack in each engine, a late handler's reply never
 # reaching the next call (bare, and under SELECT), an execution that fails
 # before its reply freeing its channel, and REQUEST_REPLY on the shared
-# slot.
+# slot. Then the held reply: the ledger keeps each reply's frames by value,
+# so a replay after the originals were pushed and consumed leaves byte for
+# byte as they did (CHANNEL's one frame and spilled echo, M.RPC's three
+# frames), and frames a replay borrowed outlive later records on the key.
 go test -race -count=3 ./internal/rpc/amo/
-go test -race -count=3 ./internal/rpc/channel/ ./internal/rpc/mrpc/ -run 'TestReplyLostAfterAckIsReplayed|TestLateHandlerNeverAnswersTheNextCall|TestRefusedOpenFailsOnlyItsCall|TestUnframeableReplyFailsOnlyItsCall'
+go test -race -count=3 ./internal/rpc/channel/ ./internal/rpc/mrpc/ -run 'TestReplyLostAfterAckIsReplayed|TestLateHandlerNeverAnswersTheNextCall|TestRefusedOpenFailsOnlyItsCall|TestUnframeableReplyFailsOnlyItsCall|TestReplayIsTheRecordedFrame'
+go test -race -count=3 ./internal/ledger/ -run 'TestMemHoldsFramesByValue|TestMemLentFramesOutliveLaterRecords|TestFileRecordsFramesAsTheirBlob'
+go test -race -count=3 ./internal/msg/ -run 'TestHoldIntoNeverAliasesTheSource'
 go test -race -count=3 ./internal/rpc/sunrpc/
 go test -race -count=3 ./internal/rpc/selectp/ -run 'TestLateHandlerOverChannel'
 # The publication points of the lock-free per-message path (DESIGN.md §4
@@ -118,9 +128,13 @@ echo "== allocation budgets (exact allocs per round trip, no race detector) =="
 # cutter to its slab rule: a slab per four fragments, and exactly the
 # bytes one object per fragment would take (a Msg is 312 bytes, 320 with
 # its size class); FRAGMENT's resend of k fragments costs those slabs.
+# The hold rows keep the ledger's copy of each reply free: a message held
+# into storage that held one of its shape allocates nothing, spilled chain
+# and all, and neither does ledger.Mem recording reply after reply.
 go test -count=1 ./internal/bench/ -run 'TestAllocBudgets'
 go test -count=1 ./internal/wire/udp/ -run 'TestSendMsgAllocations'
-go test -count=1 ./internal/msg/ -run 'TestMsgIs312Bytes|TestCutterIsByteNeutral'
+go test -count=1 ./internal/msg/ -run 'TestMsgIs312Bytes|TestCutterIsByteNeutral|TestHoldIntoIsAllocationFree'
+go test -count=1 ./internal/ledger/ -run 'TestMemHoldIsAllocationFree'
 go test -count=1 ./internal/rpc/fragment/ -run 'TestResendAllocatesItsSlabs'
 
 echo "== chaos smoke (partition+reboot per stack family) =="
