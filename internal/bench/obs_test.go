@@ -154,13 +154,13 @@ var wireGolden = map[Stack]string{
 	MRPCEth:        "f30cd8d6226f7c77733da9a6",
 	MRPCIP:         "1130ea5eeb30834b6cf6432b",
 	MRPCVIP:        "f30cd8d6226f7c77733da9a6", // local peer: VIP picks ETH, so M_RPC-ETH's wire
-	SelChanFragVIP: "fed8adafd1006a33a8b2f68d",
+	SelChanFragVIP: "48721a0b9dd6ac4d55020ca7", // SELECT's pool keeps a lone caller on channel 0
 	ChanFragVIP:    "5358b0c026dac1eabbdf02b2",
 	FragVIP:        "e26820fc529385e6e0b7a1e9",
 	VIPOnly:        "1725274a824887306545e6dd",
-	SelChanVIPsize: "f32c7e7f1685b3038258377f",
+	SelChanVIPsize: "f9e8ab72dfe5df6e4aeef82d", // likewise
 	UDPIP:          "0251cebebfa15f8b767e98da",
-	SunRPCVIP:      "ba3c96d7b1bd6b0f7c093713",
+	SunRPCVIP:      "5813119b77b07c0b12b80651", // likewise SUN_SELECT's, on REQUEST_REPLY's channel 0
 }
 
 func wireDigest(frames []sim.FrameRecord) string {

@@ -144,6 +144,11 @@ func (p *Protocol) receive(m *msg.Msg) {
 	}
 }
 
+// testHookPassiveOpen, when a test sets it, runs in a passive open between
+// building the session and binding it: the window in which a concurrent
+// first contact from the same peer builds a session of its own.
+var testHookPassiveOpen func()
+
 // Demux routes a received frame: first to the session bound to
 // (type, source), then to the session bound to (type, broadcast) — which
 // is how ARP's broadcast session hears every ARP frame — and finally to
@@ -171,7 +176,13 @@ func (p *Protocol) Demux(_ xk.Session, m *msg.Msg) error {
 	if v, ok := p.enables.Resolve(kb.Reset().U16(uint16(t)).Built()); ok {
 		hlp := v.(xk.Protocol)
 		s := newSession(p, hlp, t, src)
-		p.active.Bind(key(&kb, t, src), s)
+		if testHookPassiveOpen != nil {
+			testHookPassiveOpen()
+		}
+		if cur, inserted := p.active.BindIfAbsent(key(&kb, t, src), s); !inserted {
+			// A concurrent first contact bound its session first.
+			return cur.(*session).Pop(nil, m)
+		}
 		ps := xk.NewParticipants(
 			xk.NewParticipant(t),
 			xk.NewParticipant(src),

@@ -320,7 +320,10 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		p.mu.Unlock()
 		if hlp != nil {
 			conn := newConn(p, hlp, h.dst, h.src, rhost, lls, false)
-			p.active.Bind(key(&kb, h.dst, h.src, rhost), conn)
+			if cur, inserted := p.active.BindIfAbsent(key(&kb, h.dst, h.src, rhost), conn); !inserted {
+				// A duplicate SYN raced the first one: one connection.
+				return cur.(*Conn).segment(h, payload)
+			}
 			if trace.Enabled(trace.Events) {
 				trace.Printf(trace.Events, p.Name(), "passive open %d <- %s:%d", h.dst, rhost, h.src)
 			}

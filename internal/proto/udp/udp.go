@@ -127,6 +127,11 @@ func (p *Protocol) OpenDone(llp xk.Protocol, lls xk.Session, ps *xk.Participants
 	return nil
 }
 
+// testHookPassiveOpen, when a test sets it, runs in a passive open between
+// building the session and binding it: the window in which a concurrent
+// first contact from the same peer builds a session of its own.
+var testHookPassiveOpen func()
+
 // Demux dispatches a datagram on (dst port, src port, src host).
 func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	hdr, err := m.Pop(HeaderLen)
@@ -160,7 +165,13 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	if v, ok := p.enables.Resolve(kb.Reset().U16(uint16(dport)).Built()); ok {
 		hlp := v.(xk.Protocol)
 		s := newSession(p, hlp, dport, sport, rhost, lls)
-		p.active.Bind(key(&kb, dport, sport, rhost), s)
+		if testHookPassiveOpen != nil {
+			testHookPassiveOpen()
+		}
+		if cur, inserted := p.active.BindIfAbsent(key(&kb, dport, sport, rhost), s); !inserted {
+			// A concurrent first contact bound its session first.
+			return cur.(*session).Pop(lls, m)
+		}
 		ps := xk.NewParticipants(
 			xk.NewParticipant(dport),
 			xk.NewParticipant(rhost, sport),

@@ -309,6 +309,11 @@ func (p *Protocol) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
+// testHookPassiveOpen, when a test sets it, runs in a passive open between
+// building the session and binding it: the window in which a concurrent
+// first contact from the same peer builds a session of its own.
+var testHookPassiveOpen func()
+
 // Demux routes data fragments and resend requests to the session for
 // (protocol number, peer host), creating it passively on first contact.
 func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
@@ -334,7 +339,15 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		return fmt.Errorf("%s: proto %d from %s: %w", p.Name(), proto, peer, xk.ErrNoSession)
 	}
 	s := newSession(p, hlp, proto, peer, lls)
-	p.active.Bind(key(&kb, proto, peer), s)
+	if testHookPassiveOpen != nil {
+		testHookPassiveOpen()
+	}
+	if cur, inserted := p.active.BindIfAbsent(key(&kb, proto, peer), s); !inserted {
+		// A concurrent first contact from the same peer bound its
+		// session first. The frame is that session's; s was never
+		// published and has nothing armed.
+		return cur.(*session).receive(h, m, lls)
+	}
 	pps := xk.NewParticipants(
 		xk.NewParticipant(proto),
 		xk.NewParticipant(peer),

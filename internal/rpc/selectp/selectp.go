@@ -4,7 +4,10 @@
 // good RPC performance requires: because Sprite has a fixed, predefined
 // number of channels, SELECT keeps a fixed pool of open CHANNEL sessions
 // and "simply chooses one of the existing channels when an RPC is
-// invoked; it blocks if there are none available".
+// invoked; it blocks if there are none available". The pool is a
+// chanpool.Pool: a call takes the lowest free channel, so a lone caller
+// rides one channel, and a caller parks only when every channel is busy,
+// to be served in arrival order.
 //
 // SELECT is a separate protocol rather than a piece of CHANNEL so that
 // different procedure-addressing schemes can be swapped in; the package
@@ -27,6 +30,7 @@ import (
 	"xkernel/internal/obs/gauge"
 	"xkernel/internal/proto/ip"
 	"xkernel/internal/rpc/channel"
+	"xkernel/internal/rpc/chanpool"
 	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
@@ -131,7 +135,7 @@ func (p *Protocol) PoolFree() int64 {
 	defer p.mu.RUnlock()
 	var free int64
 	for _, s := range p.sessions {
-		free += int64(len(s.pool))
+		free += int64(s.pool.Free())
 	}
 	return free
 }
@@ -144,7 +148,7 @@ func (p *Protocol) PoolBusy() int64 {
 	defer p.mu.RUnlock()
 	var busy int64
 	for _, s := range p.sessions {
-		busy += int64(cap(s.pool) - len(s.pool))
+		busy += int64(s.pool.Busy())
 	}
 	return busy
 }
@@ -194,9 +198,8 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	}
 	p.mu.Unlock()
 
-	s := &Session{p: p, remote: remote, pool: make(chan xk.Session, p.cfg.NumChannels)}
-	s.InitSession(p, hlp)
-	for i := 0; i < p.cfg.NumChannels; i++ {
+	lower := make([]caller, p.cfg.NumChannels)
+	for i := range lower {
 		cs, err := p.llp.Open(p, xk.NewParticipants(
 			xk.NewParticipant(p.cfg.Proto, channel.ID(i)),
 			xk.NewParticipant(remote),
@@ -204,8 +207,14 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 		if err != nil {
 			return nil, fmt.Errorf("%s: opening channel %d: %w", p.Name(), i, err)
 		}
-		s.pool <- cs
+		c, ok := cs.(caller)
+		if !ok {
+			return nil, fmt.Errorf("%s: %s sessions cannot call: %w", p.Name(), p.llp.Name(), xk.ErrOpNotSupported)
+		}
+		lower[i] = c
 	}
+	s := &Session{p: p, remote: remote, pool: chanpool.New(lower)}
+	s.InitSession(p, hlp)
 	p.mu.Lock()
 	if cur, ok := p.sessions[remote]; ok {
 		p.mu.Unlock()
@@ -271,12 +280,18 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	return lls.Push(reply)
 }
 
+// caller is a channel-shaped lower session, typed once at Open.
+type caller interface {
+	xk.Session
+	Call(*msg.Msg) (*msg.Msg, error)
+}
+
 // Session is a client binding to one server, holding the channel pool.
 type Session struct {
 	xk.BaseSession
 	p      *Protocol
 	remote xk.IPAddr
-	pool   chan xk.Session
+	pool   *chanpool.Pool[caller]
 }
 
 // Remote reports the server host.
@@ -289,22 +304,15 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 	if s.Closed() {
 		return nil, xk.ErrClosed
 	}
-	cs := <-s.pool
-	defer func() { s.pool <- cs }()
-
 	var hb [HeaderLen]byte
 	hb[0] = typeRequest
 	binary.BigEndian.PutUint16(hb[1:3], command)
 	// Call consumes args: the header goes onto the caller's message.
 	args.MustPush(hb[:])
 
-	caller, ok := cs.(interface {
-		Call(*msg.Msg) (*msg.Msg, error)
-	})
-	if !ok {
-		return nil, fmt.Errorf("%s: lower session cannot call", s.p.Name())
-	}
-	reply, err := caller.Call(args)
+	i, cs := s.pool.Take()
+	reply, err := cs.Call(args)
+	s.pool.Put(i)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +355,7 @@ func (s *Session) Control(op xk.ControlOp, arg any) (any, error) {
 	case xk.CtlGetPeerHost:
 		return s.remote, nil
 	case xk.CtlFreeChannels:
-		return len(s.pool), nil
+		return s.pool.Free(), nil
 	case xk.CtlGetMTU:
 		return s.p.Control(xk.CtlGetMTU, nil)
 	default:
@@ -355,7 +363,8 @@ func (s *Session) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close drains and closes the channel pool.
+// Close drains the channel pool, waiting out calls in flight, and closes
+// every channel.
 func (s *Session) Close() error {
 	if !s.MarkClosed() {
 		return nil
@@ -364,11 +373,10 @@ func (s *Session) Close() error {
 	delete(s.p.sessions, s.remote)
 	s.p.mu.Unlock()
 	var first error
-	for i := 0; i < cap(s.pool); i++ {
-		cs := <-s.pool
+	s.pool.Drain(func(cs caller) {
 		if err := cs.Close(); err != nil && first == nil {
 			first = err
 		}
-	}
+	})
 	return first
 }

@@ -29,7 +29,7 @@ type bed struct {
 	clock    *event.FakeClock
 	network  *sim.Network
 	cs, ss   *selectp.Protocol
-	sc       *channel.Protocol // the server's CHANNEL, under ss
+	cc, sc   *channel.Protocol // the client's and server's CHANNEL, under cs and ss
 	unblock  chan struct{}
 	inflight *sync.WaitGroup
 }
@@ -64,7 +64,7 @@ func build(t *testing.T, netCfg sim.Config, scfg selectp.Config) *bed {
 		return s, c
 	}
 	b := &bed{clock: clock, network: network, unblock: make(chan struct{}), inflight: &sync.WaitGroup{}}
-	b.cs, _ = mk(client)
+	b.cs, b.cc = mk(client)
 	b.ss, b.sc = mk(server)
 
 	b.ss.Register(cmdEcho, func(_ uint16, args *msg.Msg) (*msg.Msg, error) {

@@ -9,6 +9,11 @@
 // REQUEST_REPLY (classic Sun RPC behaviour), over CHANNEL (upgrading to
 // at-most-once semantics), and over either of those on top of FRAGMENT
 // (persistent bulk transfer) instead of relying on IP fragmentation.
+//
+// SUN_SELECT keeps a fixed pool of lower sessions per server, as SELECT
+// keeps its channels: a chanpool.Pool, typed as Callers at Open, from
+// which a call takes the lowest free session and parks only when every
+// one is busy.
 package sunrpc
 
 import (

@@ -7,6 +7,7 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/ip"
 	"xkernel/internal/rpc/channel"
+	"xkernel/internal/rpc/chanpool"
 	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
@@ -29,6 +30,12 @@ type Handler func(args *msg.Msg) (*msg.Msg, error)
 // auth-layer sessions wrapping either all implement it.
 type Caller interface {
 	Call(m *msg.Msg) (*msg.Msg, error)
+}
+
+// callerSession is a lower session typed once, at Open, as a Caller.
+type callerSession interface {
+	xk.Session
+	Caller
 }
 
 // SelectError is a server-reported dispatch failure.
@@ -174,9 +181,8 @@ func (p *Select) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) 
 		return s, nil
 	}
 	p.mu.Unlock()
-	s := &SelectSession{p: p, remote: remote, pool: make(chan Caller, p.cfg.NumSessions)}
-	s.InitSession(p, hlp)
-	for i := 0; i < p.cfg.NumSessions; i++ {
+	lower := make([]callerSession, p.cfg.NumSessions)
+	for i := range lower {
 		lls, err := p.llp.Open(p, xk.NewParticipants(
 			xk.NewParticipant(p.cfg.Proto, channel.ID(i)),
 			xk.NewParticipant(remote),
@@ -184,12 +190,14 @@ func (p *Select) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) 
 		if err != nil {
 			return nil, fmt.Errorf("%s: opening lower session %d: %w", p.Name(), i, err)
 		}
-		c, ok := lls.(Caller)
+		c, ok := lls.(callerSession)
 		if !ok {
-			return nil, fmt.Errorf("%s: %s sessions cannot call", p.Name(), p.llp.Name())
+			return nil, fmt.Errorf("%s: %s sessions cannot call: %w", p.Name(), p.llp.Name(), xk.ErrOpNotSupported)
 		}
-		s.pool <- c
+		lower[i] = c
 	}
+	s := &SelectSession{p: p, remote: remote, pool: chanpool.New(lower)}
+	s.InitSession(p, hlp)
 	p.mu.Lock()
 	if cur, ok := p.sessions[remote]; ok {
 		p.mu.Unlock()
@@ -237,7 +245,7 @@ type SelectSession struct {
 	xk.BaseSession
 	p      *Select
 	remote xk.IPAddr
-	pool   chan Caller
+	pool   *chanpool.Pool[callerSession]
 }
 
 // Remote reports the server host.
@@ -248,12 +256,11 @@ func (s *SelectSession) Call(prog, vers, proc uint32, args *msg.Msg) (*msg.Msg, 
 	if s.Closed() {
 		return nil, xk.ErrClosed
 	}
-	c := <-s.pool
-	defer func() { s.pool <- c }()
-
 	out := encodeCallHeader(prog, vers, proc)
 	out.Join(args)
+	i, c := s.pool.Take()
 	reply, err := c.Call(out)
+	s.pool.Put(i)
 	if err != nil {
 		return nil, err
 	}
@@ -287,13 +294,14 @@ func (s *SelectSession) Control(op xk.ControlOp, arg any) (any, error) {
 	case xk.CtlGetPeerHost:
 		return s.remote, nil
 	case xk.CtlFreeChannels:
-		return len(s.pool), nil
+		return s.pool.Free(), nil
 	default:
 		return nil, xk.ErrOpNotSupported
 	}
 }
 
-// Close drains the pool.
+// Close drains the pool, waiting out calls in flight, and closes every
+// lower session.
 func (s *SelectSession) Close() error {
 	if !s.MarkClosed() {
 		return nil
@@ -301,11 +309,6 @@ func (s *SelectSession) Close() error {
 	s.p.mu.Lock()
 	delete(s.p.sessions, s.remote)
 	s.p.mu.Unlock()
-	for i := 0; i < cap(s.pool); i++ {
-		c := <-s.pool
-		if cs, ok := c.(xk.Session); ok {
-			_ = cs.Close()
-		}
-	}
+	s.pool.Drain(func(c callerSession) { _ = c.Close() })
 	return nil
 }

@@ -117,6 +117,14 @@ go test -race -count=3 ./internal/rpc/selectp/ -run 'TestLateHandlerOverChannel'
 # rebind has already replaced.
 go test -race -count=3 ./internal/xk/ -run 'TestBaseSessionPublicationRace|TestMarkClosedExactlyOnce|TestSetUnchangedPublishesNothing'
 go test -race -count=3 ./internal/pmap/ -run 'TestResolveAfterUnbindNeverStale|TestLastKeyCacheSequences|TestConcurrentMapVsModel|TestResolveAllocatesNothing'
+# The slot pool SELECT and SUN_SELECT lend channels from (a lone caller
+# keeps one channel, a parked caller wakes and is never barged past, Close
+# waits out a call in flight, the gauges read one set of flags), and N
+# first-contact frames from one peer racing a passive open: one session
+# bound and one OpenDone, in FRAGMENT, ETH and UDP.
+go test -race -count=3 ./internal/rpc/chanpool/
+go test -race -count=3 ./internal/rpc/selectp/ -run 'TestLoneCallerRidesOneChannel|TestParkedCallerIsNotBargedPast|TestCloseWaitsForTheCallInFlight|TestPoolGaugesAgree|TestChannelPoolBlocksWhenExhausted|TestOpenRefusesALowerSessionThatCannotCall'
+go test -race -count=3 ./internal/rpc/fragment/ ./internal/proto/eth/ ./internal/proto/udp/ -run 'TestFirstContactBindsOneSession'
 
 echo "== allocation budgets (exact allocs per round trip, no race detector) =="
 # internal/bench/allocs_test.go and internal/wire/udp/allocs_test.go are
