@@ -31,6 +31,15 @@
 // worst case is keys of one shard alternating — every Resolve then misses
 // and stores; the benchmark's pmap.resolve_ns row rotates 64 keys and is
 // that case (reported, not gated), while a stack's demux is the hit.
+//
+// The map is also the session cache (§5, "always cache open sessions"):
+// Open shares a key's session or builds and binds one, Accept is a
+// passive open's build-or-use-the-winner, and each binding counts its
+// holders under the shard's write lock. A session's Close is Release;
+// only the last one unbinds it, and only then does its protocol close
+// what is below, so one opener's Close never closes a session another
+// holds, and an Open racing the last Close never returns the session it
+// closes. Resolve counts nothing.
 package pmap
 
 import (
@@ -51,6 +60,7 @@ const shardCount = 16
 // values (sessions in active maps, enable records in passive maps).
 type Map struct {
 	shards [shardCount]shard
+	built  func() // SetBuildHook's; nil outside tests
 }
 
 type shard struct {
@@ -61,10 +71,12 @@ type shard struct {
 	last atomic.Pointer[binding]
 }
 
-// binding is one key → value record, immutable once in a shard.
+// binding is one key → value record. key and v are immutable once in a
+// shard; opens, its holder count, moves only under the write lock.
 type binding struct {
-	key string
-	v   any
+	key   string
+	v     any
+	opens int
 }
 
 func (b *binding) value() (any, bool) {
@@ -106,26 +118,98 @@ func (m *Map) Bind(key []byte, v any) (prev any, existed bool) {
 	return old.value()
 }
 
-// put binds key to a fresh record and clears the last-key cache. Caller
-// holds s.mu.
+// put binds key to a fresh record with one holder and clears the
+// last-key cache. Caller holds s.mu.
 func (s *shard) put(key []byte, v any) {
 	k := string(key)
-	s.m[k] = &binding{k, v}
+	s.m[k] = &binding{k, v, 1}
 	s.last.Store(nil)
 }
 
 // BindIfAbsent associates key with v only if no binding exists; it returns
 // the binding now in force and whether it was newly inserted.
 func (m *Map) BindIfAbsent(key []byte, v any) (cur any, inserted bool) {
+	cur, found := m.hold(key, v, false)
+	return cur, !found
+}
+
+// hold returns key's binding, counting one more holder of it if count is
+// set; on a miss it binds a non-nil v with a count of one.
+func (m *Map) hold(key []byte, v any, count bool) (cur any, found bool) {
 	s := m.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev := s.m[string(key)]; prev != nil {
-		return prev.v, false
+	if b := s.m[string(key)]; b != nil {
+		if count {
+			b.opens++
+		}
+		return b.v, true
 	}
-	s.put(key, v)
-	return v, true
+	if v != nil {
+		s.put(key, v)
+	}
+	return v, false
 }
+
+// Open returns key's value with its caller counted as one more holder.
+// On a miss, build runs outside any lock and its value is bound with a
+// count of one. If a racer bound key first, the built value goes to
+// undo, which releases what build opened below, and the winner is shared
+// instead. Each holder gives its count back once, with Release.
+func Open[V any](m *Map, key []byte, build func() (V, error), undo func(V)) (V, error) {
+	if cur, ok := m.hold(key, nil, true); ok {
+		return cur.(V), nil
+	}
+	v, _, err := bind(m, key, true, build, undo)
+	return v, err
+}
+
+// Accept is Open for a caller whose lookup already missed and who binds
+// the value for a protocol, not for itself: a passive open, whose
+// OpenDone announces a fresh value, or a protocol's own table of lower
+// sessions. The count of one is that protocol's; a loser is handed the
+// winner uncounted.
+func Accept[V any](m *Map, key []byte, build func() (V, error), undo func(V)) (v V, fresh bool, err error) {
+	return bind(m, key, false, build, undo)
+}
+
+func bind[V any](m *Map, key []byte, count bool, build func() (V, error), undo func(V)) (V, bool, error) {
+	v, err := build()
+	if err != nil {
+		return v, false, err
+	}
+	if m.built != nil {
+		m.built()
+	}
+	cur, found := m.hold(key, v, count)
+	if found && undo != nil {
+		undo(v)
+	}
+	return cur.(V), !found, nil
+}
+
+// Release gives back one holder's count on v's binding at key, reporting
+// whether it was the last: then key is unbound and the caller closes
+// what v holds below. A v no longer bound at key counts nothing.
+func (m *Map) Release(key []byte, v any) (last bool) {
+	s := m.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.m[string(key)]
+	if b == nil || b.v != v {
+		return false
+	}
+	if b.opens--; b.opens > 0 {
+		return false
+	}
+	delete(s.m, string(key))
+	s.last.Store(nil)
+	return true
+}
+
+// SetBuildHook is a test seam: f runs in Open and Accept between build
+// and bind, the window a racing opener of the key builds in.
+func (m *Map) SetBuildHook(f func()) { m.built = f }
 
 // Resolve looks up key.
 func (m *Map) Resolve(key []byte) (v any, ok bool) {

@@ -13,7 +13,6 @@ package eth
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
@@ -98,18 +97,13 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	if err != nil {
 		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
 	}
-	var kb pmap.Key
-	s := newSession(p, hlp, t, remote)
-	cur, inserted := p.active.BindIfAbsent(key(&kb, t, remote), s)
-	if inserted {
-		trace.Printf(trace.Events, p.Name(), "open type=%#04x remote=%s", uint16(t), remote)
-		return s, nil
-	}
-	// Session caching: reuse the existing binding (the paper's first
+	// Session caching: share the existing binding (the paper's first
 	// efficiency rule — "always cache open sessions", §5).
-	ses := cur.(*session)
-	ses.ref()
-	return ses, nil
+	var kb pmap.Key
+	return pmap.Open(p.active, key(&kb, t, remote), func() (xk.Session, error) {
+		trace.Printf(trace.Events, p.Name(), "open type=%#04x remote=%s", uint16(t), remote)
+		return newSession(p, hlp, t, remote), nil
+	}, nil)
 }
 
 // OpenEnable registers hlp to receive frames of the participant's type
@@ -144,11 +138,6 @@ func (p *Protocol) receive(m *msg.Msg) {
 	}
 }
 
-// testHookPassiveOpen, when a test sets it, runs in a passive open between
-// building the session and binding it: the window in which a concurrent
-// first contact from the same peer builds a session of its own.
-var testHookPassiveOpen func()
-
 // Demux routes a received frame: first to the session bound to
 // (type, source), then to the session bound to (type, broadcast) — which
 // is how ARP's broadcast session hears every ARP frame — and finally to
@@ -175,20 +164,18 @@ func (p *Protocol) Demux(_ xk.Session, m *msg.Msg) error {
 	}
 	if v, ok := p.enables.Resolve(kb.Reset().U16(uint16(t)).Built()); ok {
 		hlp := v.(xk.Protocol)
-		s := newSession(p, hlp, t, src)
-		if testHookPassiveOpen != nil {
-			testHookPassiveOpen()
-		}
-		if cur, inserted := p.active.BindIfAbsent(key(&kb, t, src), s); !inserted {
-			// A concurrent first contact bound its session first.
-			return cur.(*session).Pop(nil, m)
+		s, fresh, _ := pmap.Accept(p.active, key(&kb, t, src), func() (*session, error) {
+			return newSession(p, hlp, t, src), nil
+		}, nil)
+		if !fresh { // a concurrent first contact bound its session first
+			return s.Pop(nil, m)
 		}
 		ps := xk.NewParticipants(
 			xk.NewParticipant(t),
 			xk.NewParticipant(src),
 		)
 		if err := hlp.OpenDone(p, s, ps); err != nil {
-			p.active.Unbind(key(&kb, t, src))
+			_ = s.Close()
 			return err
 		}
 		if trace.Enabled(trace.Events) {
@@ -217,7 +204,6 @@ type session struct {
 	p      *Protocol
 	t      Type
 	remote xk.EthAddr
-	refs   atomic.Int32
 	hdr    [HeaderLen]byte // prebuilt header, "touch the header as little as possible" (§4.1)
 	// mtu is the wire's MTU boxed once at open: IP asks for it through
 	// Control on every send, and boxing per answer would allocate per
@@ -227,7 +213,6 @@ type session struct {
 
 func newSession(p *Protocol, hlp xk.Protocol, t Type, remote xk.EthAddr) *session {
 	s := &session{p: p, t: t, remote: remote, mtu: p.wire.MTU()}
-	s.refs.Store(1)
 	s.InitSession(p, hlp)
 	copy(s.hdr[0:6], remote[:])
 	me := p.wire.Addr()
@@ -235,8 +220,6 @@ func newSession(p *Protocol, hlp xk.Protocol, t Type, remote xk.EthAddr) *sessio
 	binary.BigEndian.PutUint16(s.hdr[12:14], uint16(t))
 	return s
 }
-
-func (s *session) ref() { s.refs.Add(1) }
 
 // Push frames the message and hands it to the wire, which consumes it.
 func (s *session) Push(m *msg.Msg) error {
@@ -281,16 +264,11 @@ func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close drops the session's demux binding once the last reference is
-// released.
+// Close releases the caller's hold; the last one unbinds the session.
 func (s *session) Close() error {
-	if s.refs.Add(-1) > 0 {
-		return nil
-	}
-	if !s.MarkClosed() {
-		return nil
-	}
 	var kb pmap.Key
-	s.p.active.Unbind(key(&kb, s.t, s.remote))
+	if s.p.active.Release(key(&kb, s.t, s.remote), s) {
+		s.MarkClosed()
+	}
 	return nil
 }

@@ -242,21 +242,19 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	if err != nil {
 		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
 	}
-	s, err := p.openSession(hlp, proto, remote)
-	if err != nil {
-		return nil, err
+	var kb pmap.Key
+	s, err := pmap.Open(p.active, ipkey(&kb, proto, remote), func() (xk.Session, error) {
+		return p.newLinkSession(hlp, proto, remote)
+	}, abandon)
+	if err == nil {
+		trace.Printf(trace.Events, p.Name(), "open proto=%d remote=%s", proto, remote)
 	}
-	trace.Printf(trace.Events, p.Name(), "open proto=%d remote=%s", proto, remote)
-	return s, nil
+	return s, err
 }
 
-// openSession creates or reuses the session for (proto, remote), opening
-// the lower ethernet session to the route's next hop.
-func (p *Protocol) openSession(hlp xk.Protocol, proto ProtoNum, remote xk.IPAddr) (*session, error) {
-	var kb pmap.Key
-	if v, ok := p.active.Resolve(ipkey(&kb, proto, remote)); ok {
-		return v.(*session), nil
-	}
+// newLinkSession builds the session for (proto, remote) over a lower
+// ethernet session to the route's next hop.
+func (p *Protocol) newLinkSession(hlp xk.Protocol, proto ProtoNum, remote xk.IPAddr) (xk.Session, error) {
 	nextHop, ifIndex, err := p.lookupRoute(remote)
 	if err != nil {
 		return nil, err
@@ -273,13 +271,7 @@ func (p *Protocol) openSession(hlp xk.Protocol, proto ProtoNum, remote xk.IPAddr
 	if err != nil {
 		return nil, err
 	}
-	s := newSession(p, hlp, proto, ifc.Addr, remote, ifIndex, lls)
-	if cur, inserted := p.active.BindIfAbsent(ipkey(&kb, proto, remote), s); !inserted {
-		// Lost a race; use the existing session.
-		_ = lls.Close()
-		return cur.(*session), nil
-	}
-	return s, nil
+	return newSession(p, hlp, proto, ifc.Addr, remote, ifIndex, lls), nil
 }
 
 // OpenEnable registers hlp for the local participant's protocol number.
@@ -483,16 +475,21 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	}
 	if v, ok := p.enables.Resolve(kb.Reset().U8(uint8(h.proto)).Built()); ok {
 		hlp := v.(xk.Protocol)
-		s, err := p.openSession(hlp, h.proto, h.src)
+		s, fresh, err := pmap.Accept(p.active, ipkey(&kb, h.proto, h.src), func() (xk.Session, error) {
+			return p.newLinkSession(hlp, h.proto, h.src)
+		}, abandon)
 		if err != nil {
 			return err
 		}
-		s.SetUp(hlp)
+		if !fresh { // a concurrent open bound its session first
+			return s.Pop(lls, m)
+		}
 		ps := xk.NewParticipants(
 			xk.NewParticipant(h.proto),
 			xk.NewParticipant(h.src),
 		)
 		if err := hlp.OpenDone(p, s, ps); err != nil {
+			_ = s.Close()
 			return err
 		}
 		if trace.Enabled(trace.Events) {
@@ -624,15 +621,16 @@ func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close unbinds the session and closes the link session below it.
+// Close releases the caller's hold; the last one unbinds the session and
+// closes the link session below it.
 func (s *session) Close() error {
-	if !s.MarkClosed() {
+	var kb pmap.Key
+	if !s.p.active.Release(ipkey(&kb, s.proto, s.remote), s) {
 		return nil
 	}
-	var kb pmap.Key
-	s.p.active.Unbind(ipkey(&kb, s.proto, s.remote))
-	if d := s.Down(0); d != nil {
-		return d.Close()
-	}
-	return nil
+	return s.BaseSession.Close()
 }
+
+// abandon undoes the build of a session that lost the race to bind: it
+// releases the link session the build opened.
+func abandon(s xk.Session) { _ = s.(*session).BaseSession.Close() }

@@ -516,7 +516,7 @@ func (c *Conn) closeLocked() {
 		c.rto = nil
 	}
 	var kb pmap.Key
-	c.p.active.Unbind(key(&kb, c.lport, c.rport, c.rhost))
+	c.p.active.Release(key(&kb, c.lport, c.rport, c.rhost), c)
 	trace.Printf(trace.Events, c.p.Name(), "closed %d <-> %s:%d", c.lport, c.rhost, c.rport)
 }
 

@@ -242,7 +242,7 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 		return nil, fmt.Errorf("%s: connection %d->%s:%d already exists", p.Name(), lport, rhost, rport)
 	}
 	if err := conn.connect(); err != nil {
-		p.active.Unbind(key(&kb, lport, rport, rhost))
+		p.active.Release(key(&kb, lport, rport, rhost), conn)
 		return nil, err
 	}
 	trace.Printf(trace.Events, p.Name(), "established %d -> %s:%d", lport, rhost, rport)
@@ -319,10 +319,11 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		hlp := p.enables[h.dst]
 		p.mu.Unlock()
 		if hlp != nil {
-			conn := newConn(p, hlp, h.dst, h.src, rhost, lls, false)
-			if cur, inserted := p.active.BindIfAbsent(key(&kb, h.dst, h.src, rhost), conn); !inserted {
-				// A duplicate SYN raced the first one: one connection.
-				return cur.(*Conn).segment(h, payload)
+			conn, fresh, _ := pmap.Accept(p.active, key(&kb, h.dst, h.src, rhost), func() (*Conn, error) {
+				return newConn(p, hlp, h.dst, h.src, rhost, lls, false), nil
+			}, nil)
+			if !fresh { // a duplicate SYN raced the first one: one connection
+				return conn.segment(h, payload)
 			}
 			if trace.Enabled(trace.Events) {
 				trace.Printf(trace.Events, p.Name(), "passive open %d <- %s:%d", h.dst, rhost, h.src)

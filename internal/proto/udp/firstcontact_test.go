@@ -53,11 +53,10 @@ func TestFirstContactBindsOneSession(t *testing.T) {
 	}
 	var built sync.WaitGroup
 	built.Add(n)
-	testHookPassiveOpen = func() {
+	p.active.SetBuildHook(func() {
 		built.Done()
 		built.Wait()
-	}
-	defer func() { testHookPassiveOpen = nil }()
+	})
 
 	var wg sync.WaitGroup
 	for i := range n {

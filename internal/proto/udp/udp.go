@@ -69,21 +69,15 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	if err != nil {
 		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
 	}
-	lls, err := p.llp.Open(p, &xk.Participants{
-		Local:  xk.NewParticipant(ip.ProtoUDP),
-		Remote: rp,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := newSession(p, hlp, lport, rport, rhost, lls)
 	var kb pmap.Key
-	if cur, inserted := p.active.BindIfAbsent(key(&kb, lport, rport, rhost), s); !inserted {
-		_ = lls.Close()
-		return cur.(*session), nil
-	}
-	trace.Printf(trace.Events, p.Name(), "open %d -> %s:%d", lport, rhost, rport)
-	return s, nil
+	return pmap.Open(p.active, key(&kb, lport, rport, rhost), func() (xk.Session, error) {
+		lls, err := p.llp.Open(p, &xk.Participants{Local: xk.NewParticipant(ip.ProtoUDP), Remote: rp})
+		if err != nil {
+			return nil, err
+		}
+		trace.Printf(trace.Events, p.Name(), "open %d -> %s:%d", lport, rhost, rport)
+		return newSession(p, hlp, lport, rport, rhost, lls), nil
+	}, func(s xk.Session) { _ = s.(*session).BaseSession.Close() })
 }
 
 func peekHost(rp *xk.Participant) (xk.IPAddr, error) {
@@ -127,11 +121,6 @@ func (p *Protocol) OpenDone(llp xk.Protocol, lls xk.Session, ps *xk.Participants
 	return nil
 }
 
-// testHookPassiveOpen, when a test sets it, runs in a passive open between
-// building the session and binding it: the window in which a concurrent
-// first contact from the same peer builds a session of its own.
-var testHookPassiveOpen func()
-
 // Demux dispatches a datagram on (dst port, src port, src host).
 func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	hdr, err := m.Pop(HeaderLen)
@@ -164,20 +153,18 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	}
 	if v, ok := p.enables.Resolve(kb.Reset().U16(uint16(dport)).Built()); ok {
 		hlp := v.(xk.Protocol)
-		s := newSession(p, hlp, dport, sport, rhost, lls)
-		if testHookPassiveOpen != nil {
-			testHookPassiveOpen()
-		}
-		if cur, inserted := p.active.BindIfAbsent(key(&kb, dport, sport, rhost), s); !inserted {
-			// A concurrent first contact bound its session first.
-			return cur.(*session).Pop(lls, m)
+		s, fresh, _ := pmap.Accept(p.active, key(&kb, dport, sport, rhost), func() (*session, error) {
+			return newSession(p, hlp, dport, sport, rhost, lls), nil
+		}, nil)
+		if !fresh { // a concurrent first contact bound its session first
+			return s.Pop(lls, m)
 		}
 		ps := xk.NewParticipants(
 			xk.NewParticipant(dport),
 			xk.NewParticipant(rhost, sport),
 		)
 		if err := hlp.OpenDone(p, s, ps); err != nil {
-			p.active.Unbind(key(&kb, dport, sport, rhost))
+			p.active.Release(key(&kb, dport, sport, rhost), s)
 			return err
 		}
 		return s.Pop(lls, m)
@@ -263,15 +250,12 @@ func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close unbinds the session.
+// Close releases the caller's hold; the last one unbinds the session and
+// closes the IP session below it.
 func (s *session) Close() error {
-	if !s.MarkClosed() {
+	var kb pmap.Key
+	if !s.p.active.Release(key(&kb, s.lport, s.rport, s.rhost), s) {
 		return nil
 	}
-	var kb pmap.Key
-	s.p.active.Unbind(key(&kb, s.lport, s.rport, s.rhost))
-	if d := s.Down(0); d != nil {
-		return d.Close()
-	}
-	return nil
+	return s.BaseSession.Close()
 }

@@ -178,19 +178,26 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 			return nil, err
 		}
 	}
-	s := p.newSession(hlp, proto, remote, ethSess, ipSess)
+	s, _ := p.newSession(hlp, proto, remote, ethSess, ipSess, nil)
 	trace.Printf(trace.Events, p.Name(), "open proto=%d remote=%s local=%v eth=%v ip=%v",
 		proto, remote, local, ethSess != nil, ipSess != nil)
 	return s, nil
 }
 
-func (p *Protocol) newSession(hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, ethSess, ipSess xk.Session) *session {
-	s := &session{p: p, proto: proto, remote: remote, peerHost: remote}
-	s.InitSession(p, hlp, ethSess, ipSess)
+// newSession wraps the lower sessions in a session and binds them to it.
+// A passive open names the lower session its message came up as from: if
+// a concurrent first contact on it bound a session first, that one is
+// returned instead, and fresh is false.
+func (p *Protocol) newSession(hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, ethSess, ipSess, from xk.Session) (s *session, fresh bool) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if cur := (*p.sessions.Load())[from]; cur != nil {
+		return cur, false
+	}
+	s = &session{p: p, proto: proto, remote: remote, peerHost: remote}
+	s.InitSession(p, hlp, ethSess, ipSess)
 	rebind(&p.sessions, s, ethSess, ipSess)
-	p.mu.Unlock()
-	return s
+	return s, true
 }
 
 // OpenEnable registers hlp for its protocol number on both lower
@@ -258,7 +265,10 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	} else {
 		ipSess = lls
 	}
-	s = p.newSession(hlp, proto, remote, ethSess, ipSess)
+	s, fresh := p.newSession(hlp, proto, remote, ethSess, ipSess, lls)
+	if !fresh {
+		return s.Pop(lls, m)
+	}
 	lls.SetUp(p)
 	ps := xk.NewParticipants(
 		xk.NewParticipant(proto),
@@ -292,7 +302,7 @@ func (p *Protocol) identify(lls xk.Session) (ip.ProtoNum, xk.IPAddr, error) {
 		var remote xk.IPAddr
 		if hv, err := lls.Control(xk.CtlGetPeerHost, nil); err == nil {
 			if mac, ok := hv.(xk.EthAddr); ok {
-				remote, _ = p.reverseARP(mac)
+				remote = reverseARP(p.arp, mac)
 			}
 		}
 		return proto, remote, nil
@@ -304,19 +314,19 @@ func (p *Protocol) identify(lls xk.Session) (ip.ProtoNum, xk.IPAddr, error) {
 	return ip.ProtoNum(n), hv.(xk.IPAddr), nil
 }
 
-// reverseARP finds the IP that maps to mac in the ARP cache.
-func (p *Protocol) reverseARP(mac xk.EthAddr) (xk.IPAddr, bool) {
-	type ranger interface {
+// reverseARP finds the IP that maps to mac in res's ARP cache, or the
+// zero address.
+func reverseARP(res Resolver, mac xk.EthAddr) xk.IPAddr {
+	if r, ok := res.(interface {
 		Entries() map[xk.IPAddr]xk.EthAddr
-	}
-	if r, ok := p.arp.(ranger); ok {
+	}); ok {
 		for ipA, m := range r.Entries() {
 			if m == mac {
-				return ipA, true
+				return ipA
 			}
 		}
 	}
-	return xk.IPAddr{}, false
+	return xk.IPAddr{}
 }
 
 // Control forwards MTU-ish queries so VIP is transparent to its clients.

@@ -69,18 +69,22 @@ func (p *Size) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) {
 		_ = directSess.Close()
 		return nil, err
 	}
-	s := p.newSession(hlp, proto, remote, directSess, bulkSess)
+	s, _ := p.newSession(hlp, proto, remote, directSess, bulkSess, nil)
 	trace.Printf(trace.Events, p.Name(), "open proto=%d remote=%s threshold=%d", proto, remote, p.threshold)
 	return s, nil
 }
 
-func (p *Size) newSession(hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, directSess, bulkSess xk.Session) *sizeSession {
-	s := &sizeSession{p: p, proto: proto, remote: remote, peerHost: remote}
-	s.InitSession(p, hlp, directSess, bulkSess)
+// newSession is VIP's newSession for VIPsize's two paths.
+func (p *Size) newSession(hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, directSess, bulkSess, from xk.Session) (s *sizeSession, fresh bool) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if cur := (*p.sessions.Load())[from]; cur != nil {
+		return cur, false
+	}
+	s = &sizeSession{p: p, proto: proto, remote: remote, peerHost: remote}
+	s.InitSession(p, hlp, directSess, bulkSess)
 	rebind(&p.sessions, s, directSess, bulkSess)
-	p.mu.Unlock()
-	return s
+	return s, true
 }
 
 // Control answers the questions lower virtual protocols ask. VIPsize
@@ -161,7 +165,10 @@ func (p *Size) Demux(lls xk.Session, m *msg.Msg) error {
 	} else {
 		directSess = lls
 	}
-	s = p.newSession(hlp, proto, remote, directSess, bulkSess)
+	s, fresh := p.newSession(hlp, proto, remote, directSess, bulkSess, lls)
+	if !fresh {
+		return s.Pop(lls, m)
+	}
 	lls.SetUp(p)
 	ps := xk.NewParticipants(
 		xk.NewParticipant(proto),
@@ -189,17 +196,8 @@ func (p *Size) identify(lls xk.Session) (ip.ProtoNum, xk.IPAddr, error) {
 		proto := ip.ProtoNum(n - uint32(eth.TypeVIPBase))
 		var remote xk.IPAddr
 		if hv, err := lls.Control(xk.CtlGetPeerHost, nil); err == nil {
-			if mac, ok := hv.(xk.EthAddr); ok && p.arp != nil {
-				if r, ok := p.arp.(interface {
-					Entries() map[xk.IPAddr]xk.EthAddr
-				}); ok {
-					for ipA, m := range r.Entries() {
-						if m == mac {
-							remote = ipA
-							break
-						}
-					}
-				}
+			if mac, ok := hv.(xk.EthAddr); ok {
+				remote = reverseARP(p.arp, mac)
 			}
 		}
 		return proto, remote, nil

@@ -30,6 +30,7 @@ import (
 
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
+	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
 	"xkernel/internal/trace"
 	"xkernel/internal/xk"
@@ -103,7 +104,7 @@ type Protocol struct {
 
 	mu    sync.Mutex
 	convs map[uint32]*Conversation
-	peers map[xk.IPAddr]xk.Session
+	peers *pmap.Map // peer host(4) → the lower session to it
 }
 
 // New creates Psync above llp (VIP-shaped participants: FRAGMENT, VIP,
@@ -116,7 +117,7 @@ func New(name string, llp xk.Protocol, local xk.IPAddr, cfg Config) (*Protocol, 
 		llp:          llp,
 		local:        local,
 		convs:        make(map[uint32]*Conversation),
-		peers:        make(map[xk.IPAddr]xk.Session),
+		peers:        pmap.New(4),
 	}
 	if err := llp.OpenEnable(p, xk.LocalOnly(xk.NewParticipant(cfg.Proto))); err != nil {
 		return nil, fmt.Errorf("%s: enable: %w", name, err)
@@ -142,29 +143,21 @@ func (p *Protocol) OpenDone(llp xk.Protocol, lls xk.Session, ps *xk.Participants
 	return nil
 }
 
-// session returns (opening if needed) the lower session to peer.
+// session returns (opening if needed) the lower session to peer, which
+// the protocol holds for its lifetime.
 func (p *Protocol) session(peer xk.IPAddr) (xk.Session, error) {
-	p.mu.Lock()
-	s, ok := p.peers[peer]
-	p.mu.Unlock()
-	if ok {
-		return s, nil
+	var kb pmap.Key
+	key := kb.Bytes(peer[:]).Built()
+	if s, ok := p.peers.Resolve(key); ok {
+		return s.(xk.Session), nil
 	}
-	s, err := p.llp.Open(p, xk.NewParticipants(
-		xk.NewParticipant(p.cfg.Proto),
-		xk.NewParticipant(peer),
-	))
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if cur, ok := p.peers[peer]; ok {
-		s = cur
-	} else {
-		p.peers[peer] = s
-	}
-	p.mu.Unlock()
-	return s, nil
+	s, _, err := pmap.Accept(p.peers, key, func() (xk.Session, error) {
+		return p.llp.Open(p, xk.NewParticipants(
+			xk.NewParticipant(p.cfg.Proto),
+			xk.NewParticipant(peer),
+		))
+	}, func(s xk.Session) { _ = s.Close() })
+	return s, err
 }
 
 // Join enters (or creates) conversation conv with the given peers.

@@ -405,22 +405,14 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
 	}
 	var kb pmap.Key
-	if v, ok := p.clients.Resolve(ClientKey(&kb, proto, id, remote)); ok {
-		return v.(*Session), nil
-	}
-	lls, err := p.llp.Open(p, xk.NewParticipants(
-		xk.NewParticipant(p.cfg.Proto),
-		xk.NewParticipant(remote),
-	))
-	if err != nil {
-		return nil, err
-	}
-	s := newSession(p, hlp, proto, id, remote, lls)
-	if cur, inserted := p.clients.BindIfAbsent(ClientKey(&kb, proto, id, remote), s); !inserted {
-		return cur.(*Session), nil
-	}
-	trace.Printf(trace.Events, p.Name(), "open chan=%d proto=%d remote=%s", id, proto, remote)
-	return s, nil
+	return pmap.Open(p.clients, ClientKey(&kb, proto, id, remote), func() (xk.Session, error) {
+		lls, err := p.llp.Open(p, xk.NewParticipants(xk.NewParticipant(p.cfg.Proto), xk.NewParticipant(remote)))
+		if err != nil {
+			return nil, err
+		}
+		trace.Printf(trace.Events, p.Name(), "open chan=%d proto=%d remote=%s", id, proto, remote)
+		return newSession(p, hlp, proto, id, remote, lls), nil
+	}, func(s xk.Session) { _ = s.(*Session).Down(0).Close() })
 }
 
 // OpenEnable registers hlp as the server for its protocol number.

@@ -181,13 +181,15 @@ func (s *Session) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close unbinds the channel.
+// Close releases the caller's hold; the last one unbinds the channel.
+// The FRAGMENT session below stays open: it is the one this host numbers
+// its messages to the peer through (DESIGN.md, "always cache open
+// sessions").
 func (s *Session) Close() error {
-	if !s.MarkClosed() {
-		return nil
-	}
 	var kb pmap.Key
-	s.p.clients.Unbind(ClientKey(&kb, s.proto, s.id, s.remote))
+	if s.p.clients.Release(ClientKey(&kb, s.proto, s.id, s.remote), s) {
+		s.MarkClosed()
+	}
 	return nil
 }
 

@@ -13,8 +13,13 @@
 package chanpool
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"xkernel/internal/proto/ip"
+	"xkernel/internal/rpc/channel"
+	"xkernel/internal/xk"
 )
 
 // slot is one lendable value and its busy flag. The trailing pad keeps
@@ -35,6 +40,36 @@ type Pool[T any] struct {
 	waiting atomic.Int32
 	mu      sync.Mutex
 	parked  []chan int // oldest first; each receives the slot it is handed
+}
+
+// Open opens, on hlp's behalf, one lower session per channel through llp
+// to remote — channel i as participant (proto, channel.ID(i)) — and pools
+// them. A session that is not a T (one that cannot be called) fails the
+// open with xk.ErrOpNotSupported.
+func Open[T xk.Session](llp, hlp xk.Protocol, proto ip.ProtoNum, remote xk.IPAddr, n int) (*Pool[T], error) {
+	vs := make([]T, n)
+	for i := range vs {
+		s, err := llp.Open(hlp, xk.NewParticipants(xk.NewParticipant(proto, channel.ID(i)), xk.NewParticipant(remote)))
+		if err != nil {
+			return nil, fmt.Errorf("%s: opening channel %d: %w", hlp.Name(), i, err)
+		}
+		var ok bool
+		if vs[i], ok = s.(T); !ok {
+			return nil, fmt.Errorf("%s: %s sessions cannot call: %w", hlp.Name(), llp.Name(), xk.ErrOpNotSupported)
+		}
+	}
+	return New(vs), nil
+}
+
+// Close drains p, waiting out calls in flight, and closes every session
+// in it, returning the first error.
+func Close[T xk.Session](p *Pool[T]) (first error) {
+	p.Drain(func(s T) {
+		if err := s.Close(); err != nil && first == nil {
+			first = err
+		}
+	})
+	return first
 }
 
 // New returns a pool lending vs, every slot free.

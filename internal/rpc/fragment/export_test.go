@@ -1,8 +1,5 @@
 package fragment
 
-// SetTestHookPassiveOpen installs f between building a passive session
-// and binding it, and returns the function that removes it.
-func SetTestHookPassiveOpen(f func()) (restore func()) {
-	testHookPassiveOpen = f
-	return func() { testHookPassiveOpen = nil }
-}
+// SetBuildHook runs f in every open of p's session cache between building
+// a session and binding it (pmap.Map.SetBuildHook).
+func (p *Protocol) SetBuildHook(f func()) { p.active.SetBuildHook(f) }

@@ -38,10 +38,10 @@ func TestFirstContactBindsOneSession(t *testing.T) {
 	}
 	var built sync.WaitGroup
 	built.Add(n)
-	defer fragment.SetTestHookPassiveOpen(func() {
+	p.SetBuildHook(func() {
 		built.Done()
 		built.Wait()
-	})()
+	})
 
 	var wg sync.WaitGroup
 	for i := range n {

@@ -244,23 +244,14 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
 	}
 	var kb pmap.Key
-	if v, ok := p.active.Resolve(key(&kb, proto, remote)); ok {
-		return v.(*session), nil
-	}
-	lls, err := p.llp.Open(p, xk.NewParticipants(
-		xk.NewParticipant(p.cfg.Proto),
-		xk.NewParticipant(remote),
-	))
-	if err != nil {
-		return nil, err
-	}
-	s := newSession(p, hlp, proto, remote, lls)
-	if cur, inserted := p.active.BindIfAbsent(key(&kb, proto, remote), s); !inserted {
-		_ = lls.Close()
-		return cur.(*session), nil
-	}
-	trace.Printf(trace.Events, p.Name(), "open proto=%d remote=%s", proto, remote)
-	return s, nil
+	return pmap.Open(p.active, key(&kb, proto, remote), func() (xk.Session, error) {
+		lls, err := p.llp.Open(p, xk.NewParticipants(xk.NewParticipant(p.cfg.Proto), xk.NewParticipant(remote)))
+		if err != nil {
+			return nil, err
+		}
+		trace.Printf(trace.Events, p.Name(), "open proto=%d remote=%s", proto, remote)
+		return newSession(p, hlp, proto, remote, lls), nil
+	}, func(s xk.Session) { _ = s.(*session).Down(0).Close() })
 }
 
 // OpenEnable registers hlp for passive session creation.
@@ -309,11 +300,6 @@ func (p *Protocol) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// testHookPassiveOpen, when a test sets it, runs in a passive open between
-// building the session and binding it: the window in which a concurrent
-// first contact from the same peer builds a session of its own.
-var testHookPassiveOpen func()
-
 // Demux routes data fragments and resend requests to the session for
 // (protocol number, peer host), creating it passively on first contact.
 func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
@@ -338,22 +324,21 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	if hlp == nil {
 		return fmt.Errorf("%s: proto %d from %s: %w", p.Name(), proto, peer, xk.ErrNoSession)
 	}
-	s := newSession(p, hlp, proto, peer, lls)
-	if testHookPassiveOpen != nil {
-		testHookPassiveOpen()
-	}
-	if cur, inserted := p.active.BindIfAbsent(key(&kb, proto, peer), s); !inserted {
+	s, fresh, _ := pmap.Accept(p.active, key(&kb, proto, peer), func() (*session, error) {
+		return newSession(p, hlp, proto, peer, lls), nil
+	}, nil)
+	if !fresh {
 		// A concurrent first contact from the same peer bound its
-		// session first. The frame is that session's; s was never
-		// published and has nothing armed.
-		return cur.(*session).receive(h, m, lls)
+		// session first. The frame is that session's; the one built
+		// here was never published and has nothing armed.
+		return s.receive(h, m, lls)
 	}
 	pps := xk.NewParticipants(
 		xk.NewParticipant(proto),
 		xk.NewParticipant(peer),
 	)
 	if err := hlp.OpenDone(p, s, pps); err != nil {
-		p.active.Unbind(key(&kb, proto, peer))
+		p.active.Release(key(&kb, proto, peer), s)
 		return err
 	}
 	if trace.Enabled(trace.Events) {

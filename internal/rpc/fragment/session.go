@@ -541,15 +541,16 @@ func (s *session) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close unbinds the session. It drops the hold and the collections under
-// the lock and cancels the two events after it; a handler that fires in
-// between finds its event disowned and returns.
+// Close releases the caller's hold. The last one unbinds the session,
+// drops the hold and the collections under the lock and cancels the two
+// events after it (a handler that fires in between finds its event
+// disowned and returns), then closes the session below.
 func (s *session) Close() error {
-	if !s.MarkClosed() {
+	var kb pmap.Key
+	if !s.p.active.Release(key(&kb, s.proto, s.remote), s) {
 		return nil
 	}
-	var kb pmap.Key
-	s.p.active.Unbind(key(&kb, s.proto, s.remote))
+	s.MarkClosed()
 	s.mu.Lock()
 	s.sent, s.head = nil, 0
 	s.sweeping, s.gapAt = false, time.Time{}

@@ -28,8 +28,8 @@ import (
 
 	"xkernel/internal/msg"
 	"xkernel/internal/obs/gauge"
+	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/rpc/channel"
 	"xkernel/internal/rpc/chanpool"
 	"xkernel/internal/trace"
 	"xkernel/internal/xk"
@@ -95,9 +95,9 @@ type Protocol struct {
 	// Register copies it under mu and publishes the copy.
 	handlers atomic.Pointer[map[uint16]Handler]
 	fallback atomic.Pointer[Handler]
+	mu       sync.Mutex
 
-	mu       sync.RWMutex
-	sessions map[xk.IPAddr]*Session
+	sessions *pmap.Map // server host(4) → *Session
 }
 
 // New creates SELECT above llp and registers to serve incoming requests.
@@ -107,7 +107,7 @@ func New(name string, llp xk.Protocol, cfg Config) (*Protocol, error) {
 		BaseProtocol: xk.BaseProtocol{ProtoName: name},
 		cfg:          cfg,
 		llp:          llp,
-		sessions:     make(map[xk.IPAddr]*Session),
+		sessions:     pmap.New(4),
 	}
 	p.handlers.Store(&map[uint16]Handler{})
 	if err := llp.OpenEnable(p, xk.LocalOnly(xk.NewParticipant(cfg.Proto))); err != nil {
@@ -130,35 +130,24 @@ func (p *Protocol) RegisterDefault(h Handler) { p.fallback.Store(&h) }
 
 // PoolFree reports the total number of idle channels across every
 // server session's fixed pool.
-func (p *Protocol) PoolFree() int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var free int64
-	for _, s := range p.sessions {
-		free += int64(s.pool.Free())
-	}
-	return free
-}
+func (p *Protocol) PoolFree() int64 { return p.poolSum((*chanpool.Pool[caller]).Free) }
 
 // PoolBusy reports the total number of channels currently lent out to
 // in-flight calls — the pool-occupancy gauge whose ceiling (NumChannels
 // per server) is exactly where a SELECT stack's saturation knee sits.
-func (p *Protocol) PoolBusy() int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var busy int64
-	for _, s := range p.sessions {
-		busy += int64(s.pool.Busy())
-	}
-	return busy
+func (p *Protocol) PoolBusy() int64 { return p.poolSum((*chanpool.Pool[caller]).Busy) }
+
+// poolSum adds f over every server session's pool.
+func (p *Protocol) poolSum(f func(*chanpool.Pool[caller]) int) (n int64) {
+	p.sessions.Range(func(_ string, s any) bool {
+		n += int64(f(s.(*Session).pool))
+		return true
+	})
+	return n
 }
 
 // Servers reports how many server sessions (channel pools) are open.
-func (p *Protocol) Servers() int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return int64(len(p.sessions))
-}
+func (p *Protocol) Servers() int64 { return int64(p.sessions.Len()) }
 
 // RegisterGauges adds the pool-occupancy gauges to set under prefix
 // ("<prefix>.pool_free", ".pool_busy", ".servers"). A nil set is a
@@ -191,39 +180,17 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	if err != nil {
 		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
 	}
-	p.mu.Lock()
-	if s, ok := p.sessions[remote]; ok {
-		p.mu.Unlock()
-		return s, nil
-	}
-	p.mu.Unlock()
-
-	lower := make([]caller, p.cfg.NumChannels)
-	for i := range lower {
-		cs, err := p.llp.Open(p, xk.NewParticipants(
-			xk.NewParticipant(p.cfg.Proto, channel.ID(i)),
-			xk.NewParticipant(remote),
-		))
+	var kb pmap.Key
+	return pmap.Open(p.sessions, kb.Bytes(remote[:]).Built(), func() (xk.Session, error) {
+		pool, err := chanpool.Open[caller](p.llp, p, p.cfg.Proto, remote, p.cfg.NumChannels)
 		if err != nil {
-			return nil, fmt.Errorf("%s: opening channel %d: %w", p.Name(), i, err)
+			return nil, err
 		}
-		c, ok := cs.(caller)
-		if !ok {
-			return nil, fmt.Errorf("%s: %s sessions cannot call: %w", p.Name(), p.llp.Name(), xk.ErrOpNotSupported)
-		}
-		lower[i] = c
-	}
-	s := &Session{p: p, remote: remote, pool: chanpool.New(lower)}
-	s.InitSession(p, hlp)
-	p.mu.Lock()
-	if cur, ok := p.sessions[remote]; ok {
-		p.mu.Unlock()
-		return cur, nil
-	}
-	p.sessions[remote] = s
-	p.mu.Unlock()
-	trace.Printf(trace.Events, p.Name(), "open server=%s channels=%d", remote, p.cfg.NumChannels)
-	return s, nil
+		trace.Printf(trace.Events, p.Name(), "open server=%s channels=%d", remote, p.cfg.NumChannels)
+		s := &Session{p: p, remote: remote, pool: pool}
+		s.InitSession(p, hlp)
+		return s, nil
+	}, func(s xk.Session) { _ = chanpool.Close(s.(*Session).pool) })
 }
 
 // OpenDone accepts the server sessions CHANNEL creates passively.
@@ -363,20 +330,14 @@ func (s *Session) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close drains the channel pool, waiting out calls in flight, and closes
-// every channel.
+// Close releases the caller's hold. The last one unbinds the session,
+// drains the channel pool, waiting out calls in flight, and closes every
+// channel.
 func (s *Session) Close() error {
-	if !s.MarkClosed() {
+	var kb pmap.Key
+	if !s.p.sessions.Release(kb.Bytes(s.remote[:]).Built(), s) {
 		return nil
 	}
-	s.p.mu.Lock()
-	delete(s.p.sessions, s.remote)
-	s.p.mu.Unlock()
-	var first error
-	s.pool.Drain(func(cs caller) {
-		if err := cs.Close(); err != nil && first == nil {
-			first = err
-		}
-	})
-	return first
+	s.MarkClosed()
+	return chanpool.Close(s.pool)
 }

@@ -166,24 +166,17 @@ func (p *ReqRep) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) 
 		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
 	}
 	var kb pmap.Key
-	if v, ok := p.clients.Resolve(channel.ClientKey(&kb, proto, id, remote)); ok {
-		return v.(*RRSession), nil
-	}
-	lls, err := p.llp.Open(p, xk.NewParticipants(
-		xk.NewParticipant(p.cfg.Proto),
-		xk.NewParticipant(remote),
-	))
-	if err != nil {
-		return nil, err
-	}
-	s := &RRSession{p: p, proto: proto, id: id, remote: remote}
-	s.slot.Init(p.cfg.Clock, &p.xids)
-	s.InitSession(p, hlp, lls)
-	if cur, inserted := p.clients.BindIfAbsent(channel.ClientKey(&kb, proto, id, remote), s); !inserted {
-		return cur.(*RRSession), nil
-	}
-	trace.Printf(trace.Events, p.Name(), "open id=%d proto=%d remote=%s", id, proto, remote)
-	return s, nil
+	return pmap.Open(p.clients, channel.ClientKey(&kb, proto, id, remote), func() (xk.Session, error) {
+		lls, err := p.llp.Open(p, xk.NewParticipants(xk.NewParticipant(p.cfg.Proto), xk.NewParticipant(remote)))
+		if err != nil {
+			return nil, err
+		}
+		trace.Printf(trace.Events, p.Name(), "open id=%d proto=%d remote=%s", id, proto, remote)
+		s := &RRSession{p: p, proto: proto, id: id, remote: remote}
+		s.slot.Init(p.cfg.Clock, &p.xids)
+		s.InitSession(p, hlp, lls)
+		return s, nil
+	}, func(s xk.Session) { _ = s.(*RRSession).Down(0).Close() })
 }
 
 // OpenEnable registers hlp as the server for its protocol number.
@@ -396,13 +389,13 @@ func (s *RRSession) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close unbinds the session.
+// Close releases the caller's hold; the last one unbinds the session. The
+// FRAGMENT session below stays open, as CHANNEL's does.
 func (s *RRSession) Close() error {
-	if !s.MarkClosed() {
-		return nil
-	}
 	var kb pmap.Key
-	s.p.clients.Unbind(channel.ClientKey(&kb, s.proto, s.id, s.remote))
+	if s.p.clients.Release(channel.ClientKey(&kb, s.proto, s.id, s.remote), s) {
+		s.MarkClosed()
+	}
 	return nil
 }
 

@@ -5,8 +5,8 @@ import (
 	"sync"
 
 	"xkernel/internal/msg"
+	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/rpc/channel"
 	"xkernel/internal/rpc/chanpool"
 	"xkernel/internal/trace"
 	"xkernel/internal/xk"
@@ -89,7 +89,7 @@ type Select struct {
 
 	mu       sync.Mutex
 	handlers map[progVer]map[uint32]Handler
-	sessions map[xk.IPAddr]*SelectSession
+	sessions *pmap.Map // server host(4) → *SelectSession
 }
 
 // NewSelect creates SUN_SELECT above llp — CHANNEL, REQUEST_REPLY, or an
@@ -101,7 +101,7 @@ func NewSelect(name string, llp xk.Protocol, cfg SelectConfig) (*Select, error) 
 		cfg:          cfg,
 		llp:          llp,
 		handlers:     make(map[progVer]map[uint32]Handler),
-		sessions:     make(map[xk.IPAddr]*SelectSession),
+		sessions:     pmap.New(4),
 	}
 	if err := llp.OpenEnable(p, xk.LocalOnly(xk.NewParticipant(cfg.Proto))); err != nil {
 		return nil, fmt.Errorf("%s: enable: %w", name, err)
@@ -175,38 +175,17 @@ func (p *Select) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) 
 	if err != nil {
 		return nil, fmt.Errorf("%s: open: %w", p.Name(), err)
 	}
-	p.mu.Lock()
-	if s, ok := p.sessions[remote]; ok {
-		p.mu.Unlock()
-		return s, nil
-	}
-	p.mu.Unlock()
-	lower := make([]callerSession, p.cfg.NumSessions)
-	for i := range lower {
-		lls, err := p.llp.Open(p, xk.NewParticipants(
-			xk.NewParticipant(p.cfg.Proto, channel.ID(i)),
-			xk.NewParticipant(remote),
-		))
+	var kb pmap.Key
+	return pmap.Open(p.sessions, kb.Bytes(remote[:]).Built(), func() (xk.Session, error) {
+		pool, err := chanpool.Open[callerSession](p.llp, p, p.cfg.Proto, remote, p.cfg.NumSessions)
 		if err != nil {
-			return nil, fmt.Errorf("%s: opening lower session %d: %w", p.Name(), i, err)
+			return nil, err
 		}
-		c, ok := lls.(callerSession)
-		if !ok {
-			return nil, fmt.Errorf("%s: %s sessions cannot call: %w", p.Name(), p.llp.Name(), xk.ErrOpNotSupported)
-		}
-		lower[i] = c
-	}
-	s := &SelectSession{p: p, remote: remote, pool: chanpool.New(lower)}
-	s.InitSession(p, hlp)
-	p.mu.Lock()
-	if cur, ok := p.sessions[remote]; ok {
-		p.mu.Unlock()
-		return cur, nil
-	}
-	p.sessions[remote] = s
-	p.mu.Unlock()
-	trace.Printf(trace.Events, p.Name(), "open server=%s sessions=%d", remote, p.cfg.NumSessions)
-	return s, nil
+		trace.Printf(trace.Events, p.Name(), "open server=%s sessions=%d", remote, p.cfg.NumSessions)
+		s := &SelectSession{p: p, remote: remote, pool: pool}
+		s.InitSession(p, hlp)
+		return s, nil
+	}, func(s xk.Session) { _ = chanpool.Close(s.(*SelectSession).pool) })
 }
 
 // Demux serves an incoming call: decode the XDR call header, dispatch,
@@ -300,15 +279,14 @@ func (s *SelectSession) Control(op xk.ControlOp, arg any) (any, error) {
 	}
 }
 
-// Close drains the pool, waiting out calls in flight, and closes every
-// lower session.
+// Close releases the caller's hold. The last one unbinds the session,
+// drains the pool, waiting out calls in flight, and closes every lower
+// session.
 func (s *SelectSession) Close() error {
-	if !s.MarkClosed() {
+	var kb pmap.Key
+	if !s.p.sessions.Release(kb.Bytes(s.remote[:]).Built(), s) {
 		return nil
 	}
-	s.p.mu.Lock()
-	delete(s.p.sessions, s.remote)
-	s.p.mu.Unlock()
-	s.pool.Drain(func(c callerSession) { _ = c.Close() })
-	return nil
+	s.MarkClosed()
+	return chanpool.Close(s.pool)
 }

@@ -201,7 +201,11 @@ type Session interface {
 	// when splicing itself out of the stack (§4.3).
 	SetUp(hlp Protocol)
 
-	// Close releases the session and any lower sessions it owns
-	// exclusively.
+	// Close gives back the hold its caller's Open took. A protocol
+	// that caches sessions (pmap.Open) shares one session per key among
+	// its openers and counts them: only the last Close closes the
+	// session and releases the lower sessions it opened, so one
+	// opener's Close never closes a session another still holds. Each
+	// Open is closed once.
 	Close() error
 }

@@ -119,12 +119,16 @@ go test -race -count=3 ./internal/xk/ -run 'TestBaseSessionPublicationRace|TestM
 go test -race -count=3 ./internal/pmap/ -run 'TestResolveAfterUnbindNeverStale|TestLastKeyCacheSequences|TestConcurrentMapVsModel|TestResolveAllocatesNothing'
 # The slot pool SELECT and SUN_SELECT lend channels from (a lone caller
 # keeps one channel, a parked caller wakes and is never barged past, Close
-# waits out a call in flight, the gauges read one set of flags), and N
-# first-contact frames from one peer racing a passive open: one session
-# bound and one OpenDone, in FRAGMENT, ETH and UDP.
+# waits out a call in flight, the gauges read one set of flags), N
+# first-contact frames from one peer racing a passive open (one session
+# bound and one OpenDone, in FRAGMENT, ETH, UDP, TCP, VIP and VIPsize),
+# and the map tool's session cache: opens share one session per key and
+# only the last Close closes it, in every caching protocol, and opens
+# racing the last Close never get a closed session and leave no count.
 go test -race -count=3 ./internal/rpc/chanpool/
 go test -race -count=3 ./internal/rpc/selectp/ -run 'TestLoneCallerRidesOneChannel|TestParkedCallerIsNotBargedPast|TestCloseWaitsForTheCallInFlight|TestPoolGaugesAgree|TestChannelPoolBlocksWhenExhausted|TestOpenRefusesALowerSessionThatCannotCall'
-go test -race -count=3 ./internal/rpc/fragment/ ./internal/proto/eth/ ./internal/proto/udp/ -run 'TestFirstContactBindsOneSession'
+go test -race -count=3 ./internal/rpc/fragment/ ./internal/proto/eth/ ./internal/proto/udp/ ./internal/proto/tcp/ ./internal/proto/vip/ -run 'TestFirstContactBinds'
+go test -race -count=20 ./internal/pmap/ ./internal/stacks/ -run 'TestOpen|TestSharedOpenCloseByCount'
 
 echo "== allocation budgets (exact allocs per round trip, no race detector) =="
 # internal/bench/allocs_test.go and internal/wire/udp/allocs_test.go are
